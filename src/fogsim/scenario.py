@@ -502,7 +502,7 @@ def _discovery_tree() -> dict:
     return {
         "name": "discovery",
         "seed": 23,
-        "experiment": {"kind": "discovery", "ticks": 3},
+        "experiment": {"kind": "discovery"},
         "time_limit_ms": 60000.0,
         "topology": {
             "hosts": [_host(h, "rpi4") for h in hosts],

@@ -21,6 +21,7 @@ import threading
 import time
 
 from . import protocol
+from .netsim import _Event
 from .protocol import Address, FrameBuffer, MessageEnvelope
 
 __all__ = ["TcpTransport", "RealtimeKernel"]
@@ -168,22 +169,6 @@ def _quiet_close(sock: socket.socket) -> None:
         pass
 
 
-class _Timer:
-    __slots__ = ("when", "seq", "action", "cancelled")
-
-    def __init__(self, when: float, seq: int, action):
-        self.when = when
-        self.seq = seq
-        self.action = action
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def __lt__(self, other: "_Timer") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
-
 class RealtimeKernel:
     """Wall-clock driver with the simulated kernel's surface over TCP."""
 
@@ -191,7 +176,7 @@ class RealtimeKernel:
         self.transport = transport or TcpTransport()
         self.topology = None
         self._t0 = time.monotonic()
-        self._timers: list[_Timer] = []
+        self._timers: list[_Event] = []
         self._seq = 0
         self._inbox: queue.Queue = queue.Queue()
         self._handlers: dict[Address, object] = {}
@@ -203,12 +188,12 @@ class RealtimeKernel:
 
     # -- timers ---------------------------------------------------------------
 
-    def schedule(self, delay_ms: float, action) -> _Timer:
+    def schedule(self, delay_ms: float, action) -> _Event:
         return self.schedule_at(self.now + max(0.0, delay_ms), action)
 
-    def schedule_at(self, when: float, action) -> _Timer:
+    def schedule_at(self, when: float, action) -> _Event:
         with self._lock:
-            timer = _Timer(when, self._seq, action)
+            timer = _Event(when, self._seq, action)
             self._seq += 1
             heapq.heappush(self._timers, timer)
         return timer
@@ -234,13 +219,13 @@ class RealtimeKernel:
 
     # -- loop ---------------------------------------------------------------
 
-    def _due_timer(self) -> _Timer | None:
+    def _due_timer(self) -> _Event | None:
         with self._lock:
             while self._timers:
                 if self._timers[0].cancelled:
                     heapq.heappop(self._timers)
                     continue
-                if self._timers[0].when <= self.now:
+                if self._timers[0].time <= self.now:
                     return heapq.heappop(self._timers)
                 return None
         return None
@@ -249,7 +234,7 @@ class RealtimeKernel:
         with self._lock:
             while self._timers and self._timers[0].cancelled:
                 heapq.heappop(self._timers)
-            return self._timers[0].when if self._timers else None
+            return self._timers[0].time if self._timers else None
 
     def run(self, until_ms: float = float("inf"), stop_when=None) -> float:
         """Dispatches timers and inbound envelopes until the deadline passes."""

@@ -11,6 +11,7 @@ sampled_at, later insertion winning ties.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from . import protocol
 from .protocol import (
@@ -25,7 +26,6 @@ from .protocol import (
     ProbeReply,
     ProcessingSample,
     ResponseSample,
-    PERF_RECORD_TYPES,
     RECORD_TYPES,
 )
 
@@ -68,36 +68,18 @@ def validate_record(record) -> str | None:
     return None
 
 
-def latest_profiles(records) -> dict:
-    """Freshest record per key; larger sampled_at wins, insertion order breaks ties."""
-
-    best: dict = {}
-    for record in records:
-        if isinstance(record, HostProfile):
-            key = record.host
-        elif isinstance(record, ImageRecord):
-            key = (record.host, record.task)
-        elif isinstance(record, LinkSample):
-            key = (record.host_a, record.host_b)
-        elif isinstance(record, ProcessingSample):
-            key = (record.task, record.host)
-        elif isinstance(record, ResponseSample):
-            key = record.request_id
-        else:
-            continue
-        held = best.get(key)
-        if held is None or record.sampled_at >= held.sampled_at:
-            best[key] = record
-    return best
-
-
 class LogStore:
-    """Append-only record databases with validating ingestion."""
+    """Append-only record databases with validating ingestion.
+
+    `latest` indexes the freshest accepted record per key as it arrives, so
+    a snapshot costs the number of keys, not the length of the history.
+    """
 
     def __init__(self):
         self.images: list[ImageRecord] = []
         self.resources: list[HostProfile] = []
         self.perf: list = []
+        self.latest = TelemetryView()
 
     def ingest(self, records) -> tuple[int, list]:
         """Returns (accepted count, [(record, reason), ...] for rejects)."""
@@ -115,31 +97,19 @@ class LogStore:
                 self.resources.append(record)
             else:
                 self.perf.append(record)
+            self.latest.observe(record)
             accepted += 1
         return accepted, rejected
 
     def all_records(self) -> list:
         return list(self.images) + list(self.resources) + list(self.perf)
 
-    def latest_host_profiles(self) -> dict[str, HostProfile]:
-        return latest_profiles(self.resources)
-
-    def latest_links(self) -> dict[tuple[str, str], LinkSample]:
-        return latest_profiles(r for r in self.perf if isinstance(r, LinkSample))
-
-    def latest_images(self) -> dict[tuple[str, str], ImageRecord]:
-        return latest_profiles(self.images)
-
     def snapshot(self) -> list:
         """Latest record per key, deterministically ordered; feeds master syncs."""
 
         out = []
-        profiles = self.latest_host_profiles()
-        out.extend(profiles[key] for key in sorted(profiles))
-        images = self.latest_images()
-        out.extend(images[key] for key in sorted(images))
-        links = self.latest_links()
-        out.extend(links[key] for key in sorted(links))
+        for table in (self.latest.host_profiles, self.latest.images, self.latest.links):
+            out.extend(table[key] for key in sorted(table))
         return out
 
     # -- persistence --------------------------------------------------------
@@ -192,6 +162,12 @@ class TelemetryView:
         self.links: dict[tuple[str, str], LinkSample] = {}
         self.images: dict[tuple[str, str], ImageRecord] = {}
         self.processing: dict[tuple[str, str], ProcessingSample] = {}
+        self._tables = {
+            HostProfile: (self.host_profiles, attrgetter("host")),
+            LinkSample: (self.links, attrgetter("host_a", "host_b")),
+            ImageRecord: (self.images, attrgetter("host", "task")),
+            ProcessingSample: (self.processing, attrgetter("task", "host")),
+        }
         if topology is not None:
             for spec in topology.hosts.values():
                 self.observe(
@@ -207,25 +183,16 @@ class TelemetryView:
                 )
 
     def observe(self, record):
-        if isinstance(record, HostProfile):
-            held = self.host_profiles.get(record.host)
-            if held is None or record.sampled_at >= held.sampled_at:
-                self.host_profiles[record.host] = record
-        elif isinstance(record, LinkSample):
-            key = (record.host_a, record.host_b)
-            held = self.links.get(key)
-            if held is None or record.sampled_at >= held.sampled_at:
-                self.links[key] = record
-        elif isinstance(record, ImageRecord):
-            key = (record.host, record.task)
-            held = self.images.get(key)
-            if held is None or record.sampled_at >= held.sampled_at:
-                self.images[key] = record
-        elif isinstance(record, ProcessingSample):
-            key = (record.task, record.host)
-            held = self.processing.get(key)
-            if held is None or record.sampled_at >= held.sampled_at:
-                self.processing[key] = record
+        """Keeps the freshest record per key: larger sampled_at wins, later insertion breaks ties."""
+
+        entry = self._tables.get(type(record))
+        if entry is None:
+            return
+        table, key_of = entry
+        key = key_of(record)
+        held = table.get(key)
+        if held is None or record.sampled_at >= held.sampled_at:
+            table[key] = record
 
     def observe_all(self, records):
         for record in records:

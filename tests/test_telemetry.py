@@ -1,5 +1,10 @@
 """Telemetry stores, freshest-wins views, and the central log sink."""
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim.netsim import DEFAULT_LINK, HostSpec, LinkSpec, SimKernel, Topology, host_from_class
 from fogsim.protocol import (
@@ -13,13 +18,13 @@ from fogsim.protocol import (
     MessageEnvelope,
     Probe,
     ProbeReply,
+    ProcessingSample,
     ResponseSample,
 )
 from fogsim.telemetry import (
     LogStore,
     RemoteLogger,
     TelemetryView,
-    latest_profiles,
     rate_from_profile,
     sample_host,
     validate_record,
@@ -61,14 +66,17 @@ def test_ingest_accepts_good_rejects_bad_with_reasons():
     assert len(store.resources) == 1 and len(store.perf) == 1 and len(store.images) == 1
 
 
-def test_latest_profiles_freshest_wins_insertion_breaks_ties():
+def test_view_freshest_wins_insertion_breaks_ties():
     stale = profile("h", sampled_at=10.0, util=0.1)
     fresh = profile("h", sampled_at=20.0, util=0.2)
     tied = profile("h", sampled_at=20.0, util=0.3)
-    assert latest_profiles([fresh, stale]) == {"h": fresh}
-    assert latest_profiles([fresh, tied]) == {"h": tied}
-    by_pair = latest_profiles([link("a", "b", sampled_at=1.0), link("b", "a", sampled_at=2.0)])
-    assert set(by_pair) == {("a", "b"), ("b", "a")}
+    view = TelemetryView()
+    view.observe_all([fresh, stale])
+    assert view.host_profiles == {"h": fresh}
+    view.observe(tied)
+    assert view.host_profiles == {"h": tied}
+    view.observe_all([link("a", "b", sampled_at=1.0), link("b", "a", sampled_at=2.0)])
+    assert set(view.links) == {("a", "b"), ("b", "a")}
 
 
 def test_snapshot_is_latest_per_key_in_sorted_order():
@@ -100,6 +108,55 @@ def test_save_load_round_trip(tmp_path):
     store.save(str(path))
     loaded = LogStore.load(str(path))
     assert loaded.all_records() == store.all_records()
+
+
+_hosts = st.sampled_from(["a", "b", "c"])
+_times = st.sampled_from([0.0, 1.0, 2.5, 4.0, -1.0, float("nan")])  # the last two are invalid
+_records = st.one_of(
+    st.builds(profile, _hosts, sampled_at=_times, util=st.sampled_from([0.0, 0.5, 1.5])),
+    st.builds(ImageRecord, host=_hosts, task=st.sampled_from(["t1", "t2", ""]),
+              available=st.booleans(), sampled_at=_times),
+    st.builds(link, _hosts, _hosts, latency=st.sampled_from([1.0, 7.0, -2.0]), sampled_at=_times),
+    st.builds(ProcessingSample, task=st.sampled_from(["t1", "t2"]), host=_hosts,
+              processing_ms=st.sampled_from([3.0, -1.0]), sampled_at=_times),
+    st.builds(ResponseSample, request_id=st.sampled_from(["r1", "r2"]), app=st.just("x"),
+              response_ms=st.sampled_from([9.0, -1.0]), sampled_at=_times),
+    st.just("not a record"),
+)
+
+
+def brute_force_snapshot(records):
+    """Per key, the last-inserted of the records with the largest sampled_at."""
+
+    groups = ({}, {}, {})
+    for r in records:
+        if isinstance(r, HostProfile):
+            groups[0].setdefault(r.host, []).append(r)
+        elif isinstance(r, ImageRecord):
+            groups[1].setdefault((r.host, r.task), []).append(r)
+        elif isinstance(r, LinkSample):
+            groups[2].setdefault((r.host_a, r.host_b), []).append(r)
+    out = []
+    for by_key in groups:
+        for key in sorted(by_key):
+            top = max(r.sampled_at for r in by_key[key])
+            out.append([r for r in by_key[key] if r.sampled_at == top][-1])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=st.lists(st.lists(_records, max_size=12), max_size=6))
+def test_incremental_ingest_snapshot_matches_brute_force_and_survives_reload(batches):
+    store = LogStore()
+    accepted = 0
+    for batch in batches:
+        accepted += store.ingest(batch)[0]
+        assert store.snapshot() == brute_force_snapshot(store.all_records())
+    assert accepted == len(store.all_records())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "telemetry.log")
+        store.save(path)
+        assert LogStore.load(path).snapshot() == store.snapshot()
 
 
 def test_rate_from_profile_discounts_load():
