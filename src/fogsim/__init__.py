@@ -4,7 +4,10 @@ A single codebase of cooperating components (master, actor, task
 executor, user, remote logger) that places task DAGs onto profiled
 hosts with a history-seeded genetic algorithm, scales masters under
 load, reuses warm executors, and reproduces its headline experiments
-on a deterministic simulated network or over loopback TCP.
+on a deterministic simulated network (``SimKernel``).  The same
+components also run over loopback TCP on ``RealtimeKernel``, a single
+selector loop on the wall clock; ``Runtime`` and the CLI drive the
+simulated kernel only.
 """
 
 from .actor_runtime import Actor, ActorConfig, ExecutorPhase, TaskExecutor
@@ -16,7 +19,6 @@ from .errors import (
     EncodingOverflow,
     FogsimError,
     NeedMoreBytes,
-    NoActorsAvailable,
     ProtocolError,
 )
 from .ga_policies import POLICIES, GaParams, HistoryStore, PolicyResult
@@ -29,7 +31,7 @@ from .scaler import ScaleCandidate, headroom_score, select_scale_target
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, preset_names, preset_tree
 from .scheduler import ResponseModel, SchedulerConfig, build_task_actors_map
 from .taskgraph import AppSpec, TaskSpec, app_from_config, builtin_apps
-from .tcpnet import RealtimeKernel, TcpTransport
+from .tcpnet import RealtimeKernel
 from .telemetry import (
     HostProfile,
     ImageRecord,
@@ -75,7 +77,6 @@ __all__ = [
     "MessageEnvelope",
     "MetricsReport",
     "NeedMoreBytes",
-    "NoActorsAvailable",
     "POLICIES",
     "PlacementState",
     "PolicyResult",
@@ -94,7 +95,6 @@ __all__ = [
     "SimKernel",
     "TaskExecutor",
     "TaskSpec",
-    "TcpTransport",
     "TelemetryView",
     "Topology",
     "User",

@@ -6,7 +6,7 @@ class FogsimError(Exception):
 
 
 class EncodingOverflow(FogsimError):
-    """Encoded message body does not fit the 4-byte length prefix."""
+    """Encoded message body is larger than the codec's MAX_BODY_BYTES."""
 
 
 class NeedMoreBytes(FogsimError):
@@ -27,10 +27,6 @@ class ProtocolError(FogsimError):
 
 class CyclicDependency(FogsimError):
     """Task graph contains a cycle."""
-
-
-class NoActorsAvailable(FogsimError):
-    """Scheduling was attempted with an empty actor registry."""
 
 
 class ConfigError(FogsimError):

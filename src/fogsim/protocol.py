@@ -17,7 +17,10 @@ from enum import Enum
 from .errors import EncodingOverflow, NeedMoreBytes, ProtocolError
 
 LENGTH_PREFIX = struct.Struct(">I")
-MAX_BODY_BYTES = 2**32 - 1
+# Largest body a frame may carry, checked on both sides of the wire so a
+# peer cannot make a receiver buffer without bound.  No preset frame comes
+# anywhere near it.
+MAX_BODY_BYTES = 64 * 2**20
 
 # Conventional listening ports.  Discovery probes subnet hosts at the master
 # and actor ports; everything else learns addresses from message traffic.
@@ -51,6 +54,8 @@ class Address:
 
     @classmethod
     def parse(cls, text: str) -> "Address":
+        if not isinstance(text, str):
+            raise TypeError(f"address must be text, not {type(text).__name__}")
         host, _, port = text.rpartition(":")
         return cls(host, int(port))
 
@@ -324,7 +329,7 @@ def _struct_from_tree(tree, offset):
     if not isinstance(tree, dict) or "type" not in tree:
         raise ProtocolError("expected a tagged struct", offset)
     name = tree["type"]
-    cls = _BY_NAME.get(name)
+    cls = _BY_NAME.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ProtocolError(f"unknown struct tag {name!r}", offset)
     kwargs = {}
@@ -369,16 +374,22 @@ def encode(envelope: MessageEnvelope) -> bytes:
     }
     body = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_BODY_BYTES:
-        raise EncodingOverflow(f"body of {len(body)} bytes exceeds the length prefix")
+        raise EncodingOverflow(f"body of {len(body)} bytes exceeds {MAX_BODY_BYTES}")
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
 def frame_length(buffer: bytes) -> int:
-    """Total frame size announced by the prefix at the start of the buffer."""
+    """Total frame size announced by the prefix at the start of the buffer.
+
+    A prefix announcing more than MAX_BODY_BYTES is a ProtocolError as soon
+    as it is read, before any body bytes arrive.
+    """
 
     if len(buffer) < LENGTH_PREFIX.size:
         raise NeedMoreBytes(LENGTH_PREFIX.size - len(buffer))
     (body_len,) = LENGTH_PREFIX.unpack_from(buffer)
+    if body_len > MAX_BODY_BYTES:
+        raise ProtocolError(f"announced body of {body_len} bytes exceeds {MAX_BODY_BYTES}")
     return LENGTH_PREFIX.size + body_len
 
 
@@ -391,7 +402,7 @@ def decode(buffer: bytes) -> MessageEnvelope:
     body = buffer[LENGTH_PREFIX.size:total]
     try:
         tree = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         offset = LENGTH_PREFIX.size + getattr(exc, "pos", getattr(exc, "start", 0))
         raise ProtocolError(f"body is not canonical text: {exc}", offset) from exc
     if not isinstance(tree, dict):
@@ -448,13 +459,14 @@ class FrameBuffer:
         out = []
         while True:
             try:
-                total = frame_length(bytes(self._buf))
+                total = frame_length(self._buf)
             except NeedMoreBytes:
                 break
             if len(self._buf) < total:
                 break
-            out.append(decode(bytes(self._buf[:total])))
+            frame = self._buf[:total]
             del self._buf[:total]
+            out.append(decode(frame))
         return out
 
     def pending(self) -> int:

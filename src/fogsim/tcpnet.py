@@ -1,186 +1,58 @@
-"""Real TCP transport over loopback, plus a wall-clock kernel to drive it.
+"""Wall-clock kernel that carries envelopes over loopback TCP.
 
-Virtual addresses keep their (host, port) form; each bound address gets
-its own loopback listener and the transport keeps a directory from
-virtual address to real port. One TCP connection per (source,
-destination) pair preserves the same per-pair FIFO guarantee the
-simulated kernel gives. Frames on the wire are the canonical
-length-prefixed envelopes from the codec.
+RealtimeKernel has the simulated kernel's surface (now, schedule,
+schedule_at, bind, unbind, is_bound, send, run, close) but advances with
+the wall clock.  Virtual addresses keep their (host, port) form; each
+bound address gets its own loopback listener and the kernel keeps a
+directory from virtual address to real port.  One TCP connection per
+(source, destination) pair preserves the per-pair FIFO order the
+simulated kernel gives.  Frames on the wire are the codec's canonical
+length-prefixed envelopes.
 
-RealtimeKernel mirrors the simulated kernel's surface (now, schedule,
-bind, send, run) but advances with the wall clock and dispatches every
-handler on the thread that called run(), so components stay effectively
-single-threaded.
+One selector loop, on the thread that calls run(), fires timers, accepts,
+reads, writes and hands each decoded envelope straight to the handler
+bound at its destination.  No thread is started and no socket call
+blocks: send() only appends the frame to its connection's outbound
+buffer, and the loop writes it out as the socket accepts bytes.  A peer
+cannot abort run(): a socket error closes that connection, and a frame
+that fails to decode closes its inbound connection and is counted in
+``bad_frames``.  An exception raised by a handler propagates.
 """
 from __future__ import annotations
 
+import errno
+import functools
 import heapq
-import queue
+import math
+import selectors
 import socket
-import threading
 import time
 
 from . import protocol
+from .errors import ProtocolError
 from .netsim import _Event
 from .protocol import Address, FrameBuffer, MessageEnvelope
 
-__all__ = ["TcpTransport", "RealtimeKernel"]
+__all__ = ["RealtimeKernel"]
 
-_BACKLOG = 32
 _RECV_BYTES = 65536
 
 
-class TcpTransport:
-    """Loopback TCP carrier with one ordered stream per (source, destination)."""
+class RealtimeKernel:
+    """Wall-clock kernel with the simulated kernel's surface, over loopback TCP."""
 
     def __init__(self):
-        self._lock = threading.RLock()
-        self._listeners: dict[Address, socket.socket] = {}
-        self._ports: dict[Address, int] = {}
-        self._handlers: dict[Address, object] = {}
-        self._conns: dict[tuple, socket.socket] = {}
-        self._conn_locks: dict[tuple, threading.Lock] = {}
-        self._threads: list[threading.Thread] = []
-        self._closed = False
-
-    # -- binding -------------------------------------------------------------
-
-    def bind(self, addr: Address, handler) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("transport is closed")
-            if addr in self._listeners:
-                raise ValueError(f"{addr} is already bound")
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(_BACKLOG)
-            self._listeners[addr] = listener
-            self._ports[addr] = listener.getsockname()[1]
-            self._handlers[addr] = handler
-        thread = threading.Thread(target=self._accept_loop, args=(addr, listener), daemon=True)
-        thread.start()
-        with self._lock:
-            self._threads.append(thread)
-
-    def unbind(self, addr: Address) -> None:
-        with self._lock:
-            listener = self._listeners.pop(addr, None)
-            self._ports.pop(addr, None)
-            self._handlers.pop(addr, None)
-        if listener is not None:
-            _quiet_close(listener)
-
-    def is_bound(self, addr: Address) -> bool:
-        with self._lock:
-            return addr in self._listeners
-
-    # -- sending ---------------------------------------------------------------
-
-    def send(self, envelope: MessageEnvelope) -> None:
-        frame = protocol.encode(envelope)
-        key = (envelope.source, envelope.destination)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("transport is closed")
-            port = self._ports.get(envelope.destination)
-            if port is None:
-                return  # same as the simulated kernel: unbound destinations drop
-            conn = self._conns.get(key)
-            if conn is None:
-                conn = socket.create_connection(("127.0.0.1", port))
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._conns[key] = conn
-                self._conn_locks[key] = threading.Lock()
-            conn_lock = self._conn_locks[key]
-        try:
-            with conn_lock:
-                conn.sendall(frame)
-        except OSError:
-            with self._lock:
-                self._conns.pop(key, None)
-                self._conn_locks.pop(key, None)
-            raise
-
-    # -- receiving ---------------------------------------------------------------
-
-    def _accept_loop(self, addr: Address, listener: socket.socket) -> None:
-        while True:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return
-            thread = threading.Thread(target=self._read_loop, args=(addr, conn), daemon=True)
-            thread.start()
-            with self._lock:
-                self._threads.append(thread)
-
-    def _read_loop(self, addr: Address, conn: socket.socket) -> None:
-        buffer = FrameBuffer()
-        try:
-            while True:
-                data = conn.recv(_RECV_BYTES)
-                if not data:
-                    return
-                for envelope in buffer.feed(data):
-                    with self._lock:
-                        handler = self._handlers.get(envelope.destination, self._handlers.get(addr))
-                    if handler is not None:
-                        handler(envelope)
-        except OSError:
-            return
-        finally:
-            _quiet_close(conn)
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            listeners = list(self._listeners.values())
-            conns = list(self._conns.values())
-            self._listeners.clear()
-            self._ports.clear()
-            self._handlers.clear()
-            self._conns.clear()
-            self._conn_locks.clear()
-            threads = list(self._threads)
-        for sock in listeners + conns:
-            _quiet_close(sock)
-        for thread in threads:
-            thread.join(timeout=1.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
-def _quiet_close(sock: socket.socket) -> None:
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
-
-
-class RealtimeKernel:
-    """Wall-clock driver with the simulated kernel's surface over TCP."""
-
-    def __init__(self, transport: TcpTransport | None = None):
-        self.transport = transport or TcpTransport()
         self.topology = None
+        self.bad_frames = 0
         self._t0 = time.monotonic()
         self._timers: list[_Event] = []
         self._seq = 0
-        self._inbox: queue.Queue = queue.Queue()
+        self._selector = selectors.DefaultSelector()
         self._handlers: dict[Address, object] = {}
-        self._lock = threading.Lock()
+        self._listeners: dict[Address, socket.socket] = {}
+        self._ports: dict[Address, int] = {}
+        # (source, destination) -> connected socket and its unsent bytes
+        self._conns: dict[tuple[Address, Address], tuple[socket.socket, bytearray]] = {}
 
     @property
     def now(self) -> float:
@@ -192,75 +64,145 @@ class RealtimeKernel:
         return self.schedule_at(self.now + max(0.0, delay_ms), action)
 
     def schedule_at(self, when: float, action) -> _Event:
-        with self._lock:
-            timer = _Event(when, self._seq, action)
-            self._seq += 1
-            heapq.heappush(self._timers, timer)
+        timer = _Event(when, self._seq, action)
+        self._seq += 1
+        heapq.heappush(self._timers, timer)
         return timer
 
-    # -- messaging ---------------------------------------------------------------
+    # -- endpoints ---------------------------------------------------------------
 
     def bind(self, addr: Address, handler) -> None:
-        with self._lock:
-            self._handlers[addr] = handler
-        self.transport.bind(addr, self._inbox.put)
+        if addr in self._handlers:
+            raise ValueError(f"address {addr} already bound")
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        listener.setblocking(False)
+        self._selector.register(listener, selectors.EVENT_READ, functools.partial(self._accept, listener))
+        self._handlers[addr] = handler
+        self._listeners[addr] = listener
+        self._ports[addr] = listener.getsockname()[1]
 
     def unbind(self, addr: Address) -> None:
-        with self._lock:
-            self._handlers.pop(addr, None)
-        self.transport.unbind(addr)
+        self._handlers.pop(addr, None)
+        self._ports.pop(addr, None)
+        listener = self._listeners.pop(addr, None)
+        if listener is not None:
+            self._discard(listener)
+        # Frames still queued for addr would be dropped on arrival anyway;
+        # closing the connections lets the receiving ends see EOF and close too.
+        for pair in [pair for pair in self._conns if pair[1] == addr]:
+            self._discard(self._conns.pop(pair)[0])
 
     def is_bound(self, addr: Address) -> bool:
-        return self.transport.is_bound(addr)
+        return addr in self._handlers
+
+    # -- sending ---------------------------------------------------------------
 
     def send(self, envelope: MessageEnvelope) -> None:
         envelope.sent_at = self.now
-        self.transport.send(envelope)
+        frame = protocol.encode(envelope)
+        port = self._ports.get(envelope.destination)
+        if port is None:
+            return  # same as the simulated kernel: unbound destinations drop
+        pair = (envelope.source, envelope.destination)
+        if pair not in self._conns:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if sock.connect_ex(("127.0.0.1", port)) not in (0, errno.EINPROGRESS):
+                sock.close()
+                return
+            self._conns[pair] = (sock, bytearray())
+        sock, pending = self._conns[pair]
+        if not pending:
+            self._selector.register(sock, selectors.EVENT_WRITE, functools.partial(self._flush, pair))
+        pending += frame
 
     # -- loop ---------------------------------------------------------------
 
-    def _due_timer(self) -> _Event | None:
-        with self._lock:
-            while self._timers:
-                if self._timers[0].cancelled:
-                    heapq.heappop(self._timers)
-                    continue
-                if self._timers[0].time <= self.now:
-                    return heapq.heappop(self._timers)
-                return None
-        return None
-
-    def _next_deadline(self) -> float | None:
-        with self._lock:
-            while self._timers and self._timers[0].cancelled:
-                heapq.heappop(self._timers)
-            return self._timers[0].time if self._timers else None
-
-    def run(self, until_ms: float = float("inf"), stop_when=None) -> float:
-        """Dispatches timers and inbound envelopes until the deadline passes."""
+    def run(self, until_ms: float = math.inf, stop_when=None) -> float:
+        """Fires timers and moves envelopes until the deadline or stop condition."""
 
         while True:
             if stop_when is not None and stop_when():
                 return self.now
-            if self.now >= until_ms:
-                return self.now
-            timer = self._due_timer()
-            if timer is not None:
-                timer.action()
+            now = self.now
+            if now >= until_ms:
+                return now
+            while self._timers and self._timers[0].cancelled:
+                heapq.heappop(self._timers)
+            if self._timers and self._timers[0].time <= now:
+                heapq.heappop(self._timers).action()
                 continue
+            horizon = min(until_ms, self._timers[0].time) if self._timers else until_ms
+            timeout = None if horizon == math.inf else (horizon - now) / 1000.0
+            for key, _ in self._selector.select(timeout):
+                key.data()
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
             try:
-                envelope = self._inbox.get(timeout=self._wait_ms(until_ms) / 1000.0)
-            except queue.Empty:
-                continue
-            with self._lock:
-                handler = self._handlers.get(envelope.destination)
+                sock, _ = listener.accept()
+            except OSError:  # backlog drained, or the listener was unbound mid-batch
+                return
+            sock.setblocking(False)
+            self._selector.register(
+                sock, selectors.EVENT_READ, functools.partial(self._read, sock, FrameBuffer())
+            )
+
+    def _read(self, sock: socket.socket, frames: FrameBuffer) -> None:
+        try:
+            data = sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._discard(sock)
+            return
+        try:
+            envelopes = frames.feed(data)
+        except ProtocolError:
+            self.bad_frames += 1
+            self._discard(sock)
+            return
+        for envelope in envelopes:
+            handler = self._handlers.get(envelope.destination)
             if handler is not None:
                 handler(envelope)
 
-    def _wait_ms(self, until_ms: float) -> float:
-        deadline = self._next_deadline()
-        horizon = min(until_ms, deadline) if deadline is not None else until_ms
-        return min(max(horizon - self.now, 0.001), 50.0)
+    def _flush(self, pair: tuple[Address, Address]) -> None:
+        if pair not in self._conns:
+            return  # unbound earlier in this select batch
+        sock, pending = self._conns[pair]
+        try:
+            sent = sock.send(pending)
+        except BlockingIOError:
+            return
+        except OSError:
+            del self._conns[pair]
+            self._discard(sock)
+            return
+        del pending[:sent]
+        if not pending:
+            self._selector.unregister(sock)
+
+    def _discard(self, sock: socket.socket) -> None:
+        try:
+            self._selector.unregister(sock)
+        except (KeyError, ValueError):
+            pass  # idle outbound connections are not registered; closed ones have no fd
+        sock.close()
 
     def close(self) -> None:
-        self.transport.close()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        for sock, _ in self._conns.values():
+            sock.close()
+        self._selector.close()
+        self._handlers.clear()
+        self._listeners.clear()
+        self._ports.clear()
+        self._conns.clear()

@@ -130,6 +130,33 @@ def test_non_json_body_reports_offset():
     assert err.value.offset >= 4
 
 
+def _body(**overrides):
+    tree = {"source": "a:1", "destination": "b:2", "sender_id": None, "sent_at": 0.0, "payload": {"type": "Probe"}}
+    tree.update(overrides)
+    return json.dumps(tree).encode()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        _body(payload={"type": []}),
+        _body(source=5),
+        _body(payload={"type": "AdvertiseMaster", "master": 7}),
+        b"[" * 100_000,
+    ],
+    ids=["unhashable-tag", "numeric-address", "numeric-field-address", "deep-nesting"],
+)
+def test_malformed_body_is_a_protocol_error(body):
+    with pytest.raises(ProtocolError):
+        decode(len(body).to_bytes(4, "big") + body)
+
+
+def test_oversized_prefix_rejected_before_the_body_arrives():
+    buffer = FrameBuffer()
+    with pytest.raises(ProtocolError, match="exceeds"):
+        buffer.feed((protocol.MAX_BODY_BYTES + 1).to_bytes(4, "big"))
+
+
 def test_unknown_struct_tag_rejected():
     body = json.dumps(
         {

@@ -1,94 +1,55 @@
 """One behavioral contract, two carriers: simulated kernel and loopback TCP.
 
-Every check runs against both transports: delivery intactness, per-pair
-FIFO order, interleaving across pairs, large frames, unbind semantics,
-and silent drops for unbound destinations.
+Every check runs against both kernels: delivery intactness, per-pair
+FIFO order, interleaving across pairs, fan-in from many sources, large
+frames, unbind semantics, silent drops for unbound destinations and
+handler exceptions.  The TCP-only checks at the end cover the wall-clock
+timers and a peer that sends a malformed frame.
 """
-import threading
-import time
+import socket
 
 import pytest
 
 from fogsim.netsim import HostSpec, LinkSpec, SimKernel, Topology
 from fogsim.protocol import Address, Data, MessageEnvelope, Probe, WarnNoResources
-from fogsim.tcpnet import RealtimeKernel, TcpTransport
+from fogsim.tcpnet import RealtimeKernel
 
 HOSTS = ["10.9.0.1", "10.9.0.2", "10.9.0.3"]
+FLUSH_DEADLINE_MS = 10_000.0
 
 
-class SimHarness:
-    name = "sim"
-
-    def __init__(self):
-        topo = Topology([HostSpec(host=h) for h in HOSTS], default_link=LinkSpec(1.0, 1e9))
-        self.kernel = SimKernel(topo)
-
-    def bind(self, addr, handler):
-        self.kernel.bind(addr, handler)
-
-    def unbind(self, addr):
-        self.kernel.unbind(addr)
-
-    def is_bound(self, addr):
-        return self.kernel.is_bound(addr)
-
-    def send(self, envelope):
-        self.kernel.send(envelope)
-
-    def flush(self, expected):
-        self.kernel.run()
-
-    def close(self):
-        pass
+def _sim_kernel():
+    topo = Topology([HostSpec(host=h) for h in HOSTS], default_link=LinkSpec(1.0, 1e9))
+    return SimKernel(topo)
 
 
-class TcpHarness:
-    name = "tcp"
+class Harness:
+    """A kernel plus a count of envelopes its handlers have received."""
 
-    def __init__(self):
-        self.transport = TcpTransport()
-        self._count = 0
-        self._cond = threading.Condition()
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.delivered = 0
 
     def bind(self, addr, handler):
         def counting(envelope):
             handler(envelope)
-            with self._cond:
-                self._count += 1
-                self._cond.notify_all()
+            self.delivered += 1
 
-        self.transport.bind(addr, counting)
-
-    def unbind(self, addr):
-        self.transport.unbind(addr)
-
-    def is_bound(self, addr):
-        return self.transport.is_bound(addr)
-
-    def send(self, envelope):
-        self.transport.send(envelope)
+        self.kernel.bind(addr, counting)
 
     def flush(self, expected):
-        deadline = time.monotonic() + 10.0
-        with self._cond:
-            while self._count < expected:
-                remaining = deadline - time.monotonic()
-                assert remaining > 0, f"only {self._count} of {expected} envelopes arrived"
-                self._cond.wait(timeout=remaining)
-
-    def close(self):
-        self.transport.close()
+        self.kernel.run(
+            until_ms=self.kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: self.delivered >= expected
+        )
+        assert self.delivered >= expected, f"only {self.delivered} of {expected} envelopes arrived"
 
 
-@pytest.fixture(params=[SimHarness, TcpHarness], ids=["sim", "tcp"])
+@pytest.fixture(params=[_sim_kernel, RealtimeKernel], ids=["sim", "tcp"])
 def harness(request):
-    h = request.param()
-    yield h
-    h.close()
-
-
-def _seen(payload):
-    return (type(payload).__name__, getattr(payload, "frame_seq", None), getattr(payload, "payload", None))
+    kernel = request.param()
+    yield Harness(kernel)
+    if isinstance(kernel, RealtimeKernel):
+        kernel.close()
 
 
 def test_delivers_envelope_intact(harness):
@@ -96,7 +57,7 @@ def test_delivers_envelope_intact(harness):
     dst = Address(HOSTS[1], 7000)
     harness.bind(dst, lambda env: got.append(env))
     sent = MessageEnvelope(Address(HOSTS[0], 7001), dst, Data(request_id="r", frame_seq=9, size_bytes=64, payload="hi"))
-    harness.send(sent)
+    harness.kernel.send(sent)
     harness.flush(1)
     assert len(got) == 1
     assert got[0].source == sent.source
@@ -110,7 +71,7 @@ def test_per_pair_order_is_fifo(harness):
     src = Address(HOSTS[0], 7001)
     harness.bind(dst, lambda env: got.append(env.payload.frame_seq))
     for seq in range(50):
-        harness.send(MessageEnvelope(src, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
+        harness.kernel.send(MessageEnvelope(src, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
     harness.flush(50)
     assert got == list(range(50))
 
@@ -122,8 +83,8 @@ def test_interleaved_sources_each_stay_ordered(harness):
     b = Address(HOSTS[1], 7002)
     harness.bind(dst, lambda env: got.append((env.source, env.payload.frame_seq)))
     for seq in range(20):
-        harness.send(MessageEnvelope(a, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
-        harness.send(MessageEnvelope(b, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
+        harness.kernel.send(MessageEnvelope(a, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
+        harness.kernel.send(MessageEnvelope(b, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
     harness.flush(40)
     assert [seq for src, seq in got if src == a] == list(range(20))
     assert [seq for src, seq in got if src == b] == list(range(20))
@@ -134,7 +95,7 @@ def test_large_frame_survives(harness):
     dst = Address(HOSTS[1], 7000)
     harness.bind(dst, lambda env: got.append(env.payload))
     blob = "x" * 1_000_000
-    harness.send(
+    harness.kernel.send(
         MessageEnvelope(
             Address(HOSTS[0], 7001), dst, Data(request_id="r", frame_seq=0, size_bytes=16, payload=blob)
         )
@@ -150,8 +111,8 @@ def test_distinct_ports_on_one_host_are_distinct_endpoints(harness):
     harness.bind(pa, lambda env: got_a.append(env))
     harness.bind(pb, lambda env: got_b.append(env))
     src = Address(HOSTS[0], 7001)
-    harness.send(MessageEnvelope(src, pa, Probe()))
-    harness.send(MessageEnvelope(src, pb, WarnNoResources(request_id="r")))
+    harness.kernel.send(MessageEnvelope(src, pa, Probe()))
+    harness.kernel.send(MessageEnvelope(src, pb, WarnNoResources(request_id="r")))
     harness.flush(2)
     assert [type(e.payload).__name__ for e in got_a] == ["Probe"]
     assert [type(e.payload).__name__ for e in got_b] == ["WarnNoResources"]
@@ -162,19 +123,19 @@ def test_unbound_destination_drops_silently(harness):
     bound = Address(HOSTS[1], 7000)
     harness.bind(bound, lambda env: got.append(env))
     src = Address(HOSTS[0], 7001)
-    harness.send(MessageEnvelope(src, Address(HOSTS[2], 7999), Probe()))
-    harness.send(MessageEnvelope(src, bound, Probe()))
+    harness.kernel.send(MessageEnvelope(src, Address(HOSTS[2], 7999), Probe()))
+    harness.kernel.send(MessageEnvelope(src, bound, Probe()))
     harness.flush(1)
     assert len(got) == 1
 
 
 def test_is_bound_tracks_bind_and_unbind(harness):
     addr = Address(HOSTS[0], 7000)
-    assert not harness.is_bound(addr)
+    assert not harness.kernel.is_bound(addr)
     harness.bind(addr, lambda env: None)
-    assert harness.is_bound(addr)
-    harness.unbind(addr)
-    assert not harness.is_bound(addr)
+    assert harness.kernel.is_bound(addr)
+    harness.kernel.unbind(addr)
+    assert not harness.kernel.is_bound(addr)
 
 
 def test_two_way_traffic(harness):
@@ -184,14 +145,36 @@ def test_two_way_traffic(harness):
     harness.bind(a, lambda env: got_a.append(env.payload.frame_seq))
     harness.bind(b, lambda env: got_b.append(env.payload.frame_seq))
     for seq in range(10):
-        harness.send(MessageEnvelope(a, b, Data(request_id="r", frame_seq=seq, size_bytes=16)))
-        harness.send(MessageEnvelope(b, a, Data(request_id="r", frame_seq=seq, size_bytes=16)))
+        harness.kernel.send(MessageEnvelope(a, b, Data(request_id="r", frame_seq=seq, size_bytes=16)))
+        harness.kernel.send(MessageEnvelope(b, a, Data(request_id="r", frame_seq=seq, size_bytes=16)))
     harness.flush(20)
     assert got_a == list(range(10))
     assert got_b == list(range(10))
 
 
-# -- wall-clock kernel on top of the TCP transport ---------------------------------
+def test_fan_in_from_many_sources(harness):
+    got = []
+    dst = Address(HOSTS[1], 7000)
+    harness.bind(dst, lambda env: got.append(env.source))
+    sources = [Address(HOSTS[0], 8000 + i) for i in range(100)]
+    for src in sources:
+        harness.kernel.send(MessageEnvelope(src, dst, Probe()))
+    harness.flush(100)
+    assert sorted(got) == sources
+
+
+def test_handler_exception_propagates(harness):
+    def explode(env):
+        raise RuntimeError("handler bug")
+
+    dst = Address(HOSTS[1], 7000)
+    harness.bind(dst, explode)
+    harness.kernel.send(MessageEnvelope(Address(HOSTS[0], 7001), dst, Probe()))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        harness.flush(1)
+
+
+# -- TCP only: wall-clock timers and misbehaving peers ------------------------------
 
 
 def test_realtime_kernel_fires_timers_in_order():
@@ -223,5 +206,24 @@ def test_realtime_kernel_request_reply():
         kernel.schedule(1.0, lambda: kernel.send(MessageEnvelope(client, server, Probe())))
         kernel.run(until_ms=5000.0, stop_when=lambda: bool(got))
         assert got == [1]
+    finally:
+        kernel.close()
+
+
+def test_malformed_peer_frame_is_counted_and_the_kernel_keeps_serving():
+    kernel = RealtimeKernel()
+    try:
+        dst = Address(HOSTS[1], 7000)
+        got = []
+        kernel.bind(dst, got.append)
+        body = b"{not json"
+        with socket.create_connection(("127.0.0.1", kernel._ports[dst]), timeout=5.0) as peer:
+            peer.sendall(len(body).to_bytes(4, "big") + body)
+            kernel.run(until_ms=kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: kernel.bad_frames > 0)
+        assert kernel.bad_frames == 1
+        kernel.send(MessageEnvelope(Address(HOSTS[0], 7001), dst, Probe()))
+        kernel.run(until_ms=kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: bool(got))
+        assert [type(env.payload).__name__ for env in got] == ["Probe"]
+        assert kernel.bad_frames == 1
     finally:
         kernel.close()
