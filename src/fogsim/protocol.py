@@ -455,19 +455,29 @@ class FrameBuffer:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list:
-        self._buf.extend(data)
+        """Appends data and decodes every complete frame now buffered."""
+
+        self.append(data)
         out = []
-        while True:
-            try:
-                total = frame_length(self._buf)
-            except NeedMoreBytes:
-                break
-            if len(self._buf) < total:
-                break
-            frame = self._buf[:total]
-            del self._buf[:total]
-            out.append(decode(frame))
+        while (envelope := self.pop()) is not None:
+            out.append(envelope)
         return out
+
+    def append(self, data: bytes) -> None:
+        self._buf.extend(data)
+
+    def pop(self) -> MessageEnvelope | None:
+        """Removes and decodes the first complete frame; None if none is buffered."""
+
+        try:
+            total = frame_length(self._buf)
+        except NeedMoreBytes:
+            return None
+        if len(self._buf) < total:
+            return None
+        frame = self._buf[:total]
+        del self._buf[:total]
+        return decode(frame)
 
     def pending(self) -> int:
         return len(self._buf)

@@ -16,7 +16,8 @@ blocks: send() only appends the frame to its connection's outbound
 buffer, and the loop writes it out as the socket accepts bytes.  A peer
 cannot abort run(): a socket error closes that connection, and a frame
 that fails to decode closes its inbound connection and is counted in
-``bad_frames``.  An exception raised by a handler propagates.
+``bad_frames``.  An exception raised by a handler propagates out of run();
+the envelopes already read behind it are handed over when run() resumes.
 """
 from __future__ import annotations
 
@@ -48,9 +49,8 @@ class RealtimeKernel:
         self._timers: list[_Event] = []
         self._seq = 0
         self._selector = selectors.DefaultSelector()
-        self._handlers: dict[Address, object] = {}
-        self._listeners: dict[Address, socket.socket] = {}
-        self._ports: dict[Address, int] = {}
+        # bound address -> its handler and its loopback listener
+        self._endpoints: dict[Address, tuple[object, socket.socket]] = {}
         # (source, destination) -> connected socket and its unsent bytes
         self._conns: dict[tuple[Address, Address], tuple[socket.socket, bytearray]] = {}
 
@@ -72,7 +72,7 @@ class RealtimeKernel:
     # -- endpoints ---------------------------------------------------------------
 
     def bind(self, addr: Address, handler) -> None:
-        if addr in self._handlers:
+        if addr in self._endpoints:
             raise ValueError(f"address {addr} already bound")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -80,38 +80,40 @@ class RealtimeKernel:
         listener.listen()
         listener.setblocking(False)
         self._selector.register(listener, selectors.EVENT_READ, functools.partial(self._accept, listener))
-        self._handlers[addr] = handler
-        self._listeners[addr] = listener
-        self._ports[addr] = listener.getsockname()[1]
+        self._endpoints[addr] = (handler, listener)
 
     def unbind(self, addr: Address) -> None:
-        self._handlers.pop(addr, None)
-        self._ports.pop(addr, None)
-        listener = self._listeners.pop(addr, None)
-        if listener is not None:
-            self._discard(listener)
-        # Frames still queued for addr would be dropped on arrival anyway;
-        # closing the connections lets the receiving ends see EOF and close too.
-        for pair in [pair for pair in self._conns if pair[1] == addr]:
-            self._discard(self._conns.pop(pair)[0])
+        endpoint = self._endpoints.pop(addr, None)
+        if endpoint is not None:
+            self._discard(endpoint[1])
+        # Close the connections into addr (frames still queued for it would be
+        # dropped on arrival anyway) and the idle ones out of it; the receiving
+        # ends see EOF and close too.  A connection out of addr that still holds
+        # unsent bytes stays open so those bytes arrive, as they would in the
+        # simulated kernel.
+        for pair in [pair for pair in self._conns if addr in pair]:
+            sock, pending = self._conns[pair]
+            if pair[1] == addr or not pending:
+                del self._conns[pair]
+                self._discard(sock)
 
     def is_bound(self, addr: Address) -> bool:
-        return addr in self._handlers
+        return addr in self._endpoints
 
     # -- sending ---------------------------------------------------------------
 
     def send(self, envelope: MessageEnvelope) -> None:
         envelope.sent_at = self.now
         frame = protocol.encode(envelope)
-        port = self._ports.get(envelope.destination)
-        if port is None:
+        endpoint = self._endpoints.get(envelope.destination)
+        if endpoint is None:
             return  # same as the simulated kernel: unbound destinations drop
         pair = (envelope.source, envelope.destination)
         if pair not in self._conns:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if sock.connect_ex(("127.0.0.1", port)) not in (0, errno.EINPROGRESS):
+            if sock.connect_ex(endpoint[1].getsockname()) not in (0, errno.EINPROGRESS):
                 sock.close()
                 return
             self._conns[pair] = (sock, bytearray())
@@ -162,16 +164,28 @@ class RealtimeKernel:
         if not data:
             self._discard(sock)
             return
-        try:
-            envelopes = frames.feed(data)
-        except ProtocolError:
-            self.bad_frames += 1
-            self._discard(sock)
-            return
-        for envelope in envelopes:
-            handler = self._handlers.get(envelope.destination)
-            if handler is not None:
-                handler(envelope)
+        frames.append(data)
+        self._dispatch(sock, frames)
+
+    def _dispatch(self, sock: socket.socket, frames: FrameBuffer) -> None:
+        while True:
+            try:
+                envelope = frames.pop()
+            except ProtocolError:
+                self.bad_frames += 1
+                self._discard(sock)
+                return
+            if envelope is None:
+                return
+            endpoint = self._endpoints.get(envelope.destination)
+            if endpoint is None:
+                continue
+            try:
+                endpoint[0](envelope)
+            except BaseException:
+                # The frames still buffered are handed over when run() resumes.
+                self.schedule(0.0, functools.partial(self._dispatch, sock, frames))
+                raise
 
     def _flush(self, pair: tuple[Address, Address]) -> None:
         if pair not in self._conns:
@@ -202,7 +216,5 @@ class RealtimeKernel:
         for sock, _ in self._conns.values():
             sock.close()
         self._selector.close()
-        self._handlers.clear()
-        self._listeners.clear()
-        self._ports.clear()
+        self._endpoints.clear()
         self._conns.clear()

@@ -4,8 +4,10 @@ Every check runs against both kernels: delivery intactness, per-pair
 FIFO order, interleaving across pairs, fan-in from many sources, large
 frames, unbind semantics, silent drops for unbound destinations and
 handler exceptions.  The TCP-only checks at the end cover the wall-clock
-timers and a peer that sends a malformed frame.
+timers, a peer that sends a malformed frame and the descriptors unbind
+releases.
 """
+import os
 import socket
 
 import pytest
@@ -16,6 +18,9 @@ from fogsim.tcpnet import RealtimeKernel
 
 HOSTS = ["10.9.0.1", "10.9.0.2", "10.9.0.3"]
 FLUSH_DEADLINE_MS = 10_000.0
+# How long the TCP carrier keeps running after the expected count arrived,
+# so that a duplicate or stray delivery still shows in the count.
+SETTLE_MS = 50.0
 
 
 def _sim_kernel():
@@ -38,10 +43,19 @@ class Harness:
         self.kernel.bind(addr, counting)
 
     def flush(self, expected):
-        self.kernel.run(
-            until_ms=self.kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: self.delivered >= expected
-        )
-        assert self.delivered >= expected, f"only {self.delivered} of {expected} envelopes arrived"
+        """Runs the kernel until `expected` envelopes arrived and checks no more did.
+
+        The simulated kernel drains its queue; the TCP kernel stops at the
+        expected count and then settles for SETTLE_MS.
+        """
+        deadline = self.kernel.now + FLUSH_DEADLINE_MS
+        if isinstance(self.kernel, SimKernel):
+            self.kernel.run(until_ms=deadline)
+            assert self.kernel.pending_events() == 0
+        else:
+            self.kernel.run(until_ms=deadline, stop_when=lambda: self.delivered >= expected)
+            self.kernel.run(until_ms=self.kernel.now + SETTLE_MS)
+        assert self.delivered == expected, f"{self.delivered} of {expected} envelopes arrived"
 
 
 @pytest.fixture(params=[_sim_kernel, RealtimeKernel], ids=["sim", "tcp"])
@@ -163,15 +177,24 @@ def test_fan_in_from_many_sources(harness):
     assert sorted(got) == sources
 
 
-def test_handler_exception_propagates(harness):
-    def explode(env):
-        raise RuntimeError("handler bug")
+def test_handler_exception_propagates_and_run_resumes(harness):
+    got = []
+
+    def explode_once(env):
+        if not got:
+            got.append("raised")
+            raise RuntimeError("handler bug")
+        got.append(env.payload.frame_seq)
 
     dst = Address(HOSTS[1], 7000)
-    harness.bind(dst, explode)
-    harness.kernel.send(MessageEnvelope(Address(HOSTS[0], 7001), dst, Probe()))
+    src = Address(HOSTS[0], 7001)
+    harness.bind(dst, explode_once)
+    for seq in range(3):
+        harness.kernel.send(MessageEnvelope(src, dst, Data(request_id="r", frame_seq=seq, size_bytes=16)))
     with pytest.raises(RuntimeError, match="handler bug"):
-        harness.flush(1)
+        harness.flush(3)
+    harness.flush(2)
+    assert got == ["raised", 1, 2]
 
 
 # -- TCP only: wall-clock timers and misbehaving peers ------------------------------
@@ -217,7 +240,7 @@ def test_malformed_peer_frame_is_counted_and_the_kernel_keeps_serving():
         got = []
         kernel.bind(dst, got.append)
         body = b"{not json"
-        with socket.create_connection(("127.0.0.1", kernel._ports[dst]), timeout=5.0) as peer:
+        with socket.create_connection(("127.0.0.1", kernel._endpoints[dst][1].getsockname()[1]), timeout=5.0) as peer:
             peer.sendall(len(body).to_bytes(4, "big") + body)
             kernel.run(until_ms=kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: kernel.bad_frames > 0)
         assert kernel.bad_frames == 1
@@ -225,5 +248,33 @@ def test_malformed_peer_frame_is_counted_and_the_kernel_keeps_serving():
         kernel.run(until_ms=kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: bool(got))
         assert [type(env.payload).__name__ for env in got] == ["Probe"]
         assert kernel.bad_frames == 1
+    finally:
+        kernel.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc/self/fd")
+def test_unbind_closes_connections_into_and_out_of_the_address():
+    kernel = RealtimeKernel()
+    try:
+        server = Address(HOSTS[0], 7000)
+        got = []
+
+        def serve(env):
+            got.append(env.source)
+            kernel.send(MessageEnvelope(server, env.source, Probe()))
+
+        kernel.bind(server, serve)
+        kernel.run(until_ms=kernel.now + SETTLE_MS)
+        before = len(os.listdir("/proc/self/fd"))
+        for port in range(8000, 8020):
+            client = Address(HOSTS[1], port)
+            replies = []
+            kernel.bind(client, replies.append)
+            kernel.send(MessageEnvelope(client, server, Probe()))
+            kernel.run(until_ms=kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: bool(replies))
+            kernel.unbind(client)
+        kernel.run(until_ms=kernel.now + SETTLE_MS)
+        assert len(got) == 20
+        assert len(os.listdir("/proc/self/fd")) == before
     finally:
         kernel.close()
