@@ -6,6 +6,12 @@ are real-coded: gene i lives in [0, candidate_count_i) and decodes by floor.
 The flagship policy seeds its initial population from past winners for the
 same app and deduplicates on decoded assignments, which is what makes warm
 starts converge in a handful of iterations.
+
+The generation loop works on 2-D batches, one row per individual: a refill
+round crosses over, mutates and decodes all of its offspring at once, and
+random individuals are drawn as one block of rows.  Each batch takes its
+numbers from the generator in the order a loop over individuals would, so a
+seed yields the same placements, series and evaluation counts as one.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ class GaParams:
         return math.ceil(self.pop_size / self.hist_ratio)
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     genes: np.ndarray
     assignment: tuple
@@ -84,35 +90,31 @@ class HistoryStore:
         return sum(len(entries) for entries in self._by_app.values())
 
 
-def decode(genes: np.ndarray, counts: np.ndarray) -> tuple:
-    """Floor each gene and clamp into its candidate range."""
+def decode(genes: np.ndarray, counts: np.ndarray) -> list[tuple]:
+    """Floor each gene of each row and clamp it into its candidate range."""
 
-    idx = np.floor(genes).astype(int)
-    idx = np.clip(idx, 0, counts - 1)
-    return tuple(int(i) for i in idx)
-
-
-class _Evaluator:
-    """Memoizes fitness per decoded assignment; misses count as evaluations."""
-
-    def __init__(self, fitness, counts):
-        self._fitness = fitness
-        self._counts = counts
-        self._cache: dict[tuple, float] = {}
-        self.evals = 0
-
-    def individual(self, genes: np.ndarray) -> Individual:
-        assignment = decode(genes, self._counts)
-        fitness = self._cache.get(assignment)
-        if fitness is None:
-            fitness = self._fitness(assignment)
-            self._cache[assignment] = fitness
-            self.evals += 1
-        return Individual(genes=genes, assignment=assignment, fitness=fitness)
+    idx = np.clip(np.floor(genes).astype(int), 0, counts - 1)
+    return list(map(tuple, idx.tolist()))
 
 
-def _random_genes(rng, counts) -> np.ndarray:
-    return rng.random(len(counts)) * counts
+def _checked_counts(counts_list, params: GaParams) -> np.ndarray:
+    params.validate()
+    counts = np.array(counts_list, dtype=float)
+    if (counts < 1).any():
+        raise ValueError("every task needs at least one candidate actor")
+    return counts
+
+
+def _score(rows: np.ndarray, counts: np.ndarray, fitness, cache: dict) -> list[Individual]:
+    """One individual per row; fitness runs once per decoded assignment ever seen."""
+
+    out = []
+    for genes, assignment in zip(rows, decode(rows, counts)):
+        value = cache.get(assignment)
+        if value is None:
+            value = cache[assignment] = fitness(assignment)
+        out.append(Individual(genes, assignment, value))
+    return out
 
 
 def tournament_select(pop: list, n_parents: int, rng) -> list:
@@ -131,41 +133,41 @@ def tournament_select(pop: list, n_parents: int, rng) -> list:
     return chosen
 
 
-def sbx_crossover(parents: list, n_offsprings: int, eta: float, counts, rng) -> list[np.ndarray]:
-    """Simulated binary crossover over sequential parent pairs.
+def sbx_crossover(parents: np.ndarray, n_offsprings: int, eta: float, counts, rng) -> np.ndarray:
+    """Simulated binary crossover over sequential pairs of parent rows.
 
-    Per gene: draw u in (0,1); beta = (2u)^(1/(eta+1)) for u <= 0.5, else
+    Pair j crosses rows 2j and 2j+1 (modulo the parent count).  Per gene: draw
+    u in (0,1); beta = (2u)^(1/(eta+1)) for u <= 0.5, else
     (1/(2(1-u)))^(1/(eta+1)); the two children are 0.5*((1 +- beta)p1 +
     (1 -+ beta)p2), clamped into gene bounds.  Identical parents reproduce
-    themselves exactly.
+    themselves exactly.  Children come out as c1, c2 of pair 0, then of pair
+    1, ..., cut to n_offsprings; one (pairs, genes) draw gives every pair the
+    u row it would draw on its own.
     """
 
-    upper = counts - GENE_EPS
-    out: list[np.ndarray] = []
-    pair = 0
-    n = len(parents)
+    pairs = -(-n_offsprings // 2)
+    j = np.arange(pairs)
+    p1 = parents[(2 * j) % len(parents)]
+    p2 = parents[(2 * j + 1) % len(parents)]
+    u = np.clip(rng.random((pairs, len(counts))), 1e-12, 1.0 - 1e-12)
     exponent = 1.0 / (eta + 1.0)
-    while len(out) < n_offsprings:
-        p1 = parents[(2 * pair) % n].genes
-        p2 = parents[(2 * pair + 1) % n].genes
-        pair += 1
-        u = rng.random(len(counts))
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
-        c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-        c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-        out.append(np.clip(c1, 0.0, upper))
-        if len(out) < n_offsprings:
-            out.append(np.clip(c2, 0.0, upper))
-    return out
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    children = np.empty((2 * pairs, len(counts)))
+    children[0::2] = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    children[1::2] = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    return np.clip(children[:n_offsprings], 0.0, counts - GENE_EPS)
 
 
 def polynomial_mutation(genes: np.ndarray, prob: float, eta: float, counts, rng) -> np.ndarray:
-    """Deb's polynomial mutation, applied per gene with the given probability."""
+    """Deb's polynomial mutation of each row, per gene with the given probability.
+
+    Each row draws its mask, then its u, as it would on its own.
+    """
 
     upper = counts - GENE_EPS
-    mask = rng.random(len(counts)) < prob
-    u = np.clip(rng.random(len(counts)), 1e-12, 1.0 - 1e-12)
+    draws = rng.random((len(genes), 2, len(counts)))
+    mask = draws[:, 0] < prob
+    u = np.clip(draws[:, 1], 1e-12, 1.0 - 1e-12)
     exponent = 1.0 / (eta + 1.0)
     delta = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
     mutated = genes + mask * delta * upper
@@ -175,22 +177,20 @@ def polynomial_mutation(genes: np.ndarray, prob: float, eta: float, counts, rng)
 def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool) -> PolicyResult:
     """Shared GA skeleton; dedup and seeding are the two policy knobs."""
 
-    params.validate()
-    counts = np.array(counts_list, dtype=float)
-    if (counts < 1).any():
-        raise ValueError("every task needs at least one candidate actor")
-    evaluator = _Evaluator(fitness, np.array(counts_list, dtype=int))
+    counts = _checked_counts(counts_list, params)
+    index_counts = counts.astype(int)
+    cache: dict[tuple, float] = {}
     mutation_prob = params.mutation_prob
     if mutation_prob is None:
         mutation_prob = 1.0 / len(counts_list)
 
-    def fresh() -> Individual:
-        return evaluator.individual(_random_genes(rng, counts))
+    def random_individuals(m: int) -> list[Individual]:
+        return _score(rng.random((m, len(counts))) * counts, index_counts, fitness, cache)
 
-    initial = [evaluator.individual(g) for g in seed_genes]
-    while len(initial) < params.pop_size:
-        initial.append(fresh())
-    pop = _dedup(initial) if dedup else list(initial)
+    seeds = np.array(seed_genes, dtype=float).reshape(len(seed_genes), len(counts))
+    initial = _score(seeds, index_counts, fitness, cache)
+    initial += random_individuals(params.pop_size - len(initial))
+    pop = _dedup(initial) if dedup else initial
     pop.sort(key=lambda ind: ind.fitness)
     best = pop[0]
 
@@ -201,12 +201,12 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
         stall = 0
         while len(pool) < params.pop_size and stall < REFILL_STALL_LIMIT:
             parents = tournament_select(pop, params.n_parents, rng)
-            children = sbx_crossover(parents, params.n_offsprings, params.crossover_eta, counts, rng)
-            children = [
-                polynomial_mutation(child, mutation_prob, params.mutation_eta, counts, rng)
-                for child in children
-            ]
-            offspring = [evaluator.individual(genes) for genes in children]
+            children = sbx_crossover(
+                np.array([ind.genes for ind in parents]), params.n_offsprings,
+                params.crossover_eta, counts, rng,
+            )
+            children = polynomial_mutation(children, mutation_prob, params.mutation_eta, counts, rng)
+            offspring = _score(children, index_counts, fitness, cache)
             added = 0
             for ind in parents + offspring:
                 if dedup:
@@ -216,8 +216,9 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
                 pool.append(ind)
                 added += 1
             stall = stall + 1 if added == 0 else 0
-        while len(pool) < params.pop_size:
-            pool.append(fresh())  # stalled refill: random padding, duplicates allowed
+        if len(pool) < params.pop_size:
+            # stalled refill: random padding, duplicates allowed
+            pool += random_individuals(params.pop_size - len(pool))
         merged = [best] + pool
         if dedup:
             merged = _dedup(merged)
@@ -231,7 +232,7 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
         genes=best.genes,
         fitness=best.fitness,
         series=series,
-        evals=evaluator.evals,
+        evals=len(cache),
     )
 
 
@@ -287,15 +288,12 @@ def nsga2_baseline(counts, fitness, params: GaParams, rng, history: HistoryStore
 def random_policy(counts, fitness, params: GaParams, rng, history: HistoryStore | None = None, app: str | None = None) -> PolicyResult:
     """Uniform random search: one fresh assignment per iteration, best kept."""
 
-    params.validate()
-    counts_arr = np.array(counts, dtype=float)
-    if (counts_arr < 1).any():
-        raise ValueError("every task needs at least one candidate actor")
-    evaluator = _Evaluator(fitness, np.array(counts, dtype=int))
+    counts_arr = _checked_counts(counts, params)
+    cache: dict[tuple, float] = {}
+    rows = rng.random((params.max_iteration_num, len(counts_arr))) * counts_arr
     best = None
     series = []
-    for _ in range(params.max_iteration_num):
-        candidate = evaluator.individual(_random_genes(rng, counts_arr))
+    for candidate in _score(rows, counts_arr.astype(int), fitness, cache):
         if best is None or candidate.fitness < best.fitness:
             best = candidate
         series.append(best.fitness)
@@ -304,7 +302,7 @@ def random_policy(counts, fitness, params: GaParams, rng, history: HistoryStore 
         genes=best.genes,
         fitness=best.fitness,
         series=series,
-        evals=evaluator.evals,
+        evals=len(cache),
     )
 
 

@@ -11,6 +11,7 @@ times match estimates by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .ga_policies import GaParams
@@ -69,93 +70,70 @@ def build_task_actors_map(app: AppSpec, actors) -> dict[str, list]:
 class ResponseModel:
     """Estimates end-to-end response for assignments of one placement request.
 
-    Precomputes per-candidate node costs and memoizes link costs so a GA can
-    afford tens of thousands of evaluations.
+    Tabulates every cost an estimate can need up front: per task a node-cost
+    row and, for an entry task, an ingress row over its candidates; per DAG
+    edge a [parent candidate][child candidate] hop table; per exit task an
+    egress row.  An estimate is then list indexing plus the critical-path
+    recurrence, so a GA can afford tens of thousands of them.
     """
 
     def __init__(self, app: AppSpec, candidates: dict[str, list], user_host: str,
                  master_host: str, view: TelemetryView, frame_size_bytes: int):
         self.app = app
         self.tasks = app.task_names()
-        self.user_host = user_host
-        self.master_host = master_host
-        self.view = view
-        self.frame_size_bytes = int(frame_size_bytes)
         self.candidate_hosts: list[list[str]] = [
             [actor.addr.host for actor in candidates[task]] for task in self.tasks
         ]
         self.counts = [len(hosts) for hosts in self.candidate_hosts]
+        hosts = self.candidate_hosts
+        frame = int(frame_size_bytes)
+        # memoized for the build only: candidates often share hosts
+        transfer = functools.cache(view.link_transfer_ms)
+        rate = functools.cache(view.host_rate)
         index = {name: i for i, name in enumerate(self.tasks)}
-        self._parents = [[index[p] for p in app.parents(name)] for name in self.tasks]
-        self._order = [index[name] for level in app.levels for name in level]
-        self._entry = [index[name] for name in app.entry_tasks]
-        self._exit = [index[name] for name in app.exit_tasks]
-        rates: dict[str, float] = {}
-        self._node_cost: list[list[float]] = []
-        for i, name in enumerate(self.tasks):
+        out_bytes = [app.tasks[name].output_size_bytes for name in self.tasks]
+        # (task, node-cost row, [(parent, hop table)], ingress row or None), level order;
+        # a hop between co-located tasks is free
+        self._steps = []
+        for name in (name for level in app.levels for name in level):
+            i = index[name]
+            hops = [
+                (p, [[0.0 if src == dst else transfer(src, dst, out_bytes[p]) for dst in hosts[i]]
+                     for src in hosts[p]])
+                for p in (index[parent] for parent in app.parents(name))
+            ]
+            # user frame to an entry executor, relayed through the master
+            ingress = None if hops else [
+                transfer(user_host, master_host, frame) + transfer(master_host, host, frame)
+                for host in hosts[i]
+            ]
             cost = app.tasks[name].compute_cost
-            row = []
-            for host in self.candidate_hosts[i]:
-                if host not in rates:
-                    rates[host] = view.host_rate(host)
-                row.append(cost / rates[host])
-            self._node_cost.append(row)
-        self._out_bytes = [app.tasks[name].output_size_bytes for name in self.tasks]
-        self._edge_cache: dict[tuple, float] = {}
-        self._ingress_cache: dict[str, float] = {}
-        self._egress_cache: dict[tuple, float] = {}
-
-    def _edge_ms(self, src_host: str, dst_host: str, size: int) -> float:
-        if src_host == dst_host:
-            return 0.0
-        key = (src_host, dst_host, size)
-        cached = self._edge_cache.get(key)
-        if cached is None:
-            cached = self.view.link_transfer_ms(src_host, dst_host, size)
-            self._edge_cache[key] = cached
-        return cached
-
-    def ingress_ms(self, entry_host: str) -> float:
-        """User frame to an entry executor, relayed through the master."""
-
-        cached = self._ingress_cache.get(entry_host)
-        if cached is None:
-            cached = self.view.link_transfer_ms(
-                self.user_host, self.master_host, self.frame_size_bytes
-            ) + self.view.link_transfer_ms(self.master_host, entry_host, self.frame_size_bytes)
-            self._ingress_cache[entry_host] = cached
-        return cached
-
-    def egress_ms(self, exit_host: str, size: int) -> float:
-        """Exit result back to the user, relayed through the master."""
-
-        key = (exit_host, size)
-        cached = self._egress_cache.get(key)
-        if cached is None:
-            cached = self.view.link_transfer_ms(exit_host, self.master_host, size) \
-                + self.view.link_transfer_ms(self.master_host, self.user_host, size)
-            self._egress_cache[key] = cached
-        return cached
+            self._steps.append((i, [cost / rate(host) for host in hosts[i]], hops, ingress))
+        # (exit task, egress row): result back to the user, relayed through the master
+        self._egress = [
+            (i, [transfer(host, master_host, out_bytes[i]) + transfer(master_host, user_host, out_bytes[i])
+                 for host in hosts[i]])
+            for i in (index[name] for name in app.exit_tasks)
+        ]
 
     def estimate(self, assignment) -> float:
         """Critical-path response time of one assignment, in virtual ms."""
 
-        hosts = [self.candidate_hosts[i][assignment[i]] for i in range(len(self.tasks))]
         finish = [0.0] * len(self.tasks)
-        for i in self._order:
-            host = hosts[i]
-            if self._parents[i]:
+        for i, node_cost, hops, ingress in self._steps:
+            a = assignment[i]
+            if hops:
                 start = 0.0
-                for p in self._parents[i]:
-                    arrival = finish[p] + self._edge_ms(hosts[p], host, self._out_bytes[p])
+                for p, table in hops:
+                    arrival = finish[p] + table[assignment[p]][a]
                     if arrival > start:
                         start = arrival
             else:
-                start = self.ingress_ms(host)
-            finish[i] = start + self._node_cost[i][assignment[i]]
+                start = ingress[a]
+            finish[i] = start + node_cost[a]
         response = 0.0
-        for i in self._exit:
-            arrival = finish[i] + self.egress_ms(hosts[i], self._out_bytes[i])
+        for i, egress in self._egress:
+            arrival = finish[i] + egress[assignment[i]]
             if arrival > response:
                 response = arrival
         return response

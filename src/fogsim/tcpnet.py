@@ -77,7 +77,7 @@ class RealtimeKernel:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind(("127.0.0.1", 0))
-        listener.listen()
+        listener.listen(socket.SOMAXCONN)
         listener.setblocking(False)
         self._selector.register(listener, selectors.EVENT_READ, functools.partial(self._accept, listener))
         self._endpoints[addr] = (handler, listener)

@@ -1,5 +1,8 @@
 """Placement search policies: exhaustive oracles, determinism, invariants."""
+import copy
 import itertools
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim.ga_policies import (
+    GENE_EPS,
     POLICIES,
+    REFILL_STALL_LIMIT,
     GaParams,
     HistoryStore,
+    PolicyResult,
     decode,
     nsga2_baseline,
     ohnsga,
@@ -35,8 +41,10 @@ def _table_fitness(counts, seed):
 
 def test_decode_floors_and_clamps():
     counts = np.array([3, 2, 4])
-    assert decode(np.array([0.2, 1.9, 3.999]), counts) == (0, 1, 3)
-    assert decode(np.array([-1.0, 5.0, 2.0]), counts) == (0, 1, 2)
+    rows = np.array([[0.2, 1.9, 3.999], [-1.0, 5.0, 2.0]])
+    assert decode(rows, counts) == [(0, 1, 3), (0, 1, 2)]
+    assert decode(rows[:0], counts) == []
+    assert all(type(i) is int for i in decode(rows, counts)[0])
 
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
@@ -139,7 +147,7 @@ def test_ohnsga_records_its_winner():
     history = HistoryStore()
     result = ohnsga(counts, fitness, SMALL, np.random.default_rng(0), history=history, app="app")
     assert len(history.best_first("app")) == 1
-    assert decode(history.best_first("app")[0], np.array(counts)) == result.assignment
+    assert decode(history.best_first("app")[:1], np.array(counts)) == [result.assignment]
 
 
 def test_history_entry_of_wrong_shape_is_skipped():
@@ -187,3 +195,275 @@ def test_results_always_decode_within_range(data, counts, name):
     assert all(0 <= g < c for g, c in zip(result.assignment, counts))
     assert result.fitness == table[result.assignment]
     assert all(later <= earlier for earlier, later in zip(result.series, result.series[1:]))
+
+
+# -- bit-identity with the per-individual loop ----------------------------------------
+#
+# The loop below is the GA as it ran one individual at a time, kept verbatim as
+# the oracle for the batched loop: same operators, the same generator draws in
+# the same order, the same memo.  Only its names differ: each has a `_ref` prefix.
+
+
+@dataclass
+class _RefIndividual:
+    genes: np.ndarray
+    assignment: tuple
+    fitness: float
+
+
+def _ref_decode(genes: np.ndarray, counts: np.ndarray) -> tuple:
+    idx = np.floor(genes).astype(int)
+    idx = np.clip(idx, 0, counts - 1)
+    return tuple(int(i) for i in idx)
+
+
+class _RefEvaluator:
+    def __init__(self, fitness, counts):
+        self._fitness = fitness
+        self._counts = counts
+        self._cache: dict[tuple, float] = {}
+        self.evals = 0
+
+    def individual(self, genes: np.ndarray) -> _RefIndividual:
+        assignment = _ref_decode(genes, self._counts)
+        fitness = self._cache.get(assignment)
+        if fitness is None:
+            fitness = self._fitness(assignment)
+            self._cache[assignment] = fitness
+            self.evals += 1
+        return _RefIndividual(genes=genes, assignment=assignment, fitness=fitness)
+
+
+def _ref_random_genes(rng, counts) -> np.ndarray:
+    return rng.random(len(counts)) * counts
+
+
+def _ref_tournament_select(pop: list, n_parents: int, rng) -> list:
+    if len(pop) == 1:
+        return [pop[0]] * n_parents
+    chosen = []
+    for _ in range(n_parents):
+        i = int(rng.integers(0, len(pop)))
+        j = int(rng.integers(0, len(pop) - 1))
+        if j >= i:
+            j += 1
+        a, b = pop[i], pop[j]
+        chosen.append(b if b.fitness < a.fitness else a)
+    return chosen
+
+
+def _ref_sbx_crossover(parents: list, n_offsprings: int, eta: float, counts, rng) -> list:
+    upper = counts - GENE_EPS
+    out: list[np.ndarray] = []
+    pair = 0
+    n = len(parents)
+    exponent = 1.0 / (eta + 1.0)
+    while len(out) < n_offsprings:
+        p1 = parents[(2 * pair) % n].genes
+        p2 = parents[(2 * pair + 1) % n].genes
+        pair += 1
+        u = rng.random(len(counts))
+        u = np.clip(u, 1e-12, 1.0 - 1e-12)
+        beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+        c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+        c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+        out.append(np.clip(c1, 0.0, upper))
+        if len(out) < n_offsprings:
+            out.append(np.clip(c2, 0.0, upper))
+    return out
+
+
+def _ref_polynomial_mutation(genes: np.ndarray, prob: float, eta: float, counts, rng) -> np.ndarray:
+    upper = counts - GENE_EPS
+    mask = rng.random(len(counts)) < prob
+    u = np.clip(rng.random(len(counts)), 1e-12, 1.0 - 1e-12)
+    exponent = 1.0 / (eta + 1.0)
+    delta = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
+    mutated = genes + mask * delta * upper
+    return np.clip(mutated, 0.0, upper)
+
+
+def _ref_dedup(individuals: list) -> list:
+    seen: set[tuple] = set()
+    out = []
+    for ind in individuals:
+        if ind.assignment in seen:
+            continue
+        seen.add(ind.assignment)
+        out.append(ind)
+    return out
+
+
+def _ref_evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool) -> PolicyResult:
+    params.validate()
+    counts = np.array(counts_list, dtype=float)
+    if (counts < 1).any():
+        raise ValueError("every task needs at least one candidate actor")
+    evaluator = _RefEvaluator(fitness, np.array(counts_list, dtype=int))
+    mutation_prob = params.mutation_prob
+    if mutation_prob is None:
+        mutation_prob = 1.0 / len(counts_list)
+
+    def fresh() -> _RefIndividual:
+        return evaluator.individual(_ref_random_genes(rng, counts))
+
+    initial = [evaluator.individual(g) for g in seed_genes]
+    while len(initial) < params.pop_size:
+        initial.append(fresh())
+    pop = _ref_dedup(initial) if dedup else list(initial)
+    pop.sort(key=lambda ind: ind.fitness)
+    best = pop[0]
+
+    series = []
+    for _ in range(params.max_iteration_num):
+        pool: list[_RefIndividual] = []
+        seen: set[tuple] = set()
+        stall = 0
+        while len(pool) < params.pop_size and stall < REFILL_STALL_LIMIT:
+            parents = _ref_tournament_select(pop, params.n_parents, rng)
+            children = _ref_sbx_crossover(parents, params.n_offsprings, params.crossover_eta, counts, rng)
+            children = [
+                _ref_polynomial_mutation(child, mutation_prob, params.mutation_eta, counts, rng)
+                for child in children
+            ]
+            offspring = [evaluator.individual(genes) for genes in children]
+            added = 0
+            for ind in parents + offspring:
+                if dedup:
+                    if ind.assignment in seen:
+                        continue
+                    seen.add(ind.assignment)
+                pool.append(ind)
+                added += 1
+            stall = stall + 1 if added == 0 else 0
+        while len(pool) < params.pop_size:
+            pool.append(fresh())
+        merged = [best] + pool
+        if dedup:
+            merged = _ref_dedup(merged)
+        merged.sort(key=lambda ind: ind.fitness)
+        pop = merged[: params.pop_size]
+        best = pop[0]
+        series.append(best.fitness)
+
+    return PolicyResult(
+        assignment=best.assignment,
+        genes=best.genes,
+        fitness=best.fitness,
+        series=series,
+        evals=evaluator.evals,
+    )
+
+
+def _ref_history_seeds(history, app, params, counts_list) -> list:
+    if history is None or app is None:
+        return []
+    counts = np.array(counts_list, dtype=float)
+    seeds = []
+    for genes in history.best_first(app)[: params.max_hist_individuals()]:
+        if len(genes) != len(counts_list):
+            continue
+        seeds.append(np.clip(genes, 0.0, counts - GENE_EPS))
+    return seeds
+
+
+def _ref_ohnsga(counts, fitness, params, rng, history=None, app=None) -> PolicyResult:
+    seeds = _ref_history_seeds(history, app, params, counts)
+    result = _ref_evolve(counts, fitness, params, rng, seeds, dedup=True)
+    if history is not None and app is not None:
+        history.record(app, result.genes, result.fitness)
+    return result
+
+
+def _ref_nsga2_baseline(counts, fitness, params, rng, history=None, app=None) -> PolicyResult:
+    return _ref_evolve(counts, fitness, params, rng, [], dedup=False)
+
+
+def _ref_random_policy(counts, fitness, params, rng, history=None, app=None) -> PolicyResult:
+    params.validate()
+    counts_arr = np.array(counts, dtype=float)
+    if (counts_arr < 1).any():
+        raise ValueError("every task needs at least one candidate actor")
+    evaluator = _RefEvaluator(fitness, np.array(counts, dtype=int))
+    best = None
+    series = []
+    for _ in range(params.max_iteration_num):
+        candidate = evaluator.individual(_ref_random_genes(rng, counts_arr))
+        if best is None or candidate.fitness < best.fitness:
+            best = candidate
+        series.append(best.fitness)
+    return PolicyResult(
+        assignment=best.assignment,
+        genes=best.genes,
+        fitness=best.fitness,
+        series=series,
+        evals=evaluator.evals,
+    )
+
+
+_REFERENCE = {"ohnsga": _ref_ohnsga, "nsga2": _ref_nsga2_baseline, "random": _ref_random_policy}
+
+
+def _hashed_fitness(seed, levels):
+    """A fitness over any assignment space with few distinct values, so ties occur."""
+    calls = []
+
+    def fitness(assignment):
+        calls.append(assignment)
+        return float(zlib.crc32(repr((seed, assignment)).encode()) % levels)
+
+    return fitness, calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(sorted(POLICIES)),
+    counts=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+    pop_size=st.integers(1, 12),
+    n_parents=st.integers(1, 6),
+    n_offsprings=st.integers(1, 9),
+    iterations=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_loop_matches_sequential_reference(
+    data, name, counts, pop_size, n_parents, n_offsprings, iterations, seed
+):
+    params = GaParams(
+        pop_size=pop_size,
+        hist_ratio=data.draw(st.sampled_from([1.0, 2.0, 4.0])),
+        max_iteration_num=iterations,
+        n_parents=n_parents,
+        n_offsprings=n_offsprings,
+        crossover_eta=data.draw(st.floats(0.5, 30.0)),
+        mutation_eta=data.draw(st.floats(0.5, 30.0)),
+        mutation_prob=data.draw(st.none() | st.floats(0.0, 1.0)),
+    )
+    history = None
+    if data.draw(st.booleans()):
+        history = HistoryStore()
+        for _ in range(data.draw(st.integers(1, 5))):
+            # right-shaped entries, out-of-range genes included, and wrong-shaped ones
+            width = data.draw(st.sampled_from([len(counts), len(counts), len(counts) + 1]))
+            genes = [data.draw(st.floats(-2.0, 10.0)) for _ in range(width)]
+            history.record("app", np.array(genes), data.draw(st.floats(0.0, 100.0)))
+    levels = data.draw(st.sampled_from([3, 1000]))
+
+    outcomes = []
+    for solve in (POLICIES[name], _REFERENCE[name]):
+        fitness, calls = _hashed_fitness(seed, levels)
+        hist = copy.deepcopy(history)
+        rng = np.random.default_rng(seed)
+        result = solve(counts, fitness, params, rng, history=hist, app="app")
+        after = rng.random()
+        kept = None if hist is None else [g.tobytes() for g in hist.best_first("app")]
+        outcomes.append((result, calls, after, kept))
+    (got, got_calls, got_after, got_kept), (want, want_calls, want_after, want_kept) = outcomes
+    assert got.series == want.series
+    assert got.fitness == want.fitness
+    assert got.evals == want.evals
+    assert got.assignment == want.assignment
+    assert got.genes.tobytes() == want.genes.tobytes()
+    assert got_calls == want_calls
+    assert got_after == want_after  # the generator advanced by exactly as many draws
+    assert got_kept == want_kept

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fogsim.ga_policies import GaParams
 from fogsim.netsim import DEFAULT_LINK, LinkSpec, Topology, host_from_class
-from fogsim.protocol import Address
+from fogsim.protocol import Address, HostProfile, LinkSample
 from fogsim.scheduler import (
     ResponseModel,
     SchedulerConfig,
@@ -206,6 +206,125 @@ def test_estimate_matches_reference_on_random_dags(data):
     hosts_by_task = model.hosts_for(assignment)
     expected = reference_estimate(app, hosts_by_task, "u", "m", view, 65536)
     assert model.estimate(assignment) == pytest.approx(expected, rel=1e-12)
+
+
+class _CacheBasedModel:
+    """The estimator as it was before its costs were tabulated, kept verbatim
+    (host-keyed caches filled on first use) as the oracle for exact equality."""
+
+    def __init__(self, app, candidates, user_host, master_host, view, frame_size_bytes):
+        self.app = app
+        self.tasks = app.task_names()
+        self.user_host = user_host
+        self.master_host = master_host
+        self.view = view
+        self.frame_size_bytes = int(frame_size_bytes)
+        self.candidate_hosts = [
+            [actor.addr.host for actor in candidates[task]] for task in self.tasks
+        ]
+        self.counts = [len(hosts) for hosts in self.candidate_hosts]
+        index = {name: i for i, name in enumerate(self.tasks)}
+        self._parents = [[index[p] for p in app.parents(name)] for name in self.tasks]
+        self._order = [index[name] for level in app.levels for name in level]
+        self._exit = [index[name] for name in app.exit_tasks]
+        rates = {}
+        self._node_cost = []
+        for i, name in enumerate(self.tasks):
+            cost = app.tasks[name].compute_cost
+            row = []
+            for host in self.candidate_hosts[i]:
+                if host not in rates:
+                    rates[host] = view.host_rate(host)
+                row.append(cost / rates[host])
+            self._node_cost.append(row)
+        self._out_bytes = [app.tasks[name].output_size_bytes for name in self.tasks]
+        self._edge_cache = {}
+        self._ingress_cache = {}
+        self._egress_cache = {}
+
+    def _edge_ms(self, src_host, dst_host, size):
+        if src_host == dst_host:
+            return 0.0
+        key = (src_host, dst_host, size)
+        cached = self._edge_cache.get(key)
+        if cached is None:
+            cached = self.view.link_transfer_ms(src_host, dst_host, size)
+            self._edge_cache[key] = cached
+        return cached
+
+    def ingress_ms(self, entry_host):
+        cached = self._ingress_cache.get(entry_host)
+        if cached is None:
+            cached = self.view.link_transfer_ms(
+                self.user_host, self.master_host, self.frame_size_bytes
+            ) + self.view.link_transfer_ms(self.master_host, entry_host, self.frame_size_bytes)
+            self._ingress_cache[entry_host] = cached
+        return cached
+
+    def egress_ms(self, exit_host, size):
+        key = (exit_host, size)
+        cached = self._egress_cache.get(key)
+        if cached is None:
+            cached = self.view.link_transfer_ms(exit_host, self.master_host, size) \
+                + self.view.link_transfer_ms(self.master_host, self.user_host, size)
+            self._egress_cache[key] = cached
+        return cached
+
+    def estimate(self, assignment):
+        hosts = [self.candidate_hosts[i][assignment[i]] for i in range(len(self.tasks))]
+        finish = [0.0] * len(self.tasks)
+        for i in self._order:
+            host = hosts[i]
+            if self._parents[i]:
+                start = 0.0
+                for p in self._parents[i]:
+                    arrival = finish[p] + self._edge_ms(hosts[p], host, self._out_bytes[p])
+                    if arrival > start:
+                        start = arrival
+            else:
+                start = self.ingress_ms(host)
+            finish[i] = start + self._node_cost[i][assignment[i]]
+        response = 0.0
+        for i in self._exit:
+            arrival = finish[i] + self.egress_ms(hosts[i], self._out_bytes[i])
+            if arrival > response:
+                response = arrival
+        return response
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tabulated_estimate_equals_cache_based_recurrence_exactly(data):
+    n = data.draw(st.integers(1, 6))
+    names = [f"n{i}" for i in range(n)]
+    edges = []
+    for i in range(1, n):
+        parents = data.draw(st.sets(st.integers(0, i - 1), min_size=1))
+        edges.extend((names[p], names[i]) for p in sorted(parents))
+    children = {a for a, _ in edges}
+    costs = {nm: data.draw(st.floats(1.0, 500.0)) for nm in names}
+    outs = {nm: data.draw(st.integers(1, 100000)) for nm in names}
+    entry = [names[0]]
+    exit_ = [nm for nm in names if nm not in children]
+    app = _app(names, edges, entry, exit_, costs, outs)
+    view = _view()
+    # telemetry samples override the topology on some links, and not on others
+    for a, b in data.draw(st.sets(st.sampled_from(
+            [("u", "m"), ("m", "a"), ("a", "m"), ("m", "b"), ("a", "b"), ("b", "c"), ("m", "c")]))):
+        view.observe(LinkSample(host_a=a, host_b=b, latency_ms=data.draw(st.floats(0.0, 50.0)),
+                                data_rate_bps=data.draw(st.floats(1e5, 1e9)), packet_size=64,
+                                sampled_at=1.0))
+    view.observe(HostProfile(host="c", cpu_cores=2, cpu_freq_ghz=1.2, mem_capacity_mb=1024,
+                             cpu_util=0.3, mem_util=0.1, sampled_at=1.0))
+    # two or three candidate hosts per task, repeats included, in any order
+    actors = [Entry(Address(h, 5001 + k), ("*",)) for k, h in enumerate(
+        data.draw(st.lists(st.sampled_from("abc"), min_size=2, max_size=3)))]
+    candidates = build_task_actors_map(app, actors)
+    frame = data.draw(st.integers(0, 200000))
+    model = ResponseModel(app, candidates, "u", "m", view, frame)
+    reference = _CacheBasedModel(app, candidates, "u", "m", view, frame)
+    for assignment in itertools.product(*(range(c) for c in model.counts)):
+        assert model.estimate(assignment) == reference.estimate(assignment)
 
 
 def test_repeat_estimates_hit_caches_identically():

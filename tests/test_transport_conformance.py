@@ -4,11 +4,13 @@ Every check runs against both kernels: delivery intactness, per-pair
 FIFO order, interleaving across pairs, fan-in from many sources, large
 frames, unbind semantics, silent drops for unbound destinations and
 handler exceptions.  The TCP-only checks at the end cover the wall-clock
-timers, a peer that sends a malformed frame and the descriptors unbind
-releases.
+timers, a peer that sends a malformed frame, the descriptors unbind
+releases and a burst of new connections beyond Python's default listen
+backlog.
 """
 import os
 import socket
+import time
 
 import pytest
 
@@ -197,7 +199,7 @@ def test_handler_exception_propagates_and_run_resumes(harness):
     assert got == ["raised", 1, 2]
 
 
-# -- TCP only: wall-clock timers and misbehaving peers ------------------------------
+# -- TCP only: wall-clock timers, misbehaving peers, connection bursts --------------
 
 
 def test_realtime_kernel_fires_timers_in_order():
@@ -276,5 +278,25 @@ def test_unbind_closes_connections_into_and_out_of_the_address():
         kernel.run(until_ms=kernel.now + SETTLE_MS)
         assert len(got) == 20
         assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        kernel.close()
+
+
+def test_fan_in_burst_past_the_default_backlog_arrives_promptly():
+    # 200 new connections at once overflow a 128-entry listen backlog; the
+    # refused handshakes are then retried by the operating system after ~1 s.
+    kernel = RealtimeKernel()
+    try:
+        dst = Address(HOSTS[1], 7000)
+        got = []
+        kernel.bind(dst, lambda env: got.append(env.source))
+        sources = [Address(HOSTS[0], 8000 + i) for i in range(200)]
+        start = time.monotonic()
+        for src in sources:
+            kernel.send(MessageEnvelope(src, dst, Probe()))
+        kernel.run(until_ms=kernel.now + FLUSH_DEADLINE_MS, stop_when=lambda: len(got) == len(sources))
+        elapsed = time.monotonic() - start
+        assert sorted(got) == sources
+        assert elapsed < 0.5, f"200 sources took {elapsed:.2f} s"
     finally:
         kernel.close()
