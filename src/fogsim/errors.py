@@ -6,7 +6,7 @@ class FogsimError(Exception):
 
 
 class EncodingOverflow(FogsimError):
-    """Encoded message body is larger than the codec's MAX_BODY_BYTES."""
+    """Message cannot be encoded: a value has no wire form or the body exceeds MAX_BODY_BYTES."""
 
 
 class NeedMoreBytes(FogsimError):

@@ -5,14 +5,21 @@ prefix followed by a canonical tagged text body (JSON with sorted keys and
 compact separators).  Equal envelopes always encode to identical bytes, which
 is what makes simulated runs byte-reproducible and lets the loopback TCP
 transport share one codec with the simulator.
+
+The payload and record dataclasses are the wire schema: at import each
+field's annotation picks its codec from ``_CODECS`` (an annotation without
+one fails the import), and encode and decode of frames and record lines all
+walk the per-class field tables built from them.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 from .errors import EncodingOverflow, NeedMoreBytes, ProtocolError
 
@@ -132,8 +139,8 @@ class ResponseSample:
     sampled_at: float
 
 
-PERF_RECORD_TYPES = (LinkSample, ProcessingSample, ResponseSample)
-RECORD_TYPES = (HostProfile, ImageRecord) + PERF_RECORD_TYPES
+TelemetryRecord = HostProfile | ImageRecord | LinkSample | ProcessingSample | ResponseSample
+RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +151,7 @@ RECORD_TYPES = (HostProfile, ImageRecord) + PERF_RECORD_TYPES
 @dataclass
 class RegisterActor:
     profile: HostProfile
-    images: list = field(default_factory=list)  # task names, "*" = any
+    images: list[str] = field(default_factory=list)  # task names, "*" = any
 
 
 @dataclass
@@ -166,7 +173,7 @@ class InitTaskExecutor:
     request_id: str
     app: str
     task: str
-    dependencies: list = field(default_factory=list)  # (task name, actor Address)
+    dependencies: list[tuple[str, Address]] = field(default_factory=list)  # (task name, actor)
 
 
 @dataclass
@@ -174,7 +181,7 @@ class ReuseTaskExecutor:
     request_id: str
     app: str
     task: str
-    dependencies: list = field(default_factory=list)
+    dependencies: list[tuple[str, Address]] = field(default_factory=list)
 
 
 @dataclass
@@ -217,7 +224,7 @@ class Probe:
 @dataclass
 class ProbeReply:
     kind: ComponentKind
-    actors: list = field(default_factory=list)  # actor Addresses, masters only
+    actors: list[Address] = field(default_factory=list)  # masters only
 
 
 @dataclass
@@ -228,7 +235,7 @@ class AdvertiseMaster:
 @dataclass
 class InitNewMaster:
     requester: Address
-    actors: list = field(default_factory=list)  # parent's registered actor addresses
+    actors: list[Address] = field(default_factory=list)  # parent's registered actors
 
 
 @dataclass
@@ -243,27 +250,8 @@ class WarnNoResources:
 
 @dataclass
 class LogUpload:
-    records: list = field(default_factory=list)
+    records: list[TelemetryRecord] = field(default_factory=list)
 
-
-PAYLOAD_TYPES = (
-    RegisterActor,
-    RegisterUser,
-    PlacementRequest,
-    InitTaskExecutor,
-    ReuseTaskExecutor,
-    ExecutorReady,
-    ResourcesReady,
-    Data,
-    Result,
-    Probe,
-    ProbeReply,
-    AdvertiseMaster,
-    InitNewMaster,
-    ForwardToMaster,
-    WarnNoResources,
-    LogUpload,
-)
 
 MessagePayload = (
     RegisterActor | RegisterUser | PlacementRequest | InitTaskExecutor
@@ -271,6 +259,7 @@ MessagePayload = (
     | Probe | ProbeReply | AdvertiseMaster | InitNewMaster | ForwardToMaster
     | WarnNoResources | LogUpload
 )
+PAYLOAD_TYPES = typing.get_args(MessagePayload)
 
 
 @dataclass
@@ -285,44 +274,75 @@ class MessageEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# Value <-> wire-tree conversion.  The wire tree is plain JSON-compatible
-# data; tagged dicts make the body self-describing.
+# Value <-> wire-tree conversion.  A codec is a (to_tree, from_tree) pair:
+# to_tree None hands the value to JSON as is (a struct reaches _struct_tree
+# through the encoder's default hook, as a dict tagged with its class name),
+# and from_tree rebuilds the value or raises TypeError or ValueError.
 
-_BY_NAME = {cls.__name__: cls for cls in PAYLOAD_TYPES + RECORD_TYPES}
 
+def _is(*types):
+    """from_tree that passes a value whose exact type is one of types (so no bool is an int)."""
 
-def _to_tree(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    def check(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, not {type(value).__name__}")
         return value
-    if isinstance(value, Address):
-        return str(value)
-    if isinstance(value, ComponentKind):
-        return value.value
-    if isinstance(value, ComponentId):
-        return {"kind": value.kind.value, "origin": str(value.origin), "serial": value.serial}
-    if isinstance(value, (list, tuple)):
-        return [_to_tree(item) for item in value]
-    if type(value) in _BY_NAME.values():
-        tree = {"type": type(value).__name__}
-        for f in fields(value):
-            tree[f.name] = _to_tree(getattr(value, f.name))
-        return tree
-    raise EncodingOverflow(f"cannot encode value of type {type(value).__name__}")
+
+    return check
 
 
-# Fields whose wire value needs reconstruction into a richer type than JSON
-# gives back.  Everything not listed decodes as the plain JSON value.
-_ADDRESS_FIELDS = {
-    ("RegisterUser", "entry"),
-    ("AdvertiseMaster", "master"),
-    ("InitNewMaster", "requester"),
-    ("ForwardToMaster", "sub_master"),
+def _each(from_item):
+    return lambda raw: [from_item(item) for item in _list(raw)]
+
+
+def _nested(check):
+    # Structs nest only inside frame payloads, so errors point at the body.
+    return lambda raw: check(_struct_from_tree(raw, LENGTH_PREFIX.size))
+
+
+def _dependency(raw):
+    task, addr = _list(raw)
+    return _text(task), Address.parse(addr)
+
+
+def _struct_tree(value) -> dict:
+    schema = _SCHEMA.get(type(value))
+    if schema is None:
+        raise EncodingOverflow(f"cannot encode value of type {type(value).__name__}")
+    tree = {"type": type(value).__name__}
+    for name, (to_tree, _) in schema:
+        raw = getattr(value, name)
+        tree[name] = raw if to_tree is None else to_tree(raw)
+    return tree
+
+
+_list, _text, _number = _is(list), _is(str), _is(float, int)
+_CODECS = {
+    int: (None, _is(int)),
+    float: (None, _number),
+    str: (None, _text),
+    bool: (None, _is(bool)),
+    list[str]: (None, _each(_text)),
+    Address: (str, Address.parse),
+    ComponentKind: (attrgetter("value"), ComponentKind),
+    HostProfile: (None, _nested(_is(HostProfile))),
+    list[Address]: (lambda value: [str(addr) for addr in value], _each(Address.parse)),
+    list[tuple[str, Address]]: (lambda value: [[task, str(addr)] for task, addr in value], _each(_dependency)),
+    list[TelemetryRecord]: (None, _each(_nested(_is(*RECORD_TYPES)))),
 }
-_ADDRESS_LIST_FIELDS = {("ProbeReply", "actors"), ("InitNewMaster", "actors")}
-_DEP_LIST_FIELDS = {("InitTaskExecutor", "dependencies"), ("ReuseTaskExecutor", "dependencies")}
-_RECORD_FIELDS = {("RegisterActor", "profile")}
-_RECORD_LIST_FIELDS = {("LogUpload", "records")}
-_KIND_FIELDS = {("ProbeReply", "kind")}
+
+
+def _schema(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    unknown = [f"{cls.__name__}.{f.name}: {hints[f.name]}" for f in fields(cls) if hints[f.name] not in _CODECS]
+    if unknown:
+        raise TypeError(f"no wire form for {unknown}")
+    return tuple((f.name, _CODECS[hints[f.name]]) for f in fields(cls))
+
+
+_SCHEMA = {cls: _schema(cls) for cls in PAYLOAD_TYPES + RECORD_TYPES}
+_BY_NAME = {cls.__name__: cls for cls in _SCHEMA}
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_struct_tree).encode
 
 
 def _struct_from_tree(tree, offset):
@@ -333,29 +353,14 @@ def _struct_from_tree(tree, offset):
     if cls is None:
         raise ProtocolError(f"unknown struct tag {name!r}", offset)
     kwargs = {}
-    for f in fields(cls):
-        if f.name not in tree:
-            raise ProtocolError(f"{name} is missing field {f.name!r}", offset)
-        raw = tree[f.name]
-        key = (name, f.name)
+    for field_name, (_, from_tree) in _SCHEMA[cls]:
+        if field_name not in tree:
+            raise ProtocolError(f"{name} is missing field {field_name!r}", offset)
         try:
-            if key in _ADDRESS_FIELDS:
-                kwargs[f.name] = Address.parse(raw)
-            elif key in _ADDRESS_LIST_FIELDS:
-                kwargs[f.name] = [Address.parse(item) for item in raw]
-            elif key in _DEP_LIST_FIELDS:
-                kwargs[f.name] = [(task, Address.parse(addr)) for task, addr in raw]
-            elif key in _RECORD_FIELDS:
-                kwargs[f.name] = _struct_from_tree(raw, offset)
-            elif key in _RECORD_LIST_FIELDS:
-                kwargs[f.name] = [_struct_from_tree(item, offset) for item in raw]
-            elif key in _KIND_FIELDS:
-                kwargs[f.name] = ComponentKind(raw)
-            else:
-                kwargs[f.name] = raw
+            kwargs[field_name] = from_tree(tree[field_name])
         except (ValueError, TypeError) as exc:
-            raise ProtocolError(f"bad value for {name}.{f.name}: {exc}", offset) from exc
-    extras = set(tree) - {"type"} - {f.name for f in fields(cls)}
+            raise ProtocolError(f"bad value for {name}.{field_name}: {exc}", offset) from exc
+    extras = set(tree) - {"type"} - set(kwargs)
     if extras:
         raise ProtocolError(f"{name} has unknown fields {sorted(extras)}", offset)
     return cls(**kwargs)
@@ -364,15 +369,17 @@ def _struct_from_tree(tree, offset):
 def encode(envelope: MessageEnvelope) -> bytes:
     """Serialize one envelope to a length-prefixed frame."""
 
-    sender = None if envelope.sender_id is None else _to_tree(envelope.sender_id)
+    sender = envelope.sender_id
+    if sender is not None:
+        sender = {"kind": sender.kind.value, "origin": str(sender.origin), "serial": sender.serial}
     tree = {
         "source": str(envelope.source),
         "destination": str(envelope.destination),
         "sender_id": sender,
         "sent_at": envelope.sent_at,
-        "payload": _to_tree(envelope.payload),
+        "payload": envelope.payload,
     }
-    body = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = _dumps(tree).encode("utf-8")
     if len(body) > MAX_BODY_BYTES:
         raise EncodingOverflow(f"body of {len(body)} bytes exceeds {MAX_BODY_BYTES}")
     return LENGTH_PREFIX.pack(len(body)) + body
@@ -410,7 +417,7 @@ def decode(buffer: bytes) -> MessageEnvelope:
     try:
         source = Address.parse(tree["source"])
         destination = Address.parse(tree["destination"])
-        sent_at = float(tree["sent_at"])
+        sent_at = float(_number(tree["sent_at"]))
         sender_tree = tree["sender_id"]
         payload_tree = tree["payload"]
     except (KeyError, ValueError, TypeError) as exc:
@@ -434,7 +441,7 @@ def decode(buffer: bytes) -> MessageEnvelope:
 def encode_record(record) -> str:
     """Canonical single-line text form of a telemetry record."""
 
-    return json.dumps(_to_tree(record), sort_keys=True, separators=(",", ":"))
+    return _dumps(record)
 
 
 def decode_record(line: str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 from .actor_runtime import ActorConfig
 from .discovery import DiscoveryConfig
@@ -25,7 +25,15 @@ from .user_sim import UserConfig
 
 __all__ = ["ScenarioConfig", "parse_scenario", "load_scenario", "preset_names", "preset_tree"]
 
-EXPERIMENT_KINDS = ("single", "convergence", "scalability", "reuse", "response", "discovery")
+ROOT_KEYS = (
+    "name", "seed", "experiment", "policy", "scaling_enabled", "time_limit_ms", "topology", "apps",
+    "components", "users", "ga", "scheduler", "discovery", "actor_runtime", "profile_period_ms",
+)
+# Experiment kind -> the keys its driver reads besides "kind".
+EXPERIMENT_KEYS = {
+    "single": (), "convergence": ("seeds", "policies", "compare_iteration"), "scalability": ("counts",),
+    "reuse": ("apps",), "response": ("seeds", "policies"), "discovery": (),
+}
 
 
 @dataclass
@@ -81,65 +89,78 @@ def _opt(tree: dict, key: str, default, path: str, kind=None):
     return _need(tree, key, path, kind)
 
 
-def _fill(target, tree: dict, path: str) -> None:
-    """Copy known scalar fields from a config subtree onto a dataclass."""
-    for key, value in tree.items():
-        if not hasattr(target, key):
-            raise ConfigError(f"{path}.{key}", "unknown field")
-        setattr(target, key, value)
+def _object(tree, path: str, keys) -> dict:
+    """The subtree as a config object: a dict whose every key is one of keys."""
+    if not isinstance(tree, dict):
+        raise ConfigError(path, "expected object")
+    for key in tree:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    return tree
+
+
+def _fill(target, tree: dict, path: str, skip=()):
+    """Copy the fields of a config object onto a dataclass (but those in skip), then validate it."""
+    for key, value in _object(tree, path, {f.name for f in fields(target)}).items():
+        if key not in skip:
+            setattr(target, key, value)
     try:
         target.validate()
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
+    return target
+
+
+def _link(tree: dict, path: str, ends=()) -> LinkSpec:
+    keys = ("latency_ms", "data_rate_bps")
+    _object(tree, path, keys + ends)
+    return LinkSpec(*(_need(tree, key, path, (int, float)) for key in keys))
 
 
 def _parse_topology(tree: dict, path: str):
+    _object(tree, path, ("hosts", "default_link", "links"))
     hosts_tree = _need(tree, "hosts", path, list)
     if not hosts_tree:
         raise ConfigError(f"{path}.hosts", "at least one host required")
     specs: dict[str, HostSpec] = {}
     for i, entry in enumerate(hosts_tree):
         hpath = f"{path}.hosts[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(hpath, "expected object")
+        _object(entry, hpath, {"class", *(f.name for f in fields(HostSpec))})
         host = _need(entry, "host", hpath, str)
         if host in specs:
             raise ConfigError(hpath, f"duplicate host {host!r}")
-        fields = {k: v for k, v in entry.items() if k not in ("host", "class")}
+        overrides = {k: v for k, v in entry.items() if k not in ("host", "class")}
         try:
             if "class" in entry:
-                specs[host] = host_from_class(host, entry["class"], **fields)
+                specs[host] = host_from_class(host, entry["class"], **overrides)
             else:
-                specs[host] = HostSpec(host=host, **fields)
+                specs[host] = HostSpec(host=host, **overrides)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(hpath, str(exc)) from exc
     default_tree = _opt(tree, "default_link", None, path, dict)
-    default = DEFAULT_LINK
-    if default_tree is not None:
-        default = LinkSpec(
-            latency_ms=_need(default_tree, "latency_ms", f"{path}.default_link", (int, float)),
-            data_rate_bps=_need(default_tree, "data_rate_bps", f"{path}.default_link", (int, float)),
-        )
+    default = DEFAULT_LINK if default_tree is None else _link(default_tree, f"{path}.default_link")
     links: dict[tuple, LinkSpec] = {}
     for i, entry in enumerate(_opt(tree, "links", [], path, list)):
         lpath = f"{path}.links[{i}]"
+        link = _link(entry, lpath, ("a", "b"))
         a = _need(entry, "a", lpath, str)
         b = _need(entry, "b", lpath, str)
         for end in (a, b):
             if end not in specs:
                 raise ConfigError(lpath, f"unknown host {end!r}")
-        links[(a, b)] = LinkSpec(
-            latency_ms=_need(entry, "latency_ms", lpath, (int, float)),
-            data_rate_bps=_need(entry, "data_rate_bps", lpath, (int, float)),
-        )
+        links[(a, b)] = link
     topology = Topology(list(specs.values()), links=links, default_link=default)
     return topology, specs
 
 
 def _parse_apps(tree: dict, path: str) -> dict[str, AppSpec]:
     apps = dict(builtin_apps())
+    _object(tree, path, ("custom",))
     for i, entry in enumerate(_opt(tree, "custom", [], path, list)):
         apath = f"{path}.custom[{i}]"
+        _object(entry, apath, ("name", "tasks", "edges", "entry", "exit"))
+        for j, task in enumerate(_opt(entry, "tasks", [], apath, list)):
+            _object(task, f"{apath}.tasks[{j}]", ("name", "compute_cost", "output_size_bytes"))
         try:
             app = app_from_config(entry)
         except Exception as exc:
@@ -152,8 +173,7 @@ def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: l
     users = []
     for i, entry in enumerate(tree_list):
         upath = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(upath, "expected object")
+        _object(entry, upath, {f.name for f in fields(UserConfig)})
         host = _need(entry, "host", upath, str)
         if host not in specs:
             raise ConfigError(f"{upath}.host", f"unknown host {host!r}")
@@ -164,31 +184,17 @@ def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: l
         if master_host not in masters:
             raise ConfigError(f"{upath}.master", f"host {master_host!r} runs no master")
         cfg = UserConfig(host=host, app=app, master=Address(master_host, MASTER_PORT))
-        for key in (
-            "frame_count",
-            "frame_interval_ms",
-            "frame_size_bytes",
-            "start_at_ms",
-            "timeout_ms",
-            "start_after_user",
-            "start_after_delay_ms",
-        ):
-            if key in entry:
-                setattr(cfg, key, entry[key])
+        users.append(_fill(cfg, entry, upath, skip=("host", "app", "master")))
         after = cfg.start_after_user
         if after is not None and not (isinstance(after, int) and 0 <= after < i):
             raise ConfigError(f"{upath}.start_after_user", "must reference an earlier user index")
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(upath, str(exc)) from exc
-        users.append(cfg)
     return users
 
 
 def parse_scenario(tree: dict) -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigError("", "scenario root must be an object")
+    _object(tree, "", ROOT_KEYS)
     name = _opt(tree, "name", "scenario", "", str)
     seed = _opt(tree, "seed", 0, "", int)
     policy = _opt(tree, "policy", "ohnsga", "", str)
@@ -201,14 +207,15 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
 
     experiment = _opt(tree, "experiment", {"kind": "single"}, "", dict)
     kind = _opt(experiment, "kind", "single", "experiment", str)
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError("experiment.kind", f"unknown kind {kind!r}; choices: {EXPERIMENT_KINDS}")
+    if kind not in EXPERIMENT_KEYS:
+        raise ConfigError("experiment.kind", f"unknown kind {kind!r}; choices: {tuple(EXPERIMENT_KEYS)}")
+    _object(experiment, "experiment", ("kind",) + EXPERIMENT_KEYS[kind])
     experiment = dict(experiment, kind=kind)
 
     topology, specs = _parse_topology(_need(tree, "topology", "", dict), "topology")
     apps = _parse_apps(_opt(tree, "apps", {}, "", dict), "apps")
 
-    components = _need(tree, "components", "", dict)
+    components = _object(_need(tree, "components", "", dict), "components", ("remote_loggers", "masters", "actors"))
     loggers = _opt(components, "remote_loggers", [], "components", list)
     if not loggers:
         raise ConfigError("components.remote_loggers", "at least one remote logger required")
@@ -229,6 +236,7 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
         if isinstance(entry, str):
             host, images, initial = entry, {"*"}, list(masters)
         elif isinstance(entry, dict):
+            _object(entry, apath, ("host", "images", "masters"))
             host = _need(entry, "host", apath, str)
             images = set(_opt(entry, "images", ["*"], apath, list))
             initial = _opt(entry, "masters", list(masters), apath, list)
@@ -246,14 +254,6 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
 
     users = _parse_users(_opt(tree, "users", [], "", list), "users", apps, specs, masters)
 
-    ga = GaParams()
-    _fill(ga, _opt(tree, "ga", {}, "", dict), "ga")
-    sched = SchedulerConfig()
-    _fill(sched, _opt(tree, "scheduler", {}, "", dict), "scheduler")
-    disc = DiscoveryConfig()
-    _fill(disc, _opt(tree, "discovery", {}, "", dict), "discovery")
-    actor_cfg = ActorConfig()
-    _fill(actor_cfg, _opt(tree, "actor_runtime", {}, "", dict), "actor_runtime")
     period = _opt(tree, "profile_period_ms", PROFILE_PERIOD_MS, "", (int, float))
     if period <= 0:
         raise ConfigError("profile_period_ms", "must be positive")
@@ -272,10 +272,10 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
         actors=actors,
         apps=apps,
         users=users,
-        ga=ga,
-        scheduler=sched,
-        discovery=disc,
-        actor_runtime=actor_cfg,
+        ga=_fill(GaParams(), _opt(tree, "ga", {}, "", dict), "ga"),
+        scheduler=_fill(SchedulerConfig(), _opt(tree, "scheduler", {}, "", dict), "scheduler"),
+        discovery=_fill(DiscoveryConfig(), _opt(tree, "discovery", {}, "", dict), "discovery"),
+        actor_runtime=_fill(ActorConfig(), _opt(tree, "actor_runtime", {}, "", dict), "actor_runtime"),
         profile_period_ms=float(period),
     )
 

@@ -170,17 +170,7 @@ class TelemetryView:
         }
         if topology is not None:
             for spec in topology.hosts.values():
-                self.observe(
-                    HostProfile(
-                        host=spec.host,
-                        cpu_cores=spec.cpu_cores,
-                        cpu_freq_ghz=spec.cpu_freq_ghz,
-                        mem_capacity_mb=spec.mem_capacity_mb,
-                        cpu_util=spec.base_cpu_util,
-                        mem_util=spec.base_mem_util,
-                        sampled_at=0.0,
-                    )
-                )
+                self.observe(sample_host(spec, None, 0.0))
 
     def observe(self, record):
         """Keeps the freshest record per key: larger sampled_at wins, later insertion breaks ties."""

@@ -1,5 +1,6 @@
 """Frame codec: canonical bytes, full round-trips, and malformed input."""
 import json
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from fogsim import protocol
 from fogsim.errors import EncodingOverflow, NeedMoreBytes, ProtocolError
 from fogsim.protocol import (
+    LENGTH_PREFIX,
+    MAX_BODY_BYTES,
     Address,
     AdvertiseMaster,
     ComponentId,
@@ -149,6 +152,74 @@ def _body(**overrides):
 def test_malformed_body_is_a_protocol_error(body):
     with pytest.raises(ProtocolError):
         decode(len(body).to_bytes(4, "big") + body)
+
+
+def _payload_frame(payload, mutate):
+    """Frame of an envelope whose payload wire tree was changed by mutate."""
+    tree = json.loads(encode(_envelope(payload))[4:])
+    mutate(tree["payload"])
+    body = json.dumps(tree).encode()
+    return len(body).to_bytes(4, "big") + body
+
+
+_WRONG_TYPES = [
+    (RegisterActor(profile=PROFILE), lambda p: p.update(images=5), "RegisterActor.images"),
+    (RegisterActor(profile=PROFILE), lambda p: p.update(images=["ocr", 5]), "RegisterActor.images"),
+    (RegisterActor(profile=PROFILE), lambda p: p["profile"].update(cpu_cores="8"), "HostProfile.cpu_cores"),
+    (RegisterActor(profile=PROFILE), lambda p: p["profile"].update(cpu_cores=8.0), "HostProfile.cpu_cores"),
+    (RegisterActor(profile=PROFILE), lambda p: p["profile"].update(sampled_at=[]), "HostProfile.sampled_at"),
+    (RegisterActor(profile=PROFILE), lambda p: p["profile"].update(cpu_util=True), "HostProfile.cpu_util"),
+    (
+        RegisterActor(profile=PROFILE),
+        lambda p: p.update(profile=json.loads(encode_record(ImageRecord("h", "t", True, 1.0)))),
+        "RegisterActor.profile",
+    ),
+    (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(request_id=7), "Data.request_id"),
+    (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(frame_seq="x"), "Data.frame_seq"),
+    (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(size_bytes=None), "Data.size_bytes"),
+    (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(final=1), "Data.final"),
+    (Result(request_id="r", frame_seq=0), lambda p: p.update(frame_seq=True), "Result.frame_seq"),
+    (
+        LogUpload(records=[ImageRecord("h", "t", True, 1.0)]),
+        lambda p: p["records"][0].update(available=1),
+        "ImageRecord.available",
+    ),
+    (LogUpload(records=[]), lambda p: p.update(records=[{"type": "Probe"}]), "LogUpload.records"),
+    (
+        InitTaskExecutor(request_id="r", app="VOCR", task="ocr", dependencies=[("grab", A2)]),
+        lambda p: p["dependencies"][0].__setitem__(0, 5),
+        "InitTaskExecutor.dependencies",
+    ),
+    (InitNewMaster(requester=A1, actors=[]), lambda p: p.update(actors={"a": 1}), "InitNewMaster.actors"),
+]
+
+
+@pytest.mark.parametrize("payload,mutate,where", _WRONG_TYPES, ids=[where for *_, where in _WRONG_TYPES])
+def test_field_of_the_wrong_type_is_a_protocol_error(payload, mutate, where):
+    with pytest.raises(ProtocolError, match=rf"bad value for {where}:"):
+        decode(_payload_frame(payload, mutate))
+
+
+@pytest.mark.parametrize("sent_at", ["1.5", True, None, [0.0]])
+def test_header_sent_at_must_be_a_number(sent_at):
+    body = _body(sent_at=sent_at)
+    with pytest.raises(ProtocolError, match="bad envelope header"):
+        decode(len(body).to_bytes(4, "big") + body)
+
+
+def test_header_sent_at_accepts_an_integer():
+    body = _body(sent_at=12)
+    assert decode(len(body).to_bytes(4, "big") + body).sent_at == 12.0
+
+
+def test_annotation_without_a_wire_form_is_rejected():
+    @dataclass
+    class Tally:
+        counts: list[int]
+        total: int
+
+    with pytest.raises(TypeError, match=r"Tally\.counts"):
+        protocol._schema(Tally)
 
 
 def test_oversized_prefix_rejected_before_the_body_arrives():
@@ -358,3 +429,82 @@ def test_frame_buffer_reassembles_any_chunking(envs, chunk):
         got.extend(buffer.feed(stream[i : i + chunk]))
     assert got == envs
     assert buffer.pending() == 0
+
+
+# -- byte-identity oracle -----------------------------------------------------
+# The type-ladder codec that the annotation-driven field table replaced, kept
+# verbatim (only the two public names are prefixed) as the wire-bytes oracle.
+
+_BY_NAME = {cls.__name__: cls for cls in protocol.PAYLOAD_TYPES + protocol.RECORD_TYPES}
+
+
+def _to_tree(value):
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, Address):
+        return str(value)
+    if isinstance(value, ComponentKind):
+        return value.value
+    if isinstance(value, ComponentId):
+        return {"kind": value.kind.value, "origin": str(value.origin), "serial": value.serial}
+    if isinstance(value, (list, tuple)):
+        return [_to_tree(item) for item in value]
+    if type(value) in _BY_NAME.values():
+        tree = {"type": type(value).__name__}
+        for f in fields(value):
+            tree[f.name] = _to_tree(getattr(value, f.name))
+        return tree
+    raise EncodingOverflow(f"cannot encode value of type {type(value).__name__}")
+
+
+def ladder_encode(envelope: MessageEnvelope) -> bytes:
+    """Serialize one envelope to a length-prefixed frame."""
+
+    sender = None if envelope.sender_id is None else _to_tree(envelope.sender_id)
+    tree = {
+        "source": str(envelope.source),
+        "destination": str(envelope.destination),
+        "sender_id": sender,
+        "sent_at": envelope.sent_at,
+        "payload": _to_tree(envelope.payload),
+    }
+    body = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    if len(body) > MAX_BODY_BYTES:
+        raise EncodingOverflow(f"body of {len(body)} bytes exceeds {MAX_BODY_BYTES}")
+    return LENGTH_PREFIX.pack(len(body)) + body
+
+
+def ladder_message_wire_bytes(envelope: MessageEnvelope) -> int:
+    """Bytes a transport charges for the envelope.
+
+    Data and Result frames are charged at their declared logical size (the
+    synthetic payload stands in for real content); control traffic is charged
+    at its encoded size.
+    """
+
+    if isinstance(envelope.payload, (Data, Result)):
+        return int(envelope.payload.size_bytes)
+    return len(ladder_encode(envelope))
+
+
+def _assert_same_bytes_as_the_ladder(env):
+    frame = ladder_encode(env)
+    assert encode(env) == frame
+    assert message_wire_bytes(env) == ladder_message_wire_bytes(env)
+    if not isinstance(env.payload, (Data, Result)):
+        assert message_wire_bytes(env) == len(frame)
+
+
+@pytest.mark.parametrize("payload", SAMPLE_PAYLOADS, ids=lambda p: type(p).__name__)
+def test_encode_matches_the_type_ladder_oracle(payload):
+    _assert_same_bytes_as_the_ladder(_envelope(payload))
+    _assert_same_bytes_as_the_ladder(_envelope(payload, sender=ComponentId(ComponentKind.Actor, 9, A2)))
+    if isinstance(payload, LogUpload):
+        for record in payload.records:
+            assert encode_record(record) == json.dumps(_to_tree(record), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=_envelopes)
+def test_random_envelope_encodes_as_the_type_ladder_did(env):
+    _assert_same_bytes_as_the_ladder(env)

@@ -87,6 +87,8 @@ def reject(mutate, match):
     (lambda t: t["users"][0].__setitem__("master", "10.0.0.2"), "runs no master"),
     (lambda t: t["users"][0].__setitem__("start_after_user", 0), "earlier user index"),
     (lambda t: t["users"][0].__setitem__("frame_count", 0), "frame_count"),
+    (lambda t: t["users"].__setitem__(0, 5), "expected object"),
+    (lambda t: t["users"][0].__setitem__("frame_count", "2"), r"users\[0\]: '<' not supported"),
     (lambda t: t["ga"].__setitem__("pop_size", 0), "pop_size"),
     (lambda t: t["ga"].__setitem__("population", 10), "unknown field"),
     (lambda t: t.__setitem__("scheduler", {"max_cpu_util": 2.0}), "max_cpu_util"),
@@ -99,6 +101,63 @@ def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
 def test_config_error_carries_the_field_path():
     err = reject(lambda t: t["users"][0].__setitem__("app", "Mystery"), "unknown app")
     assert "users[0].app" in str(err)
+
+
+def _custom_app(**extra_task_keys):
+    task = {"name": "t", "compute_cost": 1.0, "output_size_bytes": 10, **extra_task_keys}
+    return {"custom": [{"name": "Solo", "tasks": [task], "edges": [], "entry": ["t"], "exit": ["t"]}]}
+
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda t: t["users"][0].__setitem__("frame_cuont", 2), "users[0].frame_cuont"),
+    (lambda t: t.__setitem__("usres", []), "usres"),
+    (lambda t: t["topology"].__setitem__("links", [
+        {"a": "10.0.0.1", "b": "10.0.0.2", "latency_ms": 1.0, "data_rate_bps": 1e6, "bogus": 1}]),
+     "topology.links[0].bogus"),
+    (lambda t: t["components"].__setitem__("actors", [{"host": "10.0.0.2", "imgs": ["OCR"]}]),
+     "components.actors[0].imgs"),
+    (lambda t: t["topology"].__setitem__("link", []), "topology.link"),
+    (lambda t: t["topology"]["hosts"][0].__setitem__("cores", 4), "topology.hosts[0].cores"),
+    (lambda t: t["topology"]["default_link"].__setitem__("jitter_ms", 1.0), "topology.default_link.jitter_ms"),
+    (lambda t: t["components"].__setitem__("loggers", ["10.0.0.1"]), "components.loggers"),
+    (lambda t: t.__setitem__("apps", {"customs": []}), "apps.customs"),
+    (lambda t: t.__setitem__("apps", dict(_custom_app(), colour="red")), "apps.colour"),
+    (lambda t: t.__setitem__("apps", _custom_app(cost=2)), "apps.custom[0].tasks[0].cost"),
+    (lambda t: t["ga"].__setitem__("validate", 1), "ga.validate"),
+    (lambda t: t["experiment"].__setitem__("seeds", 3), "experiment.seeds"),
+    (lambda t: t.__setitem__("experiment", {"kind": "convergence", "counts": [1]}), "experiment.counts"),
+    (lambda t: t.__setitem__("experiment", {"kind": "scalability", "seeds": 2}), "experiment.seeds"),
+    (lambda t: t.__setitem__("experiment", {"kind": "reuse", "policies": ["random"]}), "experiment.policies"),
+    (lambda t: t.__setitem__("experiment", {"kind": "response", "compare_iteration": 5}),
+     "experiment.compare_iteration"),
+    (lambda t: t.__setitem__("experiment", {"kind": "discovery", "ticks": 3}), "experiment.ticks"),
+])
+def test_unknown_keys_are_rejected_with_their_field_path(mutate, path):
+    err = reject(mutate, "unknown field")
+    assert err.path == path
+
+
+DRIVER_KEYS = {
+    "single": {},
+    "convergence": {"seeds": 2, "policies": ["random"], "compare_iteration": 5},
+    "scalability": {"counts": [1]},
+    "reuse": {"apps": ["VOCR"]},
+    "response": {"seeds": 2, "policies": ["random"]},
+    "discovery": {},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DRIVER_KEYS))
+def test_each_experiment_kind_takes_the_keys_its_driver_reads(kind):
+    tree = smoke_tree()
+    tree["experiment"] = {"kind": kind, **DRIVER_KEYS[kind]}
+    assert parse_scenario(tree).experiment == tree["experiment"]
+
+
+def test_custom_app_entries_parse():
+    tree = smoke_tree()
+    tree["apps"] = _custom_app()
+    assert parse_scenario(tree).apps["Solo"].task_names() == ["t"]
 
 
 def test_actor_entries_accept_strings_and_objects():
