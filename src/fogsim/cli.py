@@ -3,7 +3,8 @@
     fogsim run <scenario> [--seed N] [--out DIR] [--policy NAME] [--no-scaling]
 
 ``<scenario>`` is a JSON file path or a built-in preset name. Exit codes:
-0 on success, 2 for configuration errors, 3 when a run wedges.
+0 on success, 2 for configuration errors, 3 when users are still
+unfinished at the time limit.
 """
 from __future__ import annotations
 

@@ -122,10 +122,12 @@ def tournament_select(pop: list, n_parents: int, rng) -> list:
 
     if len(pop) == 1:
         return [pop[0]] * n_parents
+    # One draw over alternating bounds [n, n-1, n, n-1, ...] yields the
+    # same stream as the scalar draws i ~ [0, n), j ~ [0, n-1) pair by pair.
+    n = len(pop)
+    draws = rng.integers(0, np.tile([n, n - 1], n_parents)).tolist()
     chosen = []
-    for _ in range(n_parents):
-        i = int(rng.integers(0, len(pop)))
-        j = int(rng.integers(0, len(pop) - 1))
+    for i, j in zip(draws[::2], draws[1::2]):
         if j >= i:
             j += 1
         a, b = pop[i], pop[j]

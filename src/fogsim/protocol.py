@@ -332,6 +332,20 @@ _CODECS = {
 }
 
 
+def check_value(hint, value):
+    """Check value against a field annotation by the wire's rule, or raise TypeError.
+
+    An int takes no bool and a float takes an int but no bool; ``X | None``
+    also takes None. The scenario parser holds config scalars to the same rule.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return value
+        (hint,) = (arg for arg in args if arg is not type(None))
+    return _CODECS[hint][1](value)
+
+
 def _schema(cls) -> tuple:
     hints = typing.get_type_hints(cls)
     unknown = [f"{cls.__name__}.{f.name}: {hints[f.name]}" for f in fields(cls) if hints[f.name] not in _CODECS]

@@ -1,7 +1,8 @@
 """Scenario runner: builds a deployment from config and drives experiments.
 
 ``Runtime`` wires one simulated deployment (loggers, masters, actors,
-users) onto a kernel and runs it to completion. ``run_scenario``
+users) onto a kernel and runs it until its last user finishes; a
+deployment without users runs to its time limit. ``run_scenario``
 dispatches on the experiment kind, running one or many deployments and
 assembling a MetricsReport with stable row schemas for the CSV writers.
 """
@@ -113,6 +114,8 @@ class Runtime:
 
         self.users: list[User] = []
         self._waiters: dict[int, list] = {}
+        # Counts chained users too, so the run cannot stop before they start.
+        self._unfinished = len(config.users)
         for i, ucfg in enumerate(config.users):
             user = User(
                 self.kernel,
@@ -131,6 +134,7 @@ class Runtime:
 
     def _make_done(self, index: int):
         def done(_user):
+            self._unfinished -= 1
             for delay, waiter in self._waiters.pop(index, []):
                 self.kernel.schedule(delay, waiter.start)
 
@@ -139,11 +143,12 @@ class Runtime:
     # -- execution -------------------------------------------------------------
 
     def run(self) -> None:
-        self.kernel.run(until_ms=self.config.time_limit_ms)
-        stuck = [u for u in self.users if not u.done]
-        if stuck:
+        """Run until every user is done; users still unfinished at the time limit are a wedge."""
+        stop_when = (lambda: not self._unfinished) if self.users else None
+        self.kernel.run(until_ms=self.config.time_limit_ms, stop_when=stop_when)
+        if self._unfinished:
             raise DeadlockDetected(
-                f"{len(stuck)} of {len(self.users)} user(s) unfinished at the time limit",
+                f"{self._unfinished} of {len(self.users)} user(s) unfinished at the time limit",
                 dump=self.dump(),
             )
 
@@ -274,6 +279,7 @@ def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
     warmup = config.clone(policy="ohnsga")
     runtime = Runtime(warmup)
     runtime.run()
+    runtime.kernel.run(until_ms=warmup.time_limit_ms)  # the re-solves read the master's view at the horizon
     if not runtime.users:
         raise DeadlockDetected("convergence experiment needs one warm-up user", dump=runtime.dump())
     user = runtime.users[0]

@@ -8,8 +8,10 @@ of the offending field, e.g. ``users[2].frame_count``.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
+import typing
 from dataclasses import dataclass, fields, replace
 
 from .actor_runtime import ActorConfig
@@ -17,7 +19,7 @@ from .discovery import DiscoveryConfig
 from .errors import ConfigError
 from .ga_policies import POLICIES, GaParams
 from .netsim import DEFAULT_LINK, HostSpec, LinkSpec, Topology, host_from_class
-from .protocol import MASTER_PORT, Address
+from .protocol import MASTER_PORT, Address, check_value
 from .scheduler import SchedulerConfig
 from .taskgraph import AppSpec, app_from_config, builtin_apps
 from .telemetry import PROFILE_PERIOD_MS
@@ -99,15 +101,28 @@ def _object(tree, path: str, keys) -> dict:
     return tree
 
 
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _fill(target, tree: dict, path: str, skip=()):
-    """Copy the fields of a config object onto a dataclass (but those in skip), then validate it."""
-    for key, value in _object(tree, path, {f.name for f in fields(target)}).items():
-        if key not in skip:
-            setattr(target, key, value)
+    """Copy the fields of a config object onto a dataclass (but those in skip), then validate it.
+
+    Each copied value must also have its field's annotated type, by the
+    rule the wire codec applies (so ``true`` is no int and ``2.5`` no count).
+    """
+    copied = {k: v for k, v in _object(tree, path, {f.name for f in fields(target)}).items() if k not in skip}
+    for key, value in copied.items():
+        setattr(target, key, value)
     try:
         target.validate()
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
+    hints = _type_hints(type(target))
+    for key, value in copied.items():
+        try:
+            check_value(hints[key], value)
+        except TypeError as exc:
+            raise ConfigError(f"{path}.{key}", str(exc)) from exc
     return target
 
 
@@ -186,7 +201,7 @@ def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: l
         cfg = UserConfig(host=host, app=app, master=Address(master_host, MASTER_PORT))
         users.append(_fill(cfg, entry, upath, skip=("host", "app", "master")))
         after = cfg.start_after_user
-        if after is not None and not (isinstance(after, int) and 0 <= after < i):
+        if after is not None and not 0 <= after < i:
             raise ConfigError(f"{upath}.start_after_user", "must reference an earlier user index")
     return users
 

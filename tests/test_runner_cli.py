@@ -93,6 +93,10 @@ def reject(mutate, match):
     (lambda t: t["ga"].__setitem__("population", 10), "unknown field"),
     (lambda t: t.__setitem__("scheduler", {"max_cpu_util": 2.0}), "max_cpu_util"),
     (lambda t: t.__setitem__("profile_period_ms", -1), "must be positive"),
+    (lambda t: t["users"][0].__setitem__("frame_count", 2.5), r"users\[0\]\.frame_count: expected int"),
+    (lambda t: t["ga"].__setitem__("pop_size", 16.5), r"ga\.pop_size: expected int"),
+    (lambda t: t["ga"].__setitem__("pop_size", True), r"ga\.pop_size: expected int, not bool"),
+    (lambda t: t["users"][0].__setitem__("frame_count", True), r"users\[0\]\.frame_count: expected int, not bool"),
 ])
 def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
     reject(mutate, match)
