@@ -7,11 +7,22 @@ The flagship policy seeds its initial population from past winners for the
 same app and deduplicates on decoded assignments, which is what makes warm
 starts converge in a handful of iterations.
 
-The generation loop works on 2-D batches, one row per individual: a refill
-round crosses over, mutates and decodes all of its offspring at once, and
-random individuals are drawn as one block of rows.  Each batch takes its
-numbers from the generator in the order a loop over individuals would, so a
-seed yields the same placements, series and evaluation counts as one.
+A generation refills its population in rounds: binary tournaments pick
+parents from the current population, SBX and polynomial mutation breed
+offspring from them, and rounds repeat until the pool is full or
+REFILL_STALL_LIMIT rounds in a row add nothing new.  All rounds of one
+generation select from the same population and differ only in their draws,
+so the loop breeds a block of rounds at once: it draws each round's
+tournament entrants and uniforms in the order a round-by-round loop would,
+notes the generator's state after each round, and runs the operators over
+the whole block as one set of array operations.  It then scores the rounds
+in order; when the refill ends before the block does, it restores the state
+noted after the last round used, so the rounds not used take no draws and no
+fitness calls.  A generation's first block is as long as the previous
+generation's refill; a top-up block is only as long as the refill must
+still run.  Once every assignment has been scored the search stops, since
+the best can no longer change.  A seed yields the same placements, series,
+fitness calls and evaluation counts as a loop over individuals.
 """
 
 from __future__ import annotations
@@ -90,10 +101,15 @@ class HistoryStore:
         return sum(len(entries) for entries in self._by_app.values())
 
 
+def _clamp(x, lower, upper):
+    # np.clip's value on every finite input, without its Python wrapper
+    return np.minimum(np.maximum(x, lower), upper)
+
+
 def decode(genes: np.ndarray, counts: np.ndarray) -> list[tuple]:
     """Floor each gene of each row and clamp it into its candidate range."""
 
-    idx = np.clip(np.floor(genes).astype(int), 0, counts - 1)
+    idx = _clamp(np.floor(genes).astype(int), 0, counts - 1)
     return list(map(tuple, idx.tolist()))
 
 
@@ -105,11 +121,11 @@ def _checked_counts(counts_list, params: GaParams) -> np.ndarray:
     return counts
 
 
-def _score(rows: np.ndarray, counts: np.ndarray, fitness, cache: dict) -> list[Individual]:
+def _score(rows: np.ndarray, assignments: list[tuple], fitness, cache: dict) -> list[Individual]:
     """One individual per row; fitness runs once per decoded assignment ever seen."""
 
     out = []
-    for genes, assignment in zip(rows, decode(rows, counts)):
+    for genes, assignment in zip(rows, assignments):
         value = cache.get(assignment)
         if value is None:
             value = cache[assignment] = fitness(assignment)
@@ -117,63 +133,54 @@ def _score(rows: np.ndarray, counts: np.ndarray, fitness, cache: dict) -> list[I
     return out
 
 
-def tournament_select(pop: list, n_parents: int, rng) -> list:
-    """Binary tournaments: two distinct entrants, the fitter one survives."""
+def tournament_select(fitness: list, bounds: np.ndarray, rng) -> list[int]:
+    """Binary tournaments: two distinct entrants, the fitter one survives.
 
-    if len(pop) == 1:
-        return [pop[0]] * n_parents
-    # One draw over alternating bounds [n, n-1, n, n-1, ...] yields the
-    # same stream as the scalar draws i ~ [0, n), j ~ [0, n-1) pair by pair.
-    n = len(pop)
-    draws = rng.integers(0, np.tile([n, n - 1], n_parents)).tolist()
+    fitness is the population's; bounds repeats [n, n-1] once per parent.
+    One draw over those bounds yields the same stream as the scalar draws
+    i ~ [0, n), j ~ [0, n-1) pair by pair.  Returns indices of the winners.
+    """
+
+    if len(fitness) == 1:
+        return [0] * (len(bounds) // 2)
+    draws = rng.integers(0, bounds).tolist()
     chosen = []
     for i, j in zip(draws[::2], draws[1::2]):
         if j >= i:
             j += 1
-        a, b = pop[i], pop[j]
-        chosen.append(b if b.fitness < a.fitness else a)
+        chosen.append(j if fitness[j] < fitness[i] else i)
     return chosen
 
 
-def sbx_crossover(parents: np.ndarray, n_offsprings: int, eta: float, counts, rng) -> np.ndarray:
-    """Simulated binary crossover over sequential pairs of parent rows.
+def _breed(p1, p2, uniforms, params: GaParams, mutation_prob: float, upper) -> np.ndarray:
+    """SBX crossover, then polynomial mutation, of rounds of parent pairs at once.
 
-    Pair j crosses rows 2j and 2j+1 (modulo the parent count).  Per gene: draw
-    u in (0,1); beta = (2u)^(1/(eta+1)) for u <= 0.5, else
-    (1/(2(1-u)))^(1/(eta+1)); the two children are 0.5*((1 +- beta)p1 +
-    (1 -+ beta)p2), clamped into gene bounds.  Identical parents reproduce
-    themselves exactly.  Children come out as c1, c2 of pair 0, then of pair
-    1, ..., cut to n_offsprings; one (pairs, genes) draw gives every pair the
-    u row it would draw on its own.
+    p1 and p2 hold (rounds, pairs, genes) parent rows; each round's uniforms
+    are its SBX u block, then a (mask, u) block per child.  Per gene, SBX
+    takes beta = (2u)^(1/(eta+1)) for u <= 0.5, else (1/(2(1-u)))^(1/(eta+1)),
+    and children 0.5*((1 +- beta)p1 + (1 -+ beta)p2): c1, c2 of pair 0, then
+    of pair 1, ..., cut to n_offsprings.  Identical parents reproduce
+    themselves exactly.  Deb's polynomial mutation then moves each gene with
+    probability mutation_prob.  Every child is clamped into its gene bounds
+    after each step.  Returns (rounds, n_offsprings, genes) rows.
     """
 
-    pairs = -(-n_offsprings // 2)
-    j = np.arange(pairs)
-    p1 = parents[(2 * j) % len(parents)]
-    p2 = parents[(2 * j + 1) % len(parents)]
-    u = np.clip(rng.random((pairs, len(counts))), 1e-12, 1.0 - 1e-12)
-    exponent = 1.0 / (eta + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
-    children = np.empty((2 * pairs, len(counts)))
-    children[0::2] = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    children[1::2] = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    return np.clip(children[:n_offsprings], 0.0, counts - GENE_EPS)
+    rounds, pairs, width = p1.shape
+    n_offsprings = params.n_offsprings
+    u = _clamp(uniforms[:, :pairs * width].reshape(p1.shape), 1e-12, 1.0 - 1e-12)
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.crossover_eta + 1.0))
+    children = np.empty((rounds, 2 * pairs, width))
+    children[:, 0::2] = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    children[:, 1::2] = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    children = _clamp(children[:, :n_offsprings], 0.0, upper)
 
-
-def polynomial_mutation(genes: np.ndarray, prob: float, eta: float, counts, rng) -> np.ndarray:
-    """Deb's polynomial mutation of each row, per gene with the given probability.
-
-    Each row draws its mask, then its u, as it would on its own.
-    """
-
-    upper = counts - GENE_EPS
-    draws = rng.random((len(genes), 2, len(counts)))
-    mask = draws[:, 0] < prob
-    u = np.clip(draws[:, 1], 1e-12, 1.0 - 1e-12)
-    exponent = 1.0 / (eta + 1.0)
-    delta = np.where(u < 0.5, (2.0 * u) ** exponent - 1.0, 1.0 - (2.0 * (1.0 - u)) ** exponent)
-    mutated = genes + mask * delta * upper
-    return np.clip(mutated, 0.0, upper)
+    draws = uniforms[:, pairs * width:].reshape(rounds, n_offsprings, 2, width)
+    mask = draws[:, :, 0] < mutation_prob
+    u = _clamp(draws[:, :, 1], 1e-12, 1.0 - 1e-12)
+    low = u < 0.5
+    power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (params.mutation_eta + 1.0))
+    delta = np.where(low, power - 1.0, 1.0 - power)
+    return _clamp(children + mask * delta * upper, 0.0, upper)
 
 
 def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool) -> PolicyResult:
@@ -181,51 +188,91 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
 
     counts = _checked_counts(counts_list, params)
     index_counts = counts.astype(int)
+    space = math.prod(index_counts.tolist())
+    upper = counts - GENE_EPS
+    width = len(counts)
     cache: dict[tuple, float] = {}
     mutation_prob = params.mutation_prob
     if mutation_prob is None:
         mutation_prob = 1.0 / len(counts_list)
+    n_parents, n_offsprings, pop_size = params.n_parents, params.n_offsprings, params.pop_size
+    pairs = -(-n_offsprings // 2)
+    mates1 = (2 * np.arange(pairs)) % n_parents
+    mates2 = (2 * np.arange(pairs) + 1) % n_parents
+    n_uniforms = pairs * width + n_offsprings * 2 * width
+    per_round = n_parents + n_offsprings
 
     def random_individuals(m: int) -> list[Individual]:
-        return _score(rng.random((m, len(counts))) * counts, index_counts, fitness, cache)
+        rows = rng.random((m, width)) * counts
+        return _score(rows, decode(rows, index_counts), fitness, cache)
 
-    seeds = np.array(seed_genes, dtype=float).reshape(len(seed_genes), len(counts))
-    initial = _score(seeds, index_counts, fitness, cache)
-    initial += random_individuals(params.pop_size - len(initial))
+    seeds = np.array(seed_genes, dtype=float).reshape(len(seed_genes), width)
+    initial = _score(seeds, decode(seeds, index_counts), fitness, cache)
+    initial += random_individuals(pop_size - len(initial))
     pop = _dedup(initial) if dedup else initial
     pop.sort(key=lambda ind: ind.fitness)
     best = pop[0]
 
     series = []
-    for _ in range(params.max_iteration_num):
+    block = -(-pop_size // per_round)
+    while len(series) < params.max_iteration_num:
+        if len(cache) == space:
+            # Every assignment is scored, so best can no longer change: the
+            # stable sort keeps the incumbent first among equal fitness.
+            series += [best.fitness] * (params.max_iteration_num - len(series))
+            break
+        pop_genes = np.array([ind.genes for ind in pop])
+        pop_fitness = [ind.fitness for ind in pop]
+        bounds = np.tile([len(pop), len(pop) - 1], n_parents)
         pool: list[Individual] = []
         seen: set[tuple] = set()
-        stall = 0
-        while len(pool) < params.pop_size and stall < REFILL_STALL_LIMIT:
-            parents = tournament_select(pop, params.n_parents, rng)
-            children = sbx_crossover(
-                np.array([ind.genes for ind in parents]), params.n_offsprings,
-                params.crossover_eta, counts, rng,
+        stall = used = 0
+        while len(pool) < pop_size and stall < REFILL_STALL_LIMIT:
+            # Draw `block` rounds in stream order, noting the generator's
+            # state after each, and breed them all in one pass.
+            winners, uniforms, states = [], [], []
+            for r in range(block):
+                winners.append(tournament_select(pop_fitness, bounds, rng))
+                uniforms.append(rng.random(n_uniforms))
+                if r < block - 1:
+                    states.append(rng.bit_generator.state)
+            parents = pop_genes[np.array(winners)]
+            children = _breed(
+                parents[:, mates1], parents[:, mates2], np.array(uniforms), params, mutation_prob, upper,
             )
-            children = polynomial_mutation(children, mutation_prob, params.mutation_eta, counts, rng)
-            offspring = _score(children, index_counts, fitness, cache)
-            added = 0
-            for ind in parents + offspring:
-                if dedup:
-                    if ind.assignment in seen:
-                        continue
-                    seen.add(ind.assignment)
-                pool.append(ind)
-                added += 1
-            stall = stall + 1 if added == 0 else 0
-        if len(pool) < params.pop_size:
+            assignments = decode(children.reshape(-1, width), index_counts)
+            for r, entrants in enumerate(winners):
+                used += 1
+                offspring = _score(
+                    children[r], assignments[r * n_offsprings:(r + 1) * n_offsprings], fitness, cache,
+                )
+                added = 0
+                for ind in [pop[k] for k in entrants] + offspring:
+                    if dedup:
+                        if ind.assignment in seen:
+                            continue
+                        seen.add(ind.assignment)
+                    pool.append(ind)
+                    added += 1
+                stall = stall + 1 if added == 0 else 0
+                if len(pool) >= pop_size or stall >= REFILL_STALL_LIMIT:
+                    if r < block - 1:
+                        rng.bit_generator.state = states[r]  # un-draw the rounds not used
+                    break
+            else:
+                # Each round adds at most per_round individuals and a stall
+                # needs REFILL_STALL_LIMIT - stall more rounds, so none of
+                # these is wasted.
+                block = min(-(-(pop_size - len(pool)) // per_round), REFILL_STALL_LIMIT - stall)
+        block = used
+        if len(pool) < pop_size:
             # stalled refill: random padding, duplicates allowed
-            pool += random_individuals(params.pop_size - len(pool))
+            pool += random_individuals(pop_size - len(pool))
         merged = [best] + pool
         if dedup:
             merged = _dedup(merged)
         merged.sort(key=lambda ind: ind.fitness)
-        pop = merged[: params.pop_size]
+        pop = merged[:pop_size]
         best = pop[0]
         series.append(best.fitness)
 
@@ -295,7 +342,7 @@ def random_policy(counts, fitness, params: GaParams, rng, history: HistoryStore 
     rows = rng.random((params.max_iteration_num, len(counts_arr))) * counts_arr
     best = None
     series = []
-    for candidate in _score(rows, counts_arr.astype(int), fitness, cache):
+    for candidate in _score(rows, decode(rows, counts_arr.astype(int)), fitness, cache):
         if best is None or candidate.fitness < best.fitness:
             best = candidate
         series.append(best.fitness)

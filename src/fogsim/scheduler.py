@@ -138,20 +138,6 @@ class ResponseModel:
                 response = arrival
         return response
 
-    def hosts_for(self, assignment) -> dict[str, str]:
-        return {
-            name: self.candidate_hosts[i][assignment[i]] for i, name in enumerate(self.tasks)
-        }
-
-
-def estimate_response(app: AppSpec, placement: dict[str, object], user_host: str,
-                      master_host: str, view: TelemetryView, frame_size_bytes: int) -> float:
-    """One-shot estimate for an explicit task -> actor placement."""
-
-    candidates = {task: [placement[task]] for task in app.task_names()}
-    model = ResponseModel(app, candidates, user_host, master_host, view, frame_size_bytes)
-    return model.estimate(tuple(0 for _ in app.task_names()))
-
 
 def dependency_lists(app: AppSpec, actor_addr_by_task: dict) -> dict[str, list]:
     """Per task, the (neighbor task, neighbor actor address) wiring list.

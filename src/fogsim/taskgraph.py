@@ -93,9 +93,6 @@ class AppSpec:
     def task_names(self) -> list[str]:
         return list(self.tasks)
 
-    def total_compute(self) -> float:
-        return sum(task.compute_cost for task in self.tasks.values())
-
 
 def topo_levels(app: AppSpec) -> list[list[str]]:
     """Tasks grouped by dependency depth; raises CyclicDependency on cycles.

@@ -15,7 +15,6 @@ from fogsim.scheduler import (
     SchedulerConfig,
     build_task_actors_map,
     dependency_lists,
-    estimate_response,
     nominal_evals,
     scheduling_work_units,
 )
@@ -142,21 +141,6 @@ def test_multiple_exits_take_the_latest_arrival():
     assert model.estimate((0, 0, 0)) == pytest.approx(slow, rel=1e-12)
 
 
-def test_estimate_response_matches_the_model():
-    model = chain_model()
-    app = model.app
-    actors = [Entry(Address("a", 5001), ("*",)), Entry(Address("b", 5001), ("*",))]
-    placement = {"t1": actors[0], "t2": actors[1]}
-    one_shot = estimate_response(app, placement, "u", "m", _view(), 65536)
-    assert one_shot == model.estimate((0, 1))
-
-
-def test_counts_and_hosts_for():
-    model = chain_model()
-    assert model.counts == [2, 2]
-    assert model.hosts_for((1, 0)) == {"t1": "b", "t2": "a"}
-
-
 # -- independent reference recurrence ---------------------------------------------
 
 
@@ -203,7 +187,9 @@ def test_estimate_matches_reference_on_random_dags(data):
     view = _view()
     model = ResponseModel(app, build_task_actors_map(app, actors), "u", "m", view, 65536)
     assignment = tuple(data.draw(st.integers(0, 1)) for _ in names)
-    hosts_by_task = model.hosts_for(assignment)
+    hosts_by_task = {
+        name: hosts[a] for name, hosts, a in zip(model.tasks, model.candidate_hosts, assignment)
+    }
     expected = reference_estimate(app, hosts_by_task, "u", "m", view, 65536)
     assert model.estimate(assignment) == pytest.approx(expected, rel=1e-12)
 

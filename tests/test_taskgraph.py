@@ -77,7 +77,8 @@ def test_gol_is_a_62_task_pyramid():
     assert app.tasks["gol-L01-a"].compute_cost == pytest.approx(360.0)
     assert app.tasks["gol-L00-a"].compute_cost == 2 * app.tasks["gol-L01-b"].compute_cost
     assert app.tasks["gol-L30-a"].output_size_bytes == 16
-    assert app.total_compute() == pytest.approx(sum(2 * 720.0 / 2**k for k in range(31)))
+    total = sum(task.compute_cost for task in app.tasks.values())
+    assert total == pytest.approx(sum(2 * 720.0 / 2**k for k in range(31)))
 
 
 def test_app_from_config_round_trip():
