@@ -219,10 +219,14 @@ class Actor:
             self._send(env.source, ProbeReply(kind=ComponentKind.Actor, actors=[]))
         elif isinstance(payload, AdvertiseMaster):
             self._register_with(payload.master)
-        elif isinstance(payload, InitTaskExecutor):
-            self._init_executor(payload, env.source)
-        elif isinstance(payload, ReuseTaskExecutor):
-            self._reuse_executor(payload, env.source)
+        elif isinstance(payload, (InitTaskExecutor, ReuseTaskExecutor)):
+            app = self._servable(payload)
+            if app is None:
+                self.anomalies += 1
+            elif isinstance(payload, InitTaskExecutor):
+                self._init_executor(payload, app, env.source)
+            else:
+                self._reuse_executor(payload, app, env.source)
         elif isinstance(payload, InitNewMaster):
             self._init_master_here(payload)
         elif isinstance(payload, Data):
@@ -244,12 +248,15 @@ class Actor:
 
     # -- executor lifecycle -------------------------------------------------------
 
-    def _init_executor(self, msg: InitTaskExecutor, master: Address) -> TaskExecutor:
-        if msg.task not in self.images and "*" not in self.images:
-            raise ProtocolError(f"actor {self.spec.host} has no image for task {msg.task!r}")
+    def _servable(self, msg: InitTaskExecutor | ReuseTaskExecutor) -> AppSpec | None:
+        """The app of a launch or reuse request, or None if this actor cannot run the request as sent."""
         app = self.apps.get(msg.app)
-        if app is None:
-            raise ProtocolError(f"actor {self.spec.host} knows no app {msg.app!r}")
+        if app is None or msg.task not in app.tasks or (msg.task not in self.images and "*" not in self.images):
+            return None
+        wired = {task for task, _ in msg.dependencies}
+        return app if wired.issuperset(app.children(msg.task)) else None
+
+    def _init_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
         addr = Address(self.spec.host, self._next_port)
         self._next_port += 1
         executor = TaskExecutor(self, addr, msg.app, msg.task, msg.request_id, master)
@@ -292,7 +299,7 @@ class Actor:
         executor._move(ExecutorPhase.Ready)
         self._send(executor.master, ExecutorReady(request_id=executor.request_id, task=executor.task_name))
 
-    def _reuse_executor(self, msg: ReuseTaskExecutor, master: Address) -> TaskExecutor:
+    def _reuse_executor(self, msg: ReuseTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
         pool = self.pool.get(msg.task)
         if not pool:
             # The cool-off expired between the master's view and our state:
@@ -302,6 +309,7 @@ class Actor:
                 InitTaskExecutor(
                     request_id=msg.request_id, app=msg.app, task=msg.task, dependencies=msg.dependencies
                 ),
+                app,
                 master,
             )
         executor: TaskExecutor = pool.popleft()
@@ -312,7 +320,6 @@ class Actor:
         executor.request_id = msg.request_id
         executor.app_name = msg.app
         executor.master = master
-        app = self.apps[msg.app]
         executor.rewire(app, msg.dependencies)
         executor.frames = {}
         executor.ready_frames = []

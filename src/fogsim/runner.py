@@ -297,9 +297,9 @@ def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
         view=master.view,
         frame_size_bytes=user.config.frame_size_bytes,
     )
-    policies = list(config.experiment.get("policies", ["ohnsga", "nsga2", "random"]))
-    seeds = int(config.experiment.get("seeds", 20))
-    at_iter = int(config.experiment.get("compare_iteration", 10))
+    policies = config.experiment["policies"]
+    seeds = config.experiment["seeds"]
+    at_iter = config.experiment["compare_iteration"]
     final = {name: [] for name in policies}
     probe = {name: [] for name in policies}
     for p_index, name in enumerate(policies):
@@ -333,11 +333,9 @@ def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
 
 
 def _run_scalability(config: ScenarioConfig, report: MetricsReport) -> None:
-    counts = list(config.experiment.get("counts", [1, len(config.users)]))
+    counts = config.experiment["counts"]
     cells = {}
     for count in counts:
-        if not 1 <= count <= len(config.users):
-            raise ValueError(f"scalability count {count} exceeds the {len(config.users)} configured users")
         for scaling in (True, False):
             sub = config.clone(
                 name=f"{config.name}[n={count},scaling={'on' if scaling else 'off'}]",
@@ -382,7 +380,7 @@ def _run_scalability(config: ScenarioConfig, report: MetricsReport) -> None:
 
 
 def _run_reuse(config: ScenarioConfig, report: MetricsReport) -> None:
-    apps = list(config.experiment.get("apps", ["GameOfLife", "VOCR"]))
+    apps = config.experiment["apps"]
     ratios = {}
     for app in apps:
         sub = config.clone(
@@ -410,8 +408,8 @@ def _run_reuse(config: ScenarioConfig, report: MetricsReport) -> None:
 
 
 def _run_response(config: ScenarioConfig, report: MetricsReport) -> None:
-    policies = list(config.experiment.get("policies", ["ohnsga", "nsga2", "random"]))
-    seeds = int(config.experiment.get("seeds", 20))
+    policies = config.experiment["policies"]
+    seeds = config.experiment["seeds"]
     measured_index = len(config.users) - 1
     measured: dict[str, list] = {name: [] for name in policies}
     max_err = {name: 0.0 for name in policies}
@@ -494,7 +492,7 @@ _DRIVERS = {
 
 
 def run_scenario(config: ScenarioConfig) -> MetricsReport:
-    kind = config.experiment.get("kind", "single")
+    kind = config.experiment["kind"]
     report = MetricsReport(name=config.name, kind=kind, policy=config.policy, seed=config.seed)
     _DRIVERS[kind](config, report)
     return report

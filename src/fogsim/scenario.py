@@ -1,16 +1,18 @@
 """Declarative scenario configuration.
 
-A scenario is a JSON document (or a named built-in preset) describing
-the virtual deployment: hosts and links, which hosts run masters,
-actors, and remote loggers, the applications, the users, and every
-tunable knob. Validation failures raise ConfigError carrying the path
-of the offending field, e.g. ``users[2].frame_count``.
+A scenario is a JSON document describing the virtual deployment: hosts and
+links, which hosts run masters, actors, and remote loggers, the applications,
+the users, the experiment, and every tunable knob; each built-in preset is
+one, packaged as ``presets/<name>.json``. Validation failures raise
+ConfigError carrying the path of the offending field, e.g. ``users[2].frame_count``.
 """
 from __future__ import annotations
 
 import functools
+import importlib.resources
 import json
 import os
+import pathlib
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -36,6 +38,7 @@ EXPERIMENT_KEYS = {
     "single": (), "convergence": ("seeds", "policies", "compare_iteration"), "scalability": ("counts",),
     "reuse": ("apps",), "response": ("seeds", "policies"), "discovery": (),
 }
+_PRESETS = importlib.resources.files(__package__) / "presets"
 
 
 @dataclass
@@ -206,6 +209,36 @@ def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: l
     return users
 
 
+def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
+    """The experiment section with every key its kind's driver reads, defaults filled in."""
+    kind = _opt(tree, "kind", "single", "experiment", str)
+    if kind not in EXPERIMENT_KEYS:
+        raise ConfigError("experiment.kind", f"unknown kind {kind!r}; choices: {tuple(EXPERIMENT_KEYS)}")
+    _object(tree, "experiment", ("kind",) + EXPERIMENT_KEYS[kind])
+    defaults = {
+        "seeds": 20, "compare_iteration": 10, "policies": ["ohnsga", "nsga2", "random"],
+        "apps": ["GameOfLife", "VOCR"], "counts": [1, n_users],
+    }
+    # List key -> (item type, the items it may hold).
+    lists = {"policies": (str, POLICIES), "apps": (str, apps), "counts": (int, range(1, n_users + 1))}
+    experiment = {"kind": kind}
+    for key in EXPERIMENT_KEYS[kind]:
+        path = f"experiment.{key}"
+        value = tree.get(key, defaults[key])
+        if key not in lists:
+            if type(value) is not int or value < 1:
+                raise ConfigError(path, f"expected an int >= 1, got {value!r}")
+        else:
+            if not isinstance(value, list) or not value:
+                raise ConfigError(path, f"expected a non-empty list, got {value!r}")
+            item_type, allowed = lists[key]
+            for item in value:
+                if type(item) is not item_type or item not in allowed:
+                    raise ConfigError(path, f"{item!r} is not one of {sorted(allowed)}")
+        experiment[key] = value
+    return experiment
+
+
 def parse_scenario(tree: dict) -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigError("", "scenario root must be an object")
@@ -219,13 +252,6 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
     time_limit = _opt(tree, "time_limit_ms", 600000.0, "", (int, float))
     if time_limit <= 0:
         raise ConfigError("time_limit_ms", "must be positive")
-
-    experiment = _opt(tree, "experiment", {"kind": "single"}, "", dict)
-    kind = _opt(experiment, "kind", "single", "experiment", str)
-    if kind not in EXPERIMENT_KEYS:
-        raise ConfigError("experiment.kind", f"unknown kind {kind!r}; choices: {tuple(EXPERIMENT_KEYS)}")
-    _object(experiment, "experiment", ("kind",) + EXPERIMENT_KEYS[kind])
-    experiment = dict(experiment, kind=kind)
 
     topology, specs = _parse_topology(_need(tree, "topology", "", dict), "topology")
     apps = _parse_apps(_opt(tree, "apps", {}, "", dict), "apps")
@@ -268,6 +294,7 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
         actors.append((host, images, initial))
 
     users = _parse_users(_opt(tree, "users", [], "", list), "users", apps, specs, masters)
+    experiment = _parse_experiment(_opt(tree, "experiment", {}, "", dict), len(users), apps)
 
     period = _opt(tree, "profile_period_ms", PROFILE_PERIOD_MS, "", (int, float))
     if period <= 0:
@@ -295,258 +322,25 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
     )
 
 
-def load_scenario(ref: str) -> ScenarioConfig:
-    """Load a scenario from a JSON file path or a built-in preset name."""
-    if os.path.exists(ref):
-        try:
-            with open(ref, encoding="utf-8") as fh:
-                tree = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(ref, f"not valid JSON: {exc}") from exc
-        return parse_scenario(tree)
-    if ref in PRESETS:
-        return parse_scenario(preset_tree(ref))
-    raise ConfigError("scenario", f"{ref!r} is neither a file nor a preset; presets: {preset_names()}")
-
-
-# ---------------------------------------------------------------------------
-# Built-in presets
-# ---------------------------------------------------------------------------
-
-
-def _host(host: str, klass: str, **extra) -> dict:
-    entry = {"host": host, "class": klass}
-    entry.update(extra)
-    return entry
-
-
-def _smoke_tree() -> dict:
-    return {
-        "name": "smoke",
-        "seed": 7,
-        "experiment": {"kind": "single"},
-        "policy": "ohnsga",
-        "time_limit_ms": 120000.0,
-        "topology": {
-            "hosts": [_host("10.0.0.1", "desktop"), _host("10.0.0.2", "rpi4")],
-            "default_link": {"latency_ms": 2.0, "data_rate_bps": 100e6},
-        },
-        "components": {
-            "remote_loggers": ["10.0.0.1"],
-            "masters": ["10.0.0.1"],
-            "actors": ["10.0.0.2"],
-        },
-        "users": [
-            {"host": "10.0.0.1", "app": "VOCR", "frame_count": 2, "frame_interval_ms": 500.0, "start_at_ms": 50.0}
-        ],
-        "ga": {"pop_size": 16, "max_iteration_num": 20, "n_parents": 6, "n_offsprings": 8},
-    }
-
-
-def _convergence_tree() -> dict:
-    # Master and user sit on a gateway host; the five compute hosts mirror
-    # the hardware mix of the experiments: two slow edge boards, one fast
-    # desktop, and two cloud instances further away.
-    edge_link = {"latency_ms": 2.0, "data_rate_bps": 200e6}
-    cloud_link = {"latency_ms": 40.0, "data_rate_bps": 40e6}
-    gateway = "10.0.0.1"
-    edges = ["10.0.0.11", "10.0.0.12", "10.0.0.13"]
-    clouds = ["10.0.0.21", "10.0.0.22"]
-    links = []
-    for h in edges:
-        links.append({"a": gateway, "b": h, **edge_link})
-    for h in clouds:
-        links.append({"a": gateway, "b": h, **cloud_link})
-    return {
-        "name": "convergence",
-        "seed": 11,
-        "experiment": {"kind": "convergence", "seeds": 20, "policies": ["ohnsga", "nsga2", "random"]},
-        "policy": "ohnsga",
-        "time_limit_ms": 600000.0,
-        "topology": {
-            "hosts": [
-                _host(gateway, "desktop"),
-                _host(edges[0], "rpi4"),
-                _host(edges[1], "rpi4"),
-                _host(edges[2], "desktop"),
-                _host(clouds[0], "cloud-2c"),
-                _host(clouds[1], "cloud-4c"),
-            ],
-            "default_link": {"latency_ms": 8.0, "data_rate_bps": 80e6},
-            "links": links,
-        },
-        "components": {
-            "remote_loggers": [gateway],
-            "masters": [gateway],
-            "actors": edges + clouds,
-        },
-        "users": [{"host": gateway, "app": "GameOfLife", "frame_count": 1, "start_at_ms": 50.0}]
-        + [
-            {
-                "host": gateway,
-                "app": "GameOfLife",
-                "frame_count": 1,
-                "start_after_user": k,
-                "start_after_delay_ms": 500.0,
-            }
-            for k in range(3)
-        ],
-        "ga": {"pop_size": 20, "max_iteration_num": 30, "n_parents": 6, "n_offsprings": 10},
-    }
-
-
-def _scalability_tree() -> dict:
-    # One parent master plus five desktop workers; sixteen users ask for a
-    # mix of both applications at the same instant.
-    master = "10.0.1.1"
-    workers = [f"10.0.1.{10 + i}" for i in range(5)]
-    device = "10.0.1.100"
-    users = []
-    for i in range(16):
-        app = "GameOfLife" if i % 2 == 0 else "VOCR"
-        users.append(
-            {
-                "host": device,
-                "app": app,
-                "frame_count": 1,
-                "start_at_ms": 100.0,
-                "timeout_ms": 400000.0,
-            }
-        )
-    return {
-        "name": "scalability",
-        "seed": 13,
-        "experiment": {"kind": "scalability", "counts": [1, 2, 4, 8, 16]},
-        "policy": "ohnsga",
-        "time_limit_ms": 900000.0,
-        "topology": {
-            "hosts": [_host(master, "desktop"), _host(device, "rpi4")]
-            + [_host(h, "desktop") for h in workers],
-            "default_link": {"latency_ms": 2.0, "data_rate_bps": 200e6},
-        },
-        "components": {
-            "remote_loggers": [master],
-            "masters": [master],
-            "actors": workers,
-        },
-        "users": users,
-        "ga": {"pop_size": 24, "max_iteration_num": 40, "n_parents": 8, "n_offsprings": 12},
-        "scheduler": {"max_sched_count": 2},
-        "actor_runtime": {"master_startup_ms": 300.0, "scale_grace_ms": 50.0},
-    }
-
-
-def _reuse_tree() -> dict:
-    # Everything on one desktop host: the reuse effect is then pure startup
-    # and scheduling time, with no network noise.
-    box = "10.0.2.1"
-    return {
-        "name": "reuse",
-        "seed": 17,
-        "experiment": {"kind": "reuse", "apps": ["GameOfLife", "VOCR"]},
-        "policy": "ohnsga",
-        "time_limit_ms": 1500000.0,
-        "topology": {"hosts": [_host(box, "desktop")]},
-        "components": {
-            "remote_loggers": [box],
-            "masters": [box],
-            "actors": [box],
-        },
-        "users": [
-            {"host": box, "app": "GameOfLife", "frame_count": 1, "start_at_ms": 50.0, "timeout_ms": 600000.0},
-            {
-                "host": box,
-                "app": "GameOfLife",
-                "frame_count": 1,
-                "start_after_user": 0,
-                "start_after_delay_ms": 500.0,
-                "timeout_ms": 600000.0,
-            },
-        ],
-    }
-
-
-def _response_tree() -> dict:
-    # Heterogeneous trio of actor hosts, linear VOCR pipeline, one warm-up
-    # request and one measured request after the profiles settle.
-    master = "10.0.3.1"
-    actors = ["10.0.3.11", "10.0.3.12", "10.0.3.13"]
-    return {
-        "name": "response",
-        "seed": 19,
-        "experiment": {"kind": "response", "seeds": 20, "policies": ["ohnsga", "nsga2", "random"]},
-        "policy": "ohnsga",
-        "time_limit_ms": 600000.0,
-        "topology": {
-            "hosts": [
-                _host(master, "desktop"),
-                _host(actors[0], "rpi4"),
-                _host(actors[1], "desktop"),
-                _host(actors[2], "cloud-2c"),
-            ],
-            "default_link": {"latency_ms": 5.0, "data_rate_bps": 100e6},
-            "links": [
-                {"a": master, "b": actors[2], "latency_ms": 35.0, "data_rate_bps": 50e6}
-            ],
-        },
-        "components": {
-            "remote_loggers": [master],
-            "masters": [master],
-            "actors": actors,
-        },
-        "users": [
-            {"host": master, "app": "VOCR", "frame_count": 1, "start_at_ms": 50.0},
-            {
-                "host": master,
-                "app": "VOCR",
-                "frame_count": 1,
-                "start_after_user": 0,
-                "start_after_delay_ms": 2500.0,
-            },
-        ],
-        "ga": {"pop_size": 16, "max_iteration_num": 20, "n_parents": 6, "n_offsprings": 8},
-    }
-
-
-def _discovery_tree() -> dict:
-    # Two masters with disjoint halves of the actor fleet; discovery makes
-    # both registries converge to the full set.
-    hosts = [f"10.0.4.{i}" for i in range(1, 9)]
-    m1, m2 = hosts[0], hosts[1]
-    half1, half2 = hosts[2:5], hosts[5:]
-    return {
-        "name": "discovery",
-        "seed": 23,
-        "experiment": {"kind": "discovery"},
-        "time_limit_ms": 60000.0,
-        "topology": {
-            "hosts": [_host(h, "rpi4") for h in hosts],
-            "default_link": {"latency_ms": 3.0, "data_rate_bps": 100e6},
-        },
-        "components": {
-            "remote_loggers": [m1],
-            "masters": [m1, m2],
-            "actors": [{"host": h, "masters": [m1]} for h in half1]
-            + [{"host": h, "masters": [m2]} for h in half2],
-        },
-        "users": [],
-        "discovery": {"enabled": True, "interval_ms": 1000.0, "net_mask": 24, "grace_ms": 50.0},
-    }
-
-
-PRESETS = {
-    "smoke": _smoke_tree,
-    "convergence": _convergence_tree,
-    "scalability": _scalability_tree,
-    "reuse": _reuse_tree,
-    "response": _response_tree,
-    "discovery": _discovery_tree,
-}
-
-
 def preset_names() -> list[str]:
-    return sorted(PRESETS)
+    return sorted(entry.name.removesuffix(".json") for entry in _PRESETS.iterdir() if entry.name.endswith(".json"))
 
 
 def preset_tree(name: str) -> dict:
-    return PRESETS[name]()
+    """A fresh tree of the named preset, parsed from its packaged file on every call."""
+    return json.loads((_PRESETS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def load_scenario(ref: str) -> ScenarioConfig:
+    """Load a scenario from a JSON file path or a built-in preset name; a file takes precedence."""
+    if os.path.isfile(ref):
+        source = pathlib.Path(ref)
+    elif ref in preset_names():
+        source = _PRESETS / f"{ref}.json"
+    else:
+        raise ConfigError("scenario", f"{ref!r} is neither a file nor a preset; presets: {preset_names()}")
+    try:
+        tree = json.loads(source.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(ref, f"not valid JSON: {exc}") from exc
+    return parse_scenario(tree)

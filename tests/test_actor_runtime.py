@@ -139,15 +139,42 @@ def init_msg(request_id="r1", app="Solo", task="solo", dependencies=()):
                             dependencies=list(dependencies))
 
 
-def test_missing_image_and_unknown_app_raise():
+def assert_dropped(h, anomalies=1):
+    assert h.actor.anomalies == anomalies
+    assert h.actor.cold_starts == 0 and h.actor.executors == {} and h.actor.by_request == {}
+    assert h.actor._next_port == 5200  # no port allocated
+    assert h.master_payloads(ExecutorReady) == []
+
+
+def test_missing_image_and_unknown_app_are_counted_anomalies():
     h = Harness(images=("OCR",))
     h.tell(init_msg())
-    with pytest.raises(ProtocolError, match="no image"):
-        h.run(until=100.0)
+    h.run(until=3000.0)
+    assert_dropped(h)
     h2 = Harness()
     h2.tell(init_msg(app="Mystery"))
-    with pytest.raises(ProtocolError, match="knows no app"):
-        h2.run(until=100.0)
+    h2.tell(init_msg(task="nosuchtask"))
+    h2.run(until=3000.0)
+    assert_dropped(h2, anomalies=2)
+
+
+def test_dependency_list_missing_a_child_address_is_an_anomaly():
+    h = Harness(executor_startup_ms=100.0)
+    h.tell(init_msg(app="Join", task="s", dependencies=[("t", PEER)]))  # no address for child j
+    h.run(until=3000.0)
+    assert_dropped(h)
+
+
+def test_reuse_of_an_unknown_app_keeps_the_pool():
+    h = Harness(executor_startup_ms=100.0, cool_off_ms=30000.0)
+    run_solo_request(h, "r1")
+    executor = h.actor.pool["solo"][0]
+    h.tell(ReuseTaskExecutor(request_id="r2", app="Mystery", task="solo", dependencies=[]))
+    h.run(until=h.kernel.now + 3000.0)
+    assert h.actor.anomalies == 1 and h.actor.warm_reuses == 0 and h.actor.reuse_races == 0
+    assert list(h.actor.pool["solo"]) == [executor]
+    assert executor.phase is ExecutorPhase.CoolingOff and executor.request_id is None
+    assert len(h.master_payloads(ExecutorReady)) == 1  # r1's only
 
 
 def test_cold_starts_serialize_through_one_lane():

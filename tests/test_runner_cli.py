@@ -3,7 +3,6 @@ import copy
 import csv
 import filecmp
 import json
-import os
 
 import pytest
 
@@ -38,16 +37,19 @@ def test_load_scenario_from_file(tmp_path):
     assert [u.app for u in config.users] == ["VOCR"]
 
 
-def test_scenario_files_mirror_builtin_presets():
-    root = os.path.join(os.path.dirname(__file__), "..", "scenarios")
-    for name in preset_names():
-        with open(os.path.join(root, f"{name}.json"), encoding="utf-8") as fh:
-            assert json.load(fh) == preset_tree(name), f"scenarios/{name}.json drifted"
+def test_preset_tree_is_fresh_on_every_call():
+    tree = preset_tree("smoke")
+    tree["experiment"]["kind"] = "stress"
+    tree["users"].clear()
+    again = preset_tree("smoke")
+    assert again["experiment"] == {"kind": "single"} and len(again["users"]) == 1
 
 
 def test_unknown_reference_and_bad_json_are_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="neither a file nor a preset"):
         load_scenario("no-such-preset")
+    with pytest.raises(ConfigError, match="neither a file nor a preset"):
+        load_scenario(str(tmp_path))  # a directory
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
@@ -97,6 +99,26 @@ def reject(mutate, match):
     (lambda t: t["ga"].__setitem__("pop_size", 16.5), r"ga\.pop_size: expected int"),
     (lambda t: t["ga"].__setitem__("pop_size", True), r"ga\.pop_size: expected int, not bool"),
     (lambda t: t["users"][0].__setitem__("frame_count", True), r"users\[0\]\.frame_count: expected int, not bool"),
+    (lambda t: t.__setitem__("experiment", {"kind": "response", "seeds": "x"}),
+     r"experiment\.seeds: expected an int >= 1, got 'x'"),
+    (lambda t: t.__setitem__("experiment", {"kind": "response", "seeds": 1.7}),
+     r"experiment\.seeds: expected an int >= 1, got 1\.7"),
+    (lambda t: t.__setitem__("experiment", {"kind": "convergence", "seeds": True}),
+     r"experiment\.seeds: expected an int >= 1, got True"),
+    (lambda t: t.__setitem__("experiment", {"kind": "convergence", "compare_iteration": 0}),
+     r"experiment\.compare_iteration: expected an int >= 1, got 0"),
+    (lambda t: t.__setitem__("experiment", {"kind": "response", "policies": ["bogus"]}),
+     r"experiment\.policies: 'bogus' is not one of"),
+    (lambda t: t.__setitem__("experiment", {"kind": "convergence", "policies": []}),
+     r"experiment\.policies: expected a non-empty list"),
+    (lambda t: t.__setitem__("experiment", {"kind": "scalability", "counts": [0]}),
+     r"experiment\.counts: 0 is not one of \[1\]"),
+    (lambda t: t.__setitem__("experiment", {"kind": "scalability", "counts": [1.0]}),
+     r"experiment\.counts: 1\.0 is not one of \[1\]"),
+    (lambda t: t.__setitem__("experiment", {"kind": "scalability", "counts": "ab"}),
+     r"experiment\.counts: expected a non-empty list, got 'ab'"),
+    (lambda t: t.__setitem__("experiment", {"kind": "reuse", "apps": ["NoApp"]}),
+     r"experiment\.apps: 'NoApp' is not one of"),
 ])
 def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
     reject(mutate, match)
@@ -156,6 +178,20 @@ def test_each_experiment_kind_takes_the_keys_its_driver_reads(kind):
     tree = smoke_tree()
     tree["experiment"] = {"kind": kind, **DRIVER_KEYS[kind]}
     assert parse_scenario(tree).experiment == tree["experiment"]
+
+
+def test_experiment_defaults_are_filled_at_parse():
+    tree = smoke_tree()
+    filled = {}
+    for kind in DRIVER_KEYS:
+        tree["experiment"] = {"kind": kind}
+        filled[kind] = parse_scenario(tree).experiment
+    assert filled["convergence"] == {
+        "kind": "convergence", "seeds": 20, "policies": ["ohnsga", "nsga2", "random"], "compare_iteration": 10}
+    assert filled["response"] == {"kind": "response", "seeds": 20, "policies": ["ohnsga", "nsga2", "random"]}
+    assert filled["scalability"] == {"kind": "scalability", "counts": [1, 1]}
+    assert filled["reuse"] == {"kind": "reuse", "apps": ["GameOfLife", "VOCR"]}
+    assert filled["single"] == {"kind": "single"} and filled["discovery"] == {"kind": "discovery"}
 
 
 def test_custom_app_entries_parse():
