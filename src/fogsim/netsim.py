@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import ipaddress
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from . import protocol
@@ -133,6 +133,15 @@ class _Event:
         return (self.time, self.seq) < (other.time, other.seq)
 
 
+@dataclass
+class Traffic:
+    """Messages of one payload type: how many were sent, their wire bytes, how many dropped."""
+
+    sent: int = 0
+    bytes: int = 0
+    dropped: int = 0
+
+
 class SimKernel:
     """Event loop, virtual clock, and message transport in one place."""
 
@@ -146,6 +155,7 @@ class SimKernel:
         self.delivered = 0
         self.dropped = 0
         self.drop_log: list[str] = []
+        self.traffic: defaultdict[type, Traffic] = defaultdict(Traffic)  # by payload type
 
     # -- timers ------------------------------------------------------------
 
@@ -179,6 +189,9 @@ class SimKernel:
         envelope.sent_at = self.now
         pair = (envelope.source.host, envelope.destination.host)
         size = protocol.message_wire_bytes(envelope)
+        traffic = self.traffic[type(envelope.payload)]
+        traffic.sent += 1
+        traffic.bytes += size
         arrival = self.now + self.topology.transfer_ms(pair[0], pair[1], size)
         arrival = max(arrival, self._last_arrival.get(pair, 0.0))
         self._last_arrival[pair] = arrival
@@ -188,6 +201,7 @@ class SimKernel:
         handler = self._handlers.get(envelope.destination)
         if handler is None:
             self.dropped += 1
+            self.traffic[type(envelope.payload)].dropped += 1
             if len(self.drop_log) < 64:
                 self.drop_log.append(
                     f"{type(envelope.payload).__name__} {envelope.source} -> {envelope.destination}"

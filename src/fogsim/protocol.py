@@ -10,6 +10,11 @@ The payload and record dataclasses are the wire schema: at import each
 field's annotation picks its codec from ``_CODECS`` (an annotation without
 one fails the import), and encode and decode of frames and record lines all
 walk the per-class field tables built from them.
+
+``message_wire_bytes`` walks the same field tables to add up the exact length
+of the frame ``encode`` would write, without building it.  Telemetry records
+are frozen, so each keeps its own length, in a slot outside its dataclass
+fields, once it has been sized.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import struct
 import typing
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 from .errors import EncodingOverflow, NeedMoreBytes, ProtocolError
@@ -84,8 +90,15 @@ class ComponentId:
 # RegisterActor and LogUpload; the telemetry module re-exports them.
 
 
-@dataclass(frozen=True)
-class HostProfile:
+class _Record:
+    """Base of the frozen records: one slot, outside the dataclass fields,
+    where message_wire_bytes keeps the record's encoded length once sized."""
+
+    __slots__ = ("_wire_len",)
+
+
+@dataclass(frozen=True, slots=True)
+class HostProfile(_Record):
     """Capabilities and load of one host as reported by its profiler."""
 
     host: str
@@ -97,8 +110,8 @@ class HostProfile:
     sampled_at: float
 
 
-@dataclass(frozen=True)
-class ImageRecord:
+@dataclass(frozen=True, slots=True)
+class ImageRecord(_Record):
     """One task image known (or known missing) on a host."""
 
     host: str
@@ -107,8 +120,8 @@ class ImageRecord:
     sampled_at: float
 
 
-@dataclass(frozen=True)
-class LinkSample:
+@dataclass(frozen=True, slots=True)
+class LinkSample(_Record):
     """Measured latency and data rate between an ordered host pair."""
 
     host_a: str
@@ -119,8 +132,8 @@ class LinkSample:
     sampled_at: float
 
 
-@dataclass(frozen=True)
-class ProcessingSample:
+@dataclass(frozen=True, slots=True)
+class ProcessingSample(_Record):
     """Observed processing duration of one task on one host."""
 
     task: str
@@ -129,8 +142,8 @@ class ProcessingSample:
     sampled_at: float
 
 
-@dataclass(frozen=True)
-class ResponseSample:
+@dataclass(frozen=True, slots=True)
+class ResponseSample(_Record):
     """End-to-end response observation for one request."""
 
     request_id: str
@@ -504,14 +517,98 @@ class FrameBuffer:
         return len(self._buf)
 
 
+# ---------------------------------------------------------------------------
+# Frame sizing.  The length of the text encode would write, added up over the
+# same field tables without writing it: a struct is a fixed skeleton (braces,
+# sorted quoted keys, the type tag) plus its field values after their
+# to_tree, and text is measured in the quoted form the encoder writes under
+# ensure_ascii.  A value of any type not walked here (a numpy scalar, a float
+# subclass) is measured by _dumps itself, so the length is exact for every
+# input and fails where encode fails.
+
+_NON_FINITE = {"nan": 3, "inf": 8, "-inf": 9}  # NaN, Infinity, -Infinity
+
+
+def _tree_len(value) -> int:
+    """Length of the JSON text encode writes for one wire-tree value."""
+
+    kind = type(value)
+    if kind is str:
+        return len(_quote(value))
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, len(text))
+    if kind is int:
+        return len(int.__repr__(value))
+    if kind is list or kind is tuple:
+        return len(value) + 1 + sum(map(_tree_len, value)) if value else 2
+    if kind is bool or value is None:
+        return 5 if value is False else 4
+    size = _SIZERS.get(kind)
+    return size(value) if size is not None else len(_dumps(value))
+
+
+def _skeleton_len(keys) -> int:
+    """Length of a JSON object with these keys and every value left out."""
+
+    return len(_dumps(dict.fromkeys(keys))) - len("null") * len(keys)
+
+
+def _sizer(cls):
+    schema = _SCHEMA[cls]
+    skeleton = _skeleton_len(["type", *(name for name, _ in schema)]) + _tree_len(cls.__name__)
+
+    def size(value) -> int:
+        n = skeleton
+        for name, (to_tree, _) in schema:
+            raw = getattr(value, name)
+            n += _tree_len(raw if to_tree is None else to_tree(raw))
+        return n
+
+    if cls not in RECORD_TYPES:
+        return size
+
+    def size_record(record) -> int:
+        # Kept by the object, never by value: HostProfile(cpu_freq_ghz=2) and
+        # HostProfile(cpu_freq_ghz=2.0) are equal but encode to different lengths.
+        try:
+            return record._wire_len
+        except AttributeError:
+            n = size(record)
+            object.__setattr__(record, "_wire_len", n)
+            return n
+
+    return size_record
+
+
+_SIZERS = {cls: _sizer(cls) for cls in _SCHEMA}
+_ENVELOPE_SKELETON = _skeleton_len(["destination", "payload", "sender_id", "sent_at", "source"])
+_SENDER_SKELETON = _skeleton_len(["kind", "origin", "serial"])
+
+
 def message_wire_bytes(envelope: MessageEnvelope) -> int:
     """Bytes a transport charges for the envelope.
 
     Data and Result frames are charged at their declared logical size (the
     synthetic payload stands in for real content); control traffic is charged
-    at its encoded size.
+    at its encoded size, len(encode(envelope)) exactly, walked over the field
+    tables without building the frame.  A telemetry record keeps its own
+    length after it is first sized, so a record sent again costs one lookup.
     """
 
-    if isinstance(envelope.payload, (Data, Result)):
-        return int(envelope.payload.size_bytes)
-    return len(encode(envelope))
+    payload = envelope.payload
+    if isinstance(payload, (Data, Result)):
+        return int(payload.size_bytes)
+    sender = envelope.sender_id
+    body = (
+        _ENVELOPE_SKELETON
+        + _tree_len(str(envelope.destination))
+        + _tree_len(payload)
+        + (4 if sender is None else _SENDER_SKELETON + _tree_len(sender.kind.value)
+           + _tree_len(str(sender.origin)) + _tree_len(sender.serial))
+        + _tree_len(envelope.sent_at)
+        + _tree_len(str(envelope.source))
+    )
+    if body > MAX_BODY_BYTES:
+        raise EncodingOverflow(f"body of {body} bytes exceeds {MAX_BODY_BYTES}")
+    return LENGTH_PREFIX.size + body

@@ -173,6 +173,10 @@ class Runtime:
                 f"actor {actor.address}: executors={len(actor.executors)} lane={len(actor._lane)} "
                 f"pool={{{','.join(f'{k}:{len(v)}' for k, v in actor.pool.items())}}} phases=[{phases}]"
             )
+        for kind, traffic in sorted(self.kernel.traffic.items(), key=lambda item: item[0].__name__):
+            lines.append(
+                f"traffic {kind.__name__}: sent={traffic.sent} bytes={traffic.bytes} dropped={traffic.dropped}"
+            )
         return "\n".join(lines)
 
     # -- metrics ---------------------------------------------------------------
@@ -280,8 +284,6 @@ def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
     runtime = Runtime(warmup)
     runtime.run()
     runtime.kernel.run(until_ms=warmup.time_limit_ms)  # the re-solves read the master's view at the horizon
-    if not runtime.users:
-        raise DeadlockDetected("convergence experiment needs one warm-up user", dump=runtime.dump())
     user = runtime.users[0]
     state, master = runtime.serving_state(user.request_id)
     if state is None:

@@ -217,7 +217,7 @@ def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
     _object(tree, "experiment", ("kind",) + EXPERIMENT_KEYS[kind])
     defaults = {
         "seeds": 20, "compare_iteration": 10, "policies": ["ohnsga", "nsga2", "random"],
-        "apps": ["GameOfLife", "VOCR"], "counts": [1, n_users],
+        "apps": ["GameOfLife", "VOCR"], "counts": sorted({1, n_users}),
     }
     # List key -> (item type, the items it may hold).
     lists = {"policies": (str, POLICIES), "apps": (str, apps), "counts": (int, range(1, n_users + 1))}
@@ -235,7 +235,14 @@ def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
             for item in value:
                 if type(item) is not item_type or item not in allowed:
                     raise ConfigError(path, f"{item!r} is not one of {sorted(allowed)}")
+            if len(set(value)) != len(value):
+                raise ConfigError(path, f"repeated entry in {value!r}")
         experiment[key] = value
+    # reuse compares a cold and a warm user; response measures the last user;
+    # convergence re-solves the placement of its first (warm-up) user.
+    least = {"reuse": 2, "response": 1, "convergence": 1}.get(kind, 0)
+    if n_users < least:
+        raise ConfigError("users", f"a {kind} experiment needs at least {least} user(s), got {n_users}")
     return experiment
 
 

@@ -14,7 +14,7 @@ from fogsim.netsim import (
     host_from_class,
     scan_subnet,
 )
-from fogsim.protocol import Address, Data, MessageEnvelope, Probe
+from fogsim.protocol import Address, Data, LogUpload, MessageEnvelope, Probe, ResponseSample, message_wire_bytes
 
 
 def _kernel(*hosts, links=None, default=DEFAULT_LINK):
@@ -166,6 +166,20 @@ def test_unbound_destination_is_dropped_and_logged():
     assert kernel.delivered == 0
     assert kernel.dropped == 1
     assert "Probe" in kernel.drop_log[0]
+
+
+def test_traffic_is_counted_per_payload_type():
+    kernel = _kernel("a", "b")
+    kernel.bind(Address("b", 2), lambda env: None)
+    upload = _env("a", "b", LogUpload(records=[ResponseSample("r", "VOCR", 104.5, 8.0)]))
+    probe = MessageEnvelope(Address("a", 1), Address("b", 9), Probe())  # nothing bound at b:9
+    kernel.send(upload)
+    kernel.send(probe)
+    kernel.run()
+    assert (kernel.delivered, kernel.dropped) == (1, 1)
+    assert set(kernel.traffic) == {LogUpload, Probe}
+    assert vars(kernel.traffic[LogUpload]) == {"sent": 1, "bytes": message_wire_bytes(upload), "dropped": 0}
+    assert vars(kernel.traffic[Probe]) == {"sent": 1, "bytes": message_wire_bytes(probe), "dropped": 1}
 
 
 def test_double_bind_rejected_and_unbind_frees():

@@ -1,5 +1,7 @@
 """Frame codec: canonical bytes, full round-trips, and malformed input."""
 import json
+import math
+import pickle
 from dataclasses import dataclass, fields
 
 import pytest
@@ -302,6 +304,31 @@ def test_oversized_body_raises(monkeypatch):
     monkeypatch.setattr(protocol, "MAX_BODY_BYTES", 16)
     with pytest.raises(EncodingOverflow):
         encode(_envelope(Probe()))
+    with pytest.raises(EncodingOverflow):
+        message_wire_bytes(_envelope(Probe()))
+
+
+@pytest.mark.parametrize("freqs", [(2, 2.0), (2.0, 2)])
+def test_equal_records_keep_their_own_encoded_length(freqs):
+    # 2 and 2.0 compare equal and hash alike but encode as "2" and "2.0", so
+    # the length a record keeps must belong to that object, not to its value.
+    one, two = (HostProfile("10.0.0.2", 8, freq, 16384.0, 0.25, 0.1, 1000.0) for freq in freqs)
+    assert one == two and hash(one) == hash(two)
+    envelopes = [_envelope(LogUpload(records=[record])) for record in (one, two)]
+    sizes = [message_wire_bytes(env) for env in envelopes]
+    assert sizes == [len(encode(env)) for env in envelopes]
+    assert abs(sizes[0] - sizes[1]) == len("2.0") - len("2")
+    assert [message_wire_bytes(env) for env in envelopes] == sizes  # and again, from the kept lengths
+
+
+def test_a_sized_record_is_the_same_value():
+    record = ImageRecord("10.0.0.2", "ocr", True, 5.0)
+    message_wire_bytes(_envelope(LogUpload(records=[record])))
+    twin = ImageRecord("10.0.0.2", "ocr", True, 5.0)
+    assert [f.name for f in fields(record)] == ["host", "task", "available", "sampled_at"]
+    assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert encode_record(record) == encode_record(twin)
 
 
 def test_wire_bytes_charges_data_at_logical_size():
@@ -341,72 +368,84 @@ _names = st.text(min_size=0, max_size=20)
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _sizes = st.integers(0, 2**40)
 
-_profiles = st.builds(
-    HostProfile,
-    host=_hosts,
-    cpu_cores=st.integers(1, 128),
-    cpu_freq_ghz=_floats,
-    mem_capacity_mb=_floats,
-    cpu_util=_floats,
-    mem_util=_floats,
-    sampled_at=_floats,
-)
-_records = st.one_of(
-    _profiles,
-    st.builds(ImageRecord, host=_hosts, task=_names, available=st.booleans(), sampled_at=_floats),
-    st.builds(
-        LinkSample,
-        host_a=_hosts,
-        host_b=_hosts,
-        latency_ms=_floats,
-        data_rate_bps=_floats,
-        packet_size=_sizes,
-        sampled_at=_floats,
-    ),
-    st.builds(ProcessingSample, task=_names, host=_hosts, processing_ms=_floats, sampled_at=_floats),
-    st.builds(ResponseSample, request_id=_names, app=_names, response_ms=_floats, sampled_at=_floats),
-)
-_deps = st.lists(st.tuples(_names, _addrs), max_size=4)
 
-_payloads = st.one_of(
-    st.builds(RegisterActor, profile=_profiles, images=st.lists(_names, max_size=4)),
-    st.builds(RegisterUser, app=_names, entry=_addrs, frame_size_bytes=_sizes),
-    st.builds(PlacementRequest, request_id=_names, app=_names, frame_size_bytes=_sizes),
-    st.builds(InitTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=_deps),
-    st.builds(ReuseTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=_deps),
-    st.builds(ExecutorReady, request_id=_names, task=_names),
-    st.builds(ResourcesReady, request_id=_names),
-    st.builds(
-        Data,
-        request_id=_names,
-        frame_seq=st.integers(0, 2**31),
-        size_bytes=_sizes,
-        task=_names,
-        final=st.booleans(),
-        payload=_names,
-    ),
-    st.builds(
-        Result,
-        request_id=_names,
-        frame_seq=st.integers(0, 2**31),
-        task=_names,
-        size_bytes=_sizes,
-        final=st.booleans(),
-    ),
-    st.builds(Probe),
-    st.builds(ProbeReply, kind=st.sampled_from(ComponentKind), actors=st.lists(_addrs, max_size=4)),
-    st.builds(AdvertiseMaster, master=_addrs),
-    st.builds(InitNewMaster, requester=_addrs, actors=st.lists(_addrs, max_size=4)),
-    st.builds(ForwardToMaster, sub_master=_addrs),
-    st.builds(WarnNoResources, request_id=_names),
-    st.builds(LogUpload, records=st.lists(_records, max_size=4)),
-)
-_senders = st.one_of(
-    st.none(),
-    st.builds(ComponentId, kind=st.sampled_from(ComponentKind), serial=st.integers(0, 2**31), origin=_addrs),
-)
-_envelopes = st.builds(
-    MessageEnvelope, source=_addrs, destination=_addrs, payload=_payloads, sent_at=_floats, sender_id=_senders
+def _envelopes_with(floats):
+    """Envelopes of every payload type, with float fields drawn from floats."""
+
+    profiles = st.builds(
+        HostProfile,
+        host=_hosts,
+        cpu_cores=st.integers(1, 128),
+        cpu_freq_ghz=floats,
+        mem_capacity_mb=floats,
+        cpu_util=floats,
+        mem_util=floats,
+        sampled_at=floats,
+    )
+    records = st.one_of(
+        profiles,
+        st.builds(ImageRecord, host=_hosts, task=_names, available=st.booleans(), sampled_at=floats),
+        st.builds(
+            LinkSample,
+            host_a=_hosts,
+            host_b=_hosts,
+            latency_ms=floats,
+            data_rate_bps=floats,
+            packet_size=_sizes,
+            sampled_at=floats,
+        ),
+        st.builds(ProcessingSample, task=_names, host=_hosts, processing_ms=floats, sampled_at=floats),
+        st.builds(ResponseSample, request_id=_names, app=_names, response_ms=floats, sampled_at=floats),
+    )
+    deps = st.lists(st.tuples(_names, _addrs), max_size=4)
+
+    payloads = st.one_of(
+        st.builds(RegisterActor, profile=profiles, images=st.lists(_names, max_size=4)),
+        st.builds(RegisterUser, app=_names, entry=_addrs, frame_size_bytes=_sizes),
+        st.builds(PlacementRequest, request_id=_names, app=_names, frame_size_bytes=_sizes),
+        st.builds(InitTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=deps),
+        st.builds(ReuseTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=deps),
+        st.builds(ExecutorReady, request_id=_names, task=_names),
+        st.builds(ResourcesReady, request_id=_names),
+        st.builds(
+            Data,
+            request_id=_names,
+            frame_seq=st.integers(0, 2**31),
+            size_bytes=_sizes,
+            task=_names,
+            final=st.booleans(),
+            payload=_names,
+        ),
+        st.builds(
+            Result,
+            request_id=_names,
+            frame_seq=st.integers(0, 2**31),
+            task=_names,
+            size_bytes=_sizes,
+            final=st.booleans(),
+        ),
+        st.builds(Probe),
+        st.builds(ProbeReply, kind=st.sampled_from(ComponentKind), actors=st.lists(_addrs, max_size=4)),
+        st.builds(AdvertiseMaster, master=_addrs),
+        st.builds(InitNewMaster, requester=_addrs, actors=st.lists(_addrs, max_size=4)),
+        st.builds(ForwardToMaster, sub_master=_addrs),
+        st.builds(WarnNoResources, request_id=_names),
+        st.builds(LogUpload, records=st.lists(records, max_size=4)),
+    )
+    senders = st.one_of(
+        st.none(),
+        st.builds(ComponentId, kind=st.sampled_from(ComponentKind), serial=st.integers(0, 2**31), origin=_addrs),
+    )
+    return st.builds(
+        MessageEnvelope, source=_addrs, destination=_addrs, payload=payloads, sent_at=floats, sender_id=senders
+    )
+
+
+_envelopes = _envelopes_with(_floats)
+# What the wire may carry in a float field besides finite floats: ints, NaN and
+# the infinities, each written in its own JSON form.
+_wire_envelopes = _envelopes_with(
+    st.one_of(st.floats(width=64), st.integers(-(2**70), 2**70), st.sampled_from([math.nan, math.inf, -math.inf]))
 )
 
 
@@ -505,6 +544,6 @@ def test_encode_matches_the_type_ladder_oracle(payload):
 
 
 @settings(max_examples=200, deadline=None)
-@given(env=_envelopes)
+@given(env=_wire_envelopes)
 def test_random_envelope_encodes_as_the_type_ladder_did(env):
     _assert_same_bytes_as_the_ladder(env)

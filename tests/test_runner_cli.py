@@ -119,6 +119,18 @@ def reject(mutate, match):
      r"experiment\.counts: expected a non-empty list, got 'ab'"),
     (lambda t: t.__setitem__("experiment", {"kind": "reuse", "apps": ["NoApp"]}),
      r"experiment\.apps: 'NoApp' is not one of"),
+    (lambda t: t.__setitem__("experiment", {"kind": "reuse"}),
+     r"users: a reuse experiment needs at least 2 user\(s\), got 1"),
+    (lambda t: t.update(users=[], experiment={"kind": "response"}),
+     r"users: a response experiment needs at least 1 user\(s\), got 0"),
+    (lambda t: t.update(users=[], experiment={"kind": "convergence"}),
+     r"users: a convergence experiment needs at least 1 user\(s\), got 0"),
+    (lambda t: t.__setitem__("experiment", {"kind": "convergence", "policies": ["nsga2", "nsga2"]}),
+     r"experiment\.policies: repeated entry in \['nsga2', 'nsga2'\]"),
+    (lambda t: t.update(users=t["users"] * 2, experiment={"kind": "reuse", "apps": ["VOCR", "VOCR"]}),
+     r"experiment\.apps: repeated entry"),
+    (lambda t: t.__setitem__("experiment", {"kind": "scalability", "counts": [1, 1]}),
+     r"experiment\.counts: repeated entry in \[1, 1\]"),
 ])
 def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
     reject(mutate, match)
@@ -173,15 +185,21 @@ DRIVER_KEYS = {
 }
 
 
+def two_user_tree():
+    tree = smoke_tree()
+    tree["users"] = tree["users"] * 2  # reuse needs a cold and a warm user
+    return tree
+
+
 @pytest.mark.parametrize("kind", sorted(DRIVER_KEYS))
 def test_each_experiment_kind_takes_the_keys_its_driver_reads(kind):
-    tree = smoke_tree()
+    tree = two_user_tree()
     tree["experiment"] = {"kind": kind, **DRIVER_KEYS[kind]}
     assert parse_scenario(tree).experiment == tree["experiment"]
 
 
 def test_experiment_defaults_are_filled_at_parse():
-    tree = smoke_tree()
+    tree = two_user_tree()
     filled = {}
     for kind in DRIVER_KEYS:
         tree["experiment"] = {"kind": kind}
@@ -189,9 +207,15 @@ def test_experiment_defaults_are_filled_at_parse():
     assert filled["convergence"] == {
         "kind": "convergence", "seeds": 20, "policies": ["ohnsga", "nsga2", "random"], "compare_iteration": 10}
     assert filled["response"] == {"kind": "response", "seeds": 20, "policies": ["ohnsga", "nsga2", "random"]}
-    assert filled["scalability"] == {"kind": "scalability", "counts": [1, 1]}
+    assert filled["scalability"] == {"kind": "scalability", "counts": [1, 2]}
     assert filled["reuse"] == {"kind": "reuse", "apps": ["GameOfLife", "VOCR"]}
     assert filled["single"] == {"kind": "single"} and filled["discovery"] == {"kind": "discovery"}
+
+
+def test_scalability_default_counts_hold_no_repeat():
+    tree = smoke_tree()
+    tree["experiment"] = {"kind": "scalability"}
+    assert parse_scenario(tree).experiment["counts"] == [1]
 
 
 def test_custom_app_entries_parse():
