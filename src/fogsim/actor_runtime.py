@@ -46,7 +46,7 @@ from .telemetry import PROFILE_PERIOD_MS, ProcessingSample, sample_host
 __all__ = ["ActorConfig", "ExecutorPhase", "TaskExecutor", "Actor"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActorConfig:
     executor_startup_ms: float = 1500.0
     cool_off_ms: float = 30000.0
@@ -105,7 +105,6 @@ class TaskExecutor:
         self.running = False
         self.saw_final = False
         self.cool_timer = None
-        self.cool_off_deadline: float | None = None
         self.frames_in = 0
         self.frames_out = 0
 
@@ -316,7 +315,6 @@ class Actor:
         if executor.cool_timer is not None:
             executor.cool_timer.cancel()
             executor.cool_timer = None
-        executor.cool_off_deadline = None
         executor.request_id = msg.request_id
         executor.app_name = msg.app
         executor.master = master
@@ -420,7 +418,6 @@ class Actor:
             if not peers:
                 self.by_request.pop(request_id, None)
         self.pool.setdefault(executor.task_name, deque()).append(executor)
-        executor.cool_off_deadline = self.kernel.now + self.config.cool_off_ms
         executor.cool_timer = self.kernel.schedule(self.config.cool_off_ms, lambda: self._terminate(executor))
 
     def _terminate(self, executor: TaskExecutor) -> None:

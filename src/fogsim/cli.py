@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DeadlockDetected
 from .ga_policies import POLICIES
@@ -43,14 +44,14 @@ def _summarize(report, paths: dict[str, str]) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_scenario(args.scenario)
+        overrides = {}
         if args.seed is not None:
-            config.seed = args.seed
+            overrides["seed"] = args.seed
         if args.policy is not None:
-            config.policy = args.policy
+            overrides["policy"] = args.policy
         if args.no_scaling:
-            config.scaling_enabled = False
-        report = run_scenario(config)
+            overrides["scaling_enabled"] = False
+        report = run_scenario(replace(load_scenario(args.scenario), **overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .protocol import (
 __all__ = ["DiscoveryConfig", "Discovery"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscoveryConfig:
     enabled: bool = False
     interval_ms: float = 1000.0

@@ -36,7 +36,7 @@ GENE_EPS = 1e-6
 REFILL_STALL_LIMIT = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaParams:
     pop_size: int = 100
     hist_ratio: float = 4.0

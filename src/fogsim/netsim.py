@@ -27,6 +27,12 @@ class LinkSpec:
     latency_ms: float
     data_rate_bps: float
 
+    def validate(self) -> None:
+        if not 0 <= self.latency_ms < math.inf:
+            raise ValueError("latency_ms must be finite and non-negative")
+        if not self.data_rate_bps > 0:
+            raise ValueError("data_rate_bps must be positive")
+
 
 SELF_LINK = LinkSpec(0.0, math.inf)
 DEFAULT_LINK = LinkSpec(5.0, 100e6)
@@ -42,6 +48,17 @@ class HostSpec:
     mem_capacity_mb: float = 4096.0
     base_cpu_util: float = 0.0
     base_mem_util: float = 0.0
+
+    def validate(self) -> None:
+        if self.cpu_cores < 1:
+            raise ValueError("cpu_cores must be at least 1")
+        if not (0 < self.cpu_freq_ghz < math.inf and 0 < self.mem_capacity_mb < math.inf):
+            raise ValueError("cpu_freq_ghz and mem_capacity_mb must be finite and positive")
+        # Work is divided by the rate cores * frequency * (1 - utilisation).
+        if not 0 <= self.base_cpu_util < 1:
+            raise ValueError("base_cpu_util must lie in [0, 1)")
+        if not 0 <= self.base_mem_util <= 1:
+            raise ValueError("base_mem_util must lie in [0, 1]")
 
     @property
     def rate_units_per_ms(self) -> float:

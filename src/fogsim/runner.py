@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -44,18 +44,7 @@ class MetricsReport:
     response: list = field(default_factory=list)  # policy, seed, estimate_ms, measured_ms, err_pct
 
     def to_tree(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "policy": self.policy,
-            "seed": self.seed,
-            "summary": self.summary,
-            "requests": self.requests,
-            "convergence": self.convergence,
-            "sft": self.sft,
-            "rrt": self.rrt,
-            "response": self.response,
-        }
+        return asdict(self)
 
 
 class Runtime:
@@ -79,9 +68,9 @@ class Runtime:
                 apps=config.apps,
                 logger=logger_addr,
                 policy=config.policy,
-                ga_params=replace(config.ga),
-                sched_config=replace(config.scheduler),
-                discovery_config=replace(config.discovery),
+                ga_params=config.ga,
+                sched_config=config.scheduler,
+                discovery_config=config.discovery,
                 scaling_enabled=config.scaling_enabled,
                 cool_off_ms=config.actor_runtime.cool_off_ms,
                 profile_period_ms=config.profile_period_ms,
@@ -105,7 +94,7 @@ class Runtime:
                 images=images,
                 masters=[Address(m, MASTER_PORT) for m in initial],
                 logger=logger_addr,
-                config=replace(config.actor_runtime),
+                config=config.actor_runtime,
                 spawn_master=spawn_master,
                 profile_period_ms=config.profile_period_ms,
             )
@@ -119,7 +108,7 @@ class Runtime:
         for i, ucfg in enumerate(config.users):
             user = User(
                 self.kernel,
-                replace(ucfg),
+                ucfg,
                 config.apps[ucfg.app],
                 port=USER_PORT_BASE + i,
                 on_done=self._make_done(i),
@@ -235,6 +224,18 @@ def _request_row(metrics: RequestMetrics) -> dict:
     }
 
 
+def _sft_row(metrics: RequestMetrics, count: int, scaling: bool) -> dict:
+    return {
+        "count": count,
+        "scaling": scaling,
+        "request_id": metrics.request_id,
+        "app": metrics.app,
+        "sft_ms": metrics.sft_ms,
+        "forwards": metrics.forwards,
+        "outcome": metrics.outcome,
+    }
+
+
 def _mix_seed(base: int, salt: int) -> int:
     return (base * 1_000_003 + salt) % (2**31)
 
@@ -252,18 +253,7 @@ def _run_single(config: ScenarioConfig, report: MetricsReport) -> None:
             report.rrt.append(
                 {"app": row["app"], "run": "single", "rrt_ms": row["rrt_ms"], "response_ms": row["mean_response_ms"]}
             )
-        if row["sft_ms"] is not None:
-            report.sft.append(
-                {
-                    "count": len(config.users),
-                    "scaling": config.scaling_enabled,
-                    "request_id": row["request_id"],
-                    "app": row["app"],
-                    "sft_ms": row["sft_ms"],
-                    "forwards": row["forwards"],
-                    "outcome": row["outcome"],
-                }
-            )
+    report.sft = [_sft_row(m, len(config.users), config.scaling_enabled) for m in all_metrics if m.sft_ms is not None]
     completed = [m for m in all_metrics if m.response_ms]
     report.summary = {
         "outcomes": {m.request_id: m.outcome for m in all_metrics},
@@ -280,7 +270,7 @@ def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
     # One live warm-up request populates the scheduling history, then each
     # policy re-solves the same placement problem offline from identical
     # telemetry, seed by seed, recording best fitness per iteration.
-    warmup = config.clone(policy="ohnsga")
+    warmup = replace(config, policy="ohnsga")
     runtime = Runtime(warmup)
     runtime.run()
     runtime.kernel.run(until_ms=warmup.time_limit_ms)  # the re-solves read the master's view at the horizon
@@ -339,26 +329,17 @@ def _run_scalability(config: ScenarioConfig, report: MetricsReport) -> None:
     cells = {}
     for count in counts:
         for scaling in (True, False):
-            sub = config.clone(
+            sub = replace(
+                config,
                 name=f"{config.name}[n={count},scaling={'on' if scaling else 'off'}]",
                 scaling_enabled=scaling,
-                users=[replace(u) for u in config.users[:count]],
+                users=config.users[:count],
             )
             runtime = Runtime(sub)
             runtime.run()
             sft_values = []
             for metrics in runtime.request_metrics():
-                report.sft.append(
-                    {
-                        "count": count,
-                        "scaling": scaling,
-                        "request_id": metrics.request_id,
-                        "app": metrics.app,
-                        "sft_ms": metrics.sft_ms,
-                        "forwards": metrics.forwards,
-                        "outcome": metrics.outcome,
-                    }
-                )
+                report.sft.append(_sft_row(metrics, count, scaling))
                 if metrics.sft_ms is not None:
                     sft_values.append(metrics.sft_ms)
             cells[(count, scaling)] = {
@@ -385,9 +366,10 @@ def _run_reuse(config: ScenarioConfig, report: MetricsReport) -> None:
     apps = config.experiment["apps"]
     ratios = {}
     for app in apps:
-        sub = config.clone(
+        sub = replace(
+            config,
             name=f"{config.name}[{app}]",
-            users=[replace(u, app=app) for u in config.users],
+            users=tuple(replace(u, app=app) for u in config.users),
         )
         runtime = Runtime(sub)
         runtime.run()
@@ -417,7 +399,8 @@ def _run_response(config: ScenarioConfig, report: MetricsReport) -> None:
     max_err = {name: 0.0 for name in policies}
     for name in policies:
         for s in range(seeds):
-            sub = config.clone(
+            sub = replace(
+                config,
                 name=f"{config.name}[{name},s={s}]",
                 policy=name,
                 seed=_mix_seed(config.seed, s),

@@ -3,8 +3,13 @@
 A scenario is a JSON document describing the virtual deployment: hosts and
 links, which hosts run masters, actors, and remote loggers, the applications,
 the users, the experiment, and every tunable knob; each built-in preset is
-one, packaged as ``presets/<name>.json``. Validation failures raise
-ConfigError carrying the path of the offending field, e.g. ``users[2].frame_count``.
+one, packaged as ``presets/<name>.json``. Every config object, hosts and
+links included, is built by one rule (``_build``): unknown keys are
+rejected, each value is checked against its field's annotated type by the
+wire codec's rule, then the object is validated. Validation failures raise
+ConfigError carrying the path of the offending field, e.g.
+``users[2].frame_count``. A parsed scenario is an immutable value; derive a
+variant with ``dataclasses.replace``.
 """
 from __future__ import annotations
 
@@ -14,13 +19,13 @@ import json
 import os
 import pathlib
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 from .actor_runtime import ActorConfig
 from .discovery import DiscoveryConfig
 from .errors import ConfigError
 from .ga_policies import POLICIES, GaParams
-from .netsim import DEFAULT_LINK, HostSpec, LinkSpec, Topology, host_from_class
+from .netsim import DEFAULT_LINK, HOST_CLASSES, HostSpec, LinkSpec, Topology
 from .protocol import MASTER_PORT, Address, check_value
 from .scheduler import SchedulerConfig
 from .taskgraph import AppSpec, app_from_config, builtin_apps
@@ -38,10 +43,15 @@ EXPERIMENT_KEYS = {
     "single": (), "convergence": ("seeds", "policies", "compare_iteration"), "scalability": ("counts",),
     "reuse": ("apps",), "response": ("seeds", "policies"), "discovery": (),
 }
+# Root scalar -> its default; each is checked against ScenarioConfig's annotation.
+ROOT_SCALARS = {
+    "name": "scenario", "seed": 0, "policy": "ohnsga", "scaling_enabled": True,
+    "time_limit_ms": 600000.0, "profile_period_ms": PROFILE_PERIOD_MS,
+}
 _PRESETS = importlib.resources.files(__package__) / "presets"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     seed: int
@@ -51,44 +61,29 @@ class ScenarioConfig:
     time_limit_ms: float
     topology: Topology
     host_specs: dict[str, HostSpec]
-    loggers: list[str]
-    masters: list[str]
-    actors: list[tuple[str, set, list]]  # (host, image set, initial master hosts)
+    loggers: tuple[str, ...]
+    masters: tuple[str, ...]
+    actors: tuple[tuple[str, frozenset, tuple], ...]  # (host, images, initial master hosts)
     apps: dict[str, AppSpec]
-    users: list[UserConfig]
+    users: tuple[UserConfig, ...]
     ga: GaParams
     scheduler: SchedulerConfig
     discovery: DiscoveryConfig
     actor_runtime: ActorConfig
     profile_period_ms: float = PROFILE_PERIOD_MS
 
-    def clone(self, **overrides) -> "ScenarioConfig":
-        """Independent copy with shallow overrides; list fields are re-listed."""
-        fresh = replace(self)
-        fresh.loggers = list(self.loggers)
-        fresh.masters = list(self.masters)
-        fresh.actors = [(host, set(images), list(masters)) for host, images, masters in self.actors]
-        fresh.users = list(self.users)
-        fresh.experiment = dict(self.experiment)
-        fresh.discovery = replace(self.discovery)
-        fresh.ga = replace(self.ga)
-        fresh.scheduler = replace(self.scheduler)
-        fresh.actor_runtime = replace(self.actor_runtime)
-        for key, value in overrides.items():
-            setattr(fresh, key, value)
-        return fresh
 
-
-def _need(tree: dict, key: str, path: str, kind=None):
+def _need(tree: dict, key: str, path: str, kind: type):
+    """The tree's value at key, which must be present and a kind (a str, or a list or dict the caller walks)."""
     if key not in tree:
         raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
     value = tree[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected {getattr(kind, '__name__', kind)}")
+    if not isinstance(value, kind):
+        raise ConfigError(f"{path}.{key}" if path else key, f"expected {kind.__name__}")
     return value
 
 
-def _opt(tree: dict, key: str, default, path: str, kind=None):
+def _opt(tree: dict, key: str, default, path: str, kind: type):
     if key not in tree:
         return default
     return _need(tree, key, path, kind)
@@ -107,32 +102,40 @@ def _object(tree, path: str, keys) -> dict:
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def _fill(target, tree: dict, path: str, skip=()):
-    """Copy the fields of a config object onto a dataclass (but those in skip), then validate it.
-
-    Each copied value must also have its field's annotated type, by the
-    rule the wire codec applies (so ``true`` is no int and ``2.5`` no count).
-    """
-    copied = {k: v for k, v in _object(tree, path, {f.name for f in fields(target)}).items() if k not in skip}
-    for key, value in copied.items():
-        setattr(target, key, value)
+def _checked(hint, value, path: str):
+    """The value, if it has the annotated type by the wire codec's rule (so ``true`` is no int, ``2.5`` no count)."""
     try:
-        target.validate()
-    except (ValueError, TypeError) as exc:
+        check_value(hint, value)
+    except TypeError as exc:
         raise ConfigError(path, str(exc)) from exc
-    hints = _type_hints(type(target))
-    for key, value in copied.items():
-        try:
-            check_value(hints[key], value)
-        except TypeError as exc:
-            raise ConfigError(f"{path}.{key}", str(exc)) from exc
-    return target
+    return value
 
 
-def _link(tree: dict, path: str, ends=()) -> LinkSpec:
-    keys = ("latency_ms", "data_rate_bps")
-    _object(tree, path, keys + ends)
-    return LinkSpec(*(_need(tree, key, path, (int, float)) for key in keys))
+def _build(cls, tree, path: str, ends=(), base=(), **given):
+    """The frozen config object cls built from the object tree at path, by the parser's one rule.
+
+    In order: a key that is no field of cls (nor one of ends, keys the
+    caller reads itself) is an unknown field; each field value must have its
+    annotated type (``_checked``); a required field must be present; then
+    the object is built and validated. base holds defaults that replace the
+    class's own (a host class); given holds fields the caller derived from
+    the tree (a user's master address), taken in place of the tree's values.
+    """
+    hints = _type_hints(cls)
+    values = dict(base)
+    for key, value in _object(tree, path, hints.keys() | set(ends)).items():
+        if key in hints and key not in given:
+            values[key] = _checked(hints[key], value, f"{path}.{key}")
+    values.update(given)
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}", "missing required field")
+    built = cls(**values)
+    try:
+        built.validate()
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return built
 
 
 def _parse_topology(tree: dict, path: str):
@@ -143,24 +146,20 @@ def _parse_topology(tree: dict, path: str):
     specs: dict[str, HostSpec] = {}
     for i, entry in enumerate(hosts_tree):
         hpath = f"{path}.hosts[{i}]"
-        _object(entry, hpath, {"class", *(f.name for f in fields(HostSpec))})
-        host = _need(entry, "host", hpath, str)
-        if host in specs:
-            raise ConfigError(hpath, f"duplicate host {host!r}")
-        overrides = {k: v for k, v in entry.items() if k not in ("host", "class")}
-        try:
-            if "class" in entry:
-                specs[host] = host_from_class(host, entry["class"], **overrides)
-            else:
-                specs[host] = HostSpec(host=host, **overrides)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(hpath, str(exc)) from exc
-    default_tree = _opt(tree, "default_link", None, path, dict)
-    default = DEFAULT_LINK if default_tree is None else _link(default_tree, f"{path}.default_link")
+        klass = _opt(_object(entry, hpath, {"class", *_type_hints(HostSpec)}), "class", None, hpath, str)
+        if klass is not None and klass not in HOST_CLASSES:
+            raise ConfigError(f"{hpath}.class", f"unknown host class {klass!r}; choices: {sorted(HOST_CLASSES)}")
+        spec = _build(HostSpec, entry, hpath, ends=("class",), base=HOST_CLASSES.get(klass, ()))
+        if spec.host in specs:
+            raise ConfigError(hpath, f"duplicate host {spec.host!r}")
+        specs[spec.host] = spec
+    default = DEFAULT_LINK
+    if "default_link" in tree:
+        default = _build(LinkSpec, tree["default_link"], f"{path}.default_link")
     links: dict[tuple, LinkSpec] = {}
     for i, entry in enumerate(_opt(tree, "links", [], path, list)):
         lpath = f"{path}.links[{i}]"
-        link = _link(entry, lpath, ("a", "b"))
+        link = _build(LinkSpec, entry, lpath, ends=("a", "b"))
         a = _need(entry, "a", lpath, str)
         b = _need(entry, "b", lpath, str)
         for end in (a, b):
@@ -187,26 +186,23 @@ def _parse_apps(tree: dict, path: str) -> dict[str, AppSpec]:
     return apps
 
 
-def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: list) -> list[UserConfig]:
+def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: tuple) -> tuple[UserConfig, ...]:
     users = []
     for i, entry in enumerate(tree_list):
         upath = f"{path}[{i}]"
-        _object(entry, upath, {f.name for f in fields(UserConfig)})
-        host = _need(entry, "host", upath, str)
-        if host not in specs:
-            raise ConfigError(f"{upath}.host", f"unknown host {host!r}")
-        app = _need(entry, "app", upath, str)
-        if app not in apps:
-            raise ConfigError(f"{upath}.app", f"unknown app {app!r}")
-        master_host = _opt(entry, "master", masters[0], upath, str)
+        master_host = _opt(_object(entry, upath, _type_hints(UserConfig)), "master", masters[0], upath, str)
         if master_host not in masters:
             raise ConfigError(f"{upath}.master", f"host {master_host!r} runs no master")
-        cfg = UserConfig(host=host, app=app, master=Address(master_host, MASTER_PORT))
-        users.append(_fill(cfg, entry, upath, skip=("host", "app", "master")))
-        after = cfg.start_after_user
+        user = _build(UserConfig, entry, upath, master=Address(master_host, MASTER_PORT))
+        if user.host not in specs:
+            raise ConfigError(f"{upath}.host", f"unknown host {user.host!r}")
+        if user.app not in apps:
+            raise ConfigError(f"{upath}.app", f"unknown app {user.app!r}")
+        after = user.start_after_user
         if after is not None and not 0 <= after < i:
             raise ConfigError(f"{upath}.start_after_user", "must reference an earlier user index")
-    return users
+        users.append(user)
+    return tuple(users)
 
 
 def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
@@ -215,6 +211,12 @@ def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
     if kind not in EXPERIMENT_KEYS:
         raise ConfigError("experiment.kind", f"unknown kind {kind!r}; choices: {tuple(EXPERIMENT_KEYS)}")
     _object(tree, "experiment", ("kind",) + EXPERIMENT_KEYS[kind])
+    # reuse compares a cold and a warm user; response measures the last user;
+    # convergence re-solves the placement of its first (warm-up) user;
+    # scalability runs its first `count` users, so its counts depend on them.
+    least = {"reuse": 2, "response": 1, "convergence": 1, "scalability": 1}.get(kind, 0)
+    if n_users < least:
+        raise ConfigError("users", f"a {kind} experiment needs at least {least} user(s), got {n_users}")
     defaults = {
         "seeds": 20, "compare_iteration": 10, "policies": ["ohnsga", "nsga2", "random"],
         "apps": ["GameOfLife", "VOCR"], "counts": sorted({1, n_users}),
@@ -238,11 +240,6 @@ def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
             if len(set(value)) != len(value):
                 raise ConfigError(path, f"repeated entry in {value!r}")
         experiment[key] = value
-    # reuse compares a cold and a warm user; response measures the last user;
-    # convergence re-solves the placement of its first (warm-up) user.
-    least = {"reuse": 2, "response": 1, "convergence": 1}.get(kind, 0)
-    if n_users < least:
-        raise ConfigError("users", f"a {kind} experiment needs at least {least} user(s), got {n_users}")
     return experiment
 
 
@@ -250,24 +247,23 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigError("", "scenario root must be an object")
     _object(tree, "", ROOT_KEYS)
-    name = _opt(tree, "name", "scenario", "", str)
-    seed = _opt(tree, "seed", 0, "", int)
-    policy = _opt(tree, "policy", "ohnsga", "", str)
-    if policy not in POLICIES:
-        raise ConfigError("policy", f"unknown policy {policy!r}; choices: {sorted(POLICIES)}")
-    scaling = _opt(tree, "scaling_enabled", True, "", bool)
-    time_limit = _opt(tree, "time_limit_ms", 600000.0, "", (int, float))
-    if time_limit <= 0:
-        raise ConfigError("time_limit_ms", "must be positive")
+    hints = _type_hints(ScenarioConfig)
+    scalars = {key: _checked(hints[key], tree.get(key, default), key) for key, default in ROOT_SCALARS.items()}
+    if scalars["policy"] not in POLICIES:
+        raise ConfigError("policy", f"unknown policy {scalars['policy']!r}; choices: {sorted(POLICIES)}")
+    for key in ("time_limit_ms", "profile_period_ms"):
+        if not scalars[key] > 0:
+            raise ConfigError(key, "must be positive")
+        scalars[key] = float(scalars[key])
 
     topology, specs = _parse_topology(_need(tree, "topology", "", dict), "topology")
     apps = _parse_apps(_opt(tree, "apps", {}, "", dict), "apps")
 
     components = _object(_need(tree, "components", "", dict), "components", ("remote_loggers", "masters", "actors"))
-    loggers = _opt(components, "remote_loggers", [], "components", list)
+    loggers = tuple(_opt(components, "remote_loggers", [], "components", list))
     if not loggers:
         raise ConfigError("components.remote_loggers", "at least one remote logger required")
-    masters = _need(components, "masters", "components", list)
+    masters = tuple(_need(components, "masters", "components", list))
     if not masters:
         raise ConfigError("components.masters", "at least one master required")
     for group, hosts in (("remote_loggers", loggers), ("masters", masters)):
@@ -277,17 +273,17 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
         if len(set(hosts)) != len(hosts):
             raise ConfigError(f"components.{group}", "duplicate hosts")
 
-    actors: list[tuple[str, set, list]] = []
+    actors = []
     seen_actor_hosts = set()
     for i, entry in enumerate(_opt(components, "actors", [], "components", list)):
         apath = f"components.actors[{i}]"
         if isinstance(entry, str):
-            host, images, initial = entry, {"*"}, list(masters)
+            host, images, initial = entry, frozenset({"*"}), masters
         elif isinstance(entry, dict):
             _object(entry, apath, ("host", "images", "masters"))
             host = _need(entry, "host", apath, str)
-            images = set(_opt(entry, "images", ["*"], apath, list))
-            initial = _opt(entry, "masters", list(masters), apath, list)
+            images = frozenset(_checked(list[str], entry.get("images", ["*"]), f"{apath}.images"))
+            initial = tuple(_opt(entry, "masters", masters, apath, list))
             for m in initial:
                 if m not in masters:
                     raise ConfigError(f"{apath}.masters", f"host {m!r} runs no master")
@@ -303,29 +299,20 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
     users = _parse_users(_opt(tree, "users", [], "", list), "users", apps, specs, masters)
     experiment = _parse_experiment(_opt(tree, "experiment", {}, "", dict), len(users), apps)
 
-    period = _opt(tree, "profile_period_ms", PROFILE_PERIOD_MS, "", (int, float))
-    if period <= 0:
-        raise ConfigError("profile_period_ms", "must be positive")
-
     return ScenarioConfig(
-        name=name,
-        seed=seed,
+        **scalars,
         experiment=experiment,
-        policy=policy,
-        scaling_enabled=scaling,
-        time_limit_ms=float(time_limit),
         topology=topology,
         host_specs=specs,
-        loggers=list(loggers),
-        masters=list(masters),
-        actors=actors,
+        loggers=loggers,
+        masters=masters,
+        actors=tuple(actors),
         apps=apps,
         users=users,
-        ga=_fill(GaParams(), _opt(tree, "ga", {}, "", dict), "ga"),
-        scheduler=_fill(SchedulerConfig(), _opt(tree, "scheduler", {}, "", dict), "scheduler"),
-        discovery=_fill(DiscoveryConfig(), _opt(tree, "discovery", {}, "", dict), "discovery"),
-        actor_runtime=_fill(ActorConfig(), _opt(tree, "actor_runtime", {}, "", dict), "actor_runtime"),
-        profile_period_ms=float(period),
+        ga=_build(GaParams, tree.get("ga", {}), "ga"),
+        scheduler=_build(SchedulerConfig, tree.get("scheduler", {}), "scheduler"),
+        discovery=_build(DiscoveryConfig, tree.get("discovery", {}), "discovery"),
+        actor_runtime=_build(ActorConfig, tree.get("actor_runtime", {}), "actor_runtime"),
     )
 
 

@@ -19,7 +19,7 @@ from .taskgraph import AppSpec
 from .telemetry import TelemetryView
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulerConfig:
     max_cpu_util: float = 0.8
     max_sched_count: int = 4

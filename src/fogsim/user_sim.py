@@ -33,7 +33,7 @@ from .taskgraph import AppSpec
 __all__ = ["UserConfig", "RequestMetrics", "User"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserConfig:
     host: str
     app: str

@@ -303,8 +303,8 @@ def test_criterion_8_codec_and_report_determinism(tmp_path):
         assert encode(back) == frame, f"envelope {i} re-encoded differently"
 
     config = load_scenario("smoke")
-    first = emit_report(run_scenario(config.clone()), str(tmp_path / "a"))
-    second = emit_report(run_scenario(config.clone()), str(tmp_path / "b"))
+    first = emit_report(run_scenario(config), str(tmp_path / "a"))
+    second = emit_report(run_scenario(config), str(tmp_path / "b"))
     identical = all(filecmp.cmp(first[name], second[name], shallow=False) for name in first)
     verdict(8, "codec round-trips and deterministic reports", identical,
             f"10000 envelopes byte-stable, {len(first)} report files byte-identical across reruns")

@@ -1,16 +1,25 @@
 """Scenario loading, run drivers, report emission, and the CLI surface."""
 import copy
 import csv
+import dataclasses
 import filecmp
 import json
+import typing
 
 import pytest
 
+from fogsim import protocol, scenario
+from fogsim.actor_runtime import ActorConfig
 from fogsim.cli import main
+from fogsim.discovery import DiscoveryConfig
 from fogsim.errors import ConfigError
+from fogsim.ga_policies import GaParams
+from fogsim.netsim import HostSpec, LinkSpec
 from fogsim.report import CSV_SCHEMAS, emit_report
 from fogsim.runner import run_scenario
-from fogsim.scenario import load_scenario, parse_scenario, preset_names, preset_tree
+from fogsim.scenario import ScenarioConfig, load_scenario, parse_scenario, preset_names, preset_tree
+from fogsim.scheduler import SchedulerConfig
+from fogsim.user_sim import UserConfig
 
 
 def smoke_tree():
@@ -90,7 +99,7 @@ def reject(mutate, match):
     (lambda t: t["users"][0].__setitem__("start_after_user", 0), "earlier user index"),
     (lambda t: t["users"][0].__setitem__("frame_count", 0), "frame_count"),
     (lambda t: t["users"].__setitem__(0, 5), "expected object"),
-    (lambda t: t["users"][0].__setitem__("frame_count", "2"), r"users\[0\]: '<' not supported"),
+    (lambda t: t["users"][0].__setitem__("frame_count", "2"), r"users\[0\]\.frame_count: expected int, not str"),
     (lambda t: t["ga"].__setitem__("pop_size", 0), "pop_size"),
     (lambda t: t["ga"].__setitem__("population", 10), "unknown field"),
     (lambda t: t.__setitem__("scheduler", {"max_cpu_util": 2.0}), "max_cpu_util"),
@@ -117,7 +126,7 @@ def reject(mutate, match):
      r"experiment\.counts: 1\.0 is not one of \[1\]"),
     (lambda t: t.__setitem__("experiment", {"kind": "scalability", "counts": "ab"}),
      r"experiment\.counts: expected a non-empty list, got 'ab'"),
-    (lambda t: t.__setitem__("experiment", {"kind": "reuse", "apps": ["NoApp"]}),
+    (lambda t: t.update(users=t["users"] * 2, experiment={"kind": "reuse", "apps": ["NoApp"]}),
      r"experiment\.apps: 'NoApp' is not one of"),
     (lambda t: t.__setitem__("experiment", {"kind": "reuse"}),
      r"users: a reuse experiment needs at least 2 user\(s\), got 1"),
@@ -131,6 +140,29 @@ def reject(mutate, match):
      r"experiment\.apps: repeated entry"),
     (lambda t: t.__setitem__("experiment", {"kind": "scalability", "counts": [1, 1]}),
      r"experiment\.counts: repeated entry in \[1, 1\]"),
+    (lambda t: t.update(users=[], experiment={"kind": "scalability"}),
+     r"users: a scalability experiment needs at least 1 user\(s\), got 0"),
+    (lambda t: t.__setitem__("seed", True), r"seed: expected int, not bool"),
+    (lambda t: t.__setitem__("time_limit_ms", True), r"time_limit_ms: expected float or int, not bool"),
+    (lambda t: t["topology"]["hosts"][0].__setitem__("cpu_cores", "4"),
+     r"topology\.hosts\[0\]\.cpu_cores: expected int, not str"),
+    (lambda t: t["topology"]["hosts"][0].__setitem__("cpu_cores", 2.5),
+     r"topology\.hosts\[0\]\.cpu_cores: expected int, not float"),
+    (lambda t: t["topology"]["hosts"][0].__setitem__("cpu_cores", 0),
+     r"topology\.hosts\[0\]: cpu_cores must be at least 1"),
+    (lambda t: t["topology"]["hosts"][0].__setitem__("base_cpu_util", 1.0),
+     r"topology\.hosts\[0\]: base_cpu_util must lie in \[0, 1\)"),
+    (lambda t: t["topology"]["default_link"].__setitem__("latency_ms", True),
+     r"topology\.default_link\.latency_ms: expected float or int, not bool"),
+    (lambda t: t["topology"]["default_link"].__setitem__("data_rate_bps", 0),
+     r"topology\.default_link: data_rate_bps must be positive"),
+    (lambda t: t["topology"]["default_link"].pop("data_rate_bps"),
+     r"topology\.default_link\.data_rate_bps: missing required field"),
+    (lambda t: t["topology"].__setitem__(
+        "links", [{"a": "10.0.0.1", "b": "10.0.0.2", "latency_ms": 1.0, "data_rate_bps": 0}]),
+     r"topology\.links\[0\]: data_rate_bps must be positive"),
+    (lambda t: t["components"].__setitem__("actors", [{"host": "10.0.0.2", "images": [1]}]),
+     r"components\.actors\[0\]\.images: expected str, not int"),
 ])
 def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
     reject(mutate, match)
@@ -229,18 +261,47 @@ def test_actor_entries_accept_strings_and_objects():
     tree["components"]["actors"] = [
         {"host": "10.0.0.2", "images": ["OCR"], "masters": ["10.0.0.1"]}]
     config = parse_scenario(tree)
-    assert config.actors == [("10.0.0.2", {"OCR"}, ["10.0.0.1"])]
+    assert config.actors == (("10.0.0.2", frozenset({"OCR"}), ("10.0.0.1",)),)
     plain = parse_scenario(smoke_tree())
-    assert plain.actors == [("10.0.0.2", {"*"}, ["10.0.0.1"])]
+    assert plain.actors == (("10.0.0.2", frozenset({"*"}), ("10.0.0.1",)),)
 
 
-def test_clone_isolates_mutable_state():
+def test_parsed_config_is_immutable():
     config = load_scenario("smoke")
-    twin = config.clone(seed=99)
-    twin.actors[0][1].add("OCR")
-    twin.users.append("sentinel")
-    assert config.seed == 7 and config.actors[0][1] == {"*"}
-    assert len(config.users) == 1
+    for target in (config, config.ga, config.scheduler, config.discovery, config.actor_runtime, config.users[0]):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.seed = 99
+    twin = dataclasses.replace(config, seed=99)
+    assert twin.seed == 99 and config.seed == 7
+    assert isinstance(config.actors[0][1], frozenset) and isinstance(config.users, tuple)
+
+
+def _has_wire_rule(hint) -> bool:
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (hint,) = (arg for arg in args if arg is not type(None))
+    return hint in protocol._CODECS
+
+
+def test_every_config_field_has_a_wire_rule_and_every_config_is_frozen(monkeypatch):
+    built = set()
+    build = scenario._build
+
+    def spy(cls, *args, **kwargs):
+        built.add(cls)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "_build", spy)
+    for name in preset_names():
+        load_scenario(name)
+    assert {GaParams, SchedulerConfig, DiscoveryConfig, ActorConfig, UserConfig, HostSpec, LinkSpec} <= built
+    hints = {cls: typing.get_type_hints(cls) for cls in built | {ScenarioConfig}}
+    unruled = [f"{cls.__name__}.{f.name}" for cls in built for f in dataclasses.fields(cls)
+               if not _has_wire_rule(hints[cls][f.name])]
+    unruled += [f"ScenarioConfig.{key}" for key in scenario.ROOT_SCALARS
+                if not _has_wire_rule(hints[ScenarioConfig][key])]
+    assert unruled == []
+    assert [cls.__name__ for cls in hints if not cls.__dataclass_params__.frozen] == []
 
 
 # -- running and reporting ---------------------------------------------------------
@@ -275,16 +336,16 @@ def test_report_files_and_schemas(smoke_report, tmp_path):
 
 def test_same_seed_reports_are_byte_identical(tmp_path):
     config = load_scenario("smoke")
-    a = emit_report(run_scenario(config.clone()), str(tmp_path / "a"))
-    b = emit_report(run_scenario(config.clone()), str(tmp_path / "b"))
+    a = emit_report(run_scenario(config), str(tmp_path / "a"))
+    b = emit_report(run_scenario(config), str(tmp_path / "b"))
     for name in a:
         assert filecmp.cmp(a[name], b[name], shallow=False), name
 
 
 def test_different_seeds_change_the_run(tmp_path):
     base = load_scenario("smoke")
-    r1 = run_scenario(base.clone(seed=1))
-    r2 = run_scenario(base.clone(seed=2))
+    r1 = run_scenario(dataclasses.replace(base, seed=1))
+    r2 = run_scenario(dataclasses.replace(base, seed=2))
     assert r1.seed != r2.seed
     assert r1.summary["mean_response_ms"] > 0 and r2.summary["mean_response_ms"] > 0
 
