@@ -6,8 +6,9 @@ hosts with a history-seeded genetic algorithm, scales masters under
 load, reuses warm executors, and reproduces its headline experiments
 on a deterministic simulated network (``SimKernel``).  The same
 components also run over loopback TCP on ``RealtimeKernel``, a single
-selector loop on the wall clock; ``Runtime`` and the CLI drive the
-simulated kernel only.
+selector loop on the wall clock.  ``Runtime`` drives either kernel
+(``Runtime(config, kernel=RealtimeKernel)``); the CLI drives
+``SimKernel``.
 """
 
 from .actor_runtime import Actor, ActorConfig, ExecutorPhase, TaskExecutor
@@ -30,7 +31,7 @@ from .runner import MetricsReport, Runtime, run_scenario
 from .scaler import ScaleCandidate, headroom_score, select_scale_target
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, preset_names, preset_tree
 from .scheduler import ResponseModel, SchedulerConfig, build_task_actors_map
-from .taskgraph import AppSpec, TaskSpec, app_from_config, builtin_apps
+from .taskgraph import AppSpec, TaskSpec, builtin_apps
 from .tcpnet import RealtimeKernel
 from .telemetry import (
     HostProfile,
@@ -99,7 +100,6 @@ __all__ = [
     "Topology",
     "User",
     "UserConfig",
-    "app_from_config",
     "build_task_actors_map",
     "builtin_apps",
     "emit_report",

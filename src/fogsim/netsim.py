@@ -245,9 +245,6 @@ class SimKernel:
                 break
         return self.now
 
-    def pending_events(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
-
 
 class HostCompute:
     """Core-slot executor for abstract work on one host.

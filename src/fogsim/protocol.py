@@ -8,8 +8,8 @@ transport share one codec with the simulator.
 
 The payload and record dataclasses are the wire schema: at import each
 field's annotation picks its codec from ``_CODECS`` (an annotation without
-one fails the import), and encode and decode of frames and record lines all
-walk the per-class field tables built from them.
+one fails the import), and encode and decode of frames walk the per-class
+field tables built from them.
 
 ``message_wire_bytes`` walks the same field tables to add up the exact length
 of the frame ``encode`` would write, without building it.  Telemetry records
@@ -463,23 +463,6 @@ def decode(buffer: bytes) -> MessageEnvelope:
     if not isinstance(payload, PAYLOAD_TYPES):
         raise ProtocolError(f"{type(payload).__name__} is not a message payload", LENGTH_PREFIX.size)
     return MessageEnvelope(source, destination, payload, sent_at, sender)
-
-
-def encode_record(record) -> str:
-    """Canonical single-line text form of a telemetry record."""
-
-    return _dumps(record)
-
-
-def decode_record(line: str):
-    try:
-        tree = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"bad record line: {exc}", exc.pos) from exc
-    record = _struct_from_tree(tree, 0)
-    if not isinstance(record, RECORD_TYPES):
-        raise ProtocolError(f"{type(record).__name__} is not a telemetry record")
-    return record
 
 
 class FrameBuffer:

@@ -85,8 +85,6 @@ class PlacementState:
     completed_at: float | None = None
     first_data_at: float | None = None
     estimate: float | None = None
-    evals: int = 0
-    series: list = field(default_factory=list)
     assignment: dict = field(default_factory=dict)  # task -> actor Address
     reused: dict = field(default_factory=dict)  # task -> bool
     expected: set = field(default_factory=set)
@@ -133,7 +131,6 @@ class Master:
         self.id = self._next_id(ComponentKind.Master)
         self.actors: dict[Address, RegisteredActor] = {}
         self.users: dict[Address, ComponentId] = {}
-        self.executor_ids: dict[tuple, ComponentId] = {}
         self.requests: dict[str, PlacementState] = {}
         self.queue: deque = deque()
         self.in_flight = 0
@@ -315,8 +312,6 @@ class Master:
         self.in_flight -= 1
         state.decided_at = self.kernel.now
         state.estimate = result.fitness
-        state.series = list(result.series)
-        state.evals = result.evals
         names = app.task_names()
         actor_by_task = {
             task: candidates[task][result.assignment[i]].addr for i, task in enumerate(names)
@@ -455,9 +450,6 @@ class Master:
         if msg.task in state.ready:
             return
         state.ready.add(msg.task)
-        key = (msg.request_id, msg.task)
-        if key not in self.executor_ids:
-            self.executor_ids[key] = self._next_id(ComponentKind.TaskExecutor)
         if state.status == "waiting_ready" and state.ready == state.expected:
             state.status = "streaming"
             state.ready_at = self.kernel.now

@@ -1,8 +1,10 @@
 """Scenario runner: builds a deployment from config and drives experiments.
 
-``Runtime`` wires one simulated deployment (loggers, masters, actors,
-users) onto a kernel and runs it until its last user finishes; a
-deployment without users runs to its time limit. ``run_scenario``
+``Runtime`` wires one deployment (loggers, masters, actors, users) onto a
+kernel built from the scenario's topology and runs it until its last user
+finishes; a deployment without users runs to its time limit. The kernel is
+``SimKernel`` unless the caller passes another with the same surface, such
+as ``RealtimeKernel`` over loopback TCP. ``run_scenario``
 dispatches on the experiment kind, running one or many deployments and
 assembling a MetricsReport with stable row schemas for the CSV writers.
 """
@@ -50,9 +52,9 @@ class MetricsReport:
 class Runtime:
     """One deployment: kernel, computes, loggers, masters, actors, users."""
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, kernel=SimKernel):
         self.config = config
-        self.kernel = SimKernel(config.topology)
+        self.kernel = kernel(config.topology)
         self.computes = {host: HostCompute(self.kernel, spec) for host, spec in config.host_specs.items()}
 
         self.loggers = [RemoteLogger(self.kernel, host) for host in config.loggers]
@@ -80,7 +82,6 @@ class Runtime:
             self.masters.append(master)
             return master
 
-        self.spawn_master = spawn_master
         for host in config.masters:
             spawn_master(host)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import ipaddress
 import json
 import os
 import pathlib
@@ -23,12 +24,12 @@ from dataclasses import MISSING, dataclass, fields
 
 from .actor_runtime import ActorConfig
 from .discovery import DiscoveryConfig
-from .errors import ConfigError
+from .errors import ConfigError, CyclicDependency
 from .ga_policies import POLICIES, GaParams
 from .netsim import DEFAULT_LINK, HOST_CLASSES, HostSpec, LinkSpec, Topology
 from .protocol import MASTER_PORT, Address, check_value
 from .scheduler import SchedulerConfig
-from .taskgraph import AppSpec, app_from_config, builtin_apps
+from .taskgraph import AppSpec, TaskSpec, builtin_apps
 from .telemetry import PROFILE_PERIOD_MS
 from .user_sim import UserConfig
 
@@ -172,17 +173,27 @@ def _parse_topology(tree: dict, path: str):
 
 def _parse_apps(tree: dict, path: str) -> dict[str, AppSpec]:
     apps = dict(builtin_apps())
-    _object(tree, path, ("custom",))
-    for i, entry in enumerate(_opt(tree, "custom", [], path, list)):
+    for i, entry in enumerate(_opt(_object(tree, path, ("custom",)), "custom", [], path, list)):
         apath = f"{path}.custom[{i}]"
         _object(entry, apath, ("name", "tasks", "edges", "entry", "exit"))
-        for j, task in enumerate(_opt(entry, "tasks", [], apath, list)):
-            _object(task, f"{apath}.tasks[{j}]", ("name", "compute_cost", "output_size_bytes"))
+        name = _need(entry, "name", apath, str)
+        tasks: dict[str, TaskSpec] = {}
+        for j, task_tree in enumerate(_opt(entry, "tasks", [], apath, list)):
+            task = _build(TaskSpec, task_tree, f"{apath}.tasks[{j}]")
+            if task.name in tasks:
+                raise ConfigError(f"{apath}.tasks[{j}].name", f"duplicate task {task.name!r}")
+            tasks[task.name] = task
+        edges = []
+        for j, edge in enumerate(_opt(entry, "edges", [], apath, list)):
+            if len(_checked(list[str], edge, f"{apath}.edges[{j}]")) != 2:
+                raise ConfigError(f"{apath}.edges[{j}]", "expected a [parent, child] pair")
+            edges.append(tuple(edge))
+        entry_tasks = _checked(list[str], entry.get("entry", []), f"{apath}.entry")
+        exit_tasks = _checked(list[str], entry.get("exit", []), f"{apath}.exit")
         try:
-            app = app_from_config(entry)
-        except Exception as exc:
+            apps[name] = AppSpec(name, tasks, edges, list(entry_tasks), list(exit_tasks))
+        except (ValueError, CyclicDependency) as exc:
             raise ConfigError(apath, str(exc)) from exc
-        apps[app.name] = app
     return apps
 
 
@@ -260,10 +271,10 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
     apps = _parse_apps(_opt(tree, "apps", {}, "", dict), "apps")
 
     components = _object(_need(tree, "components", "", dict), "components", ("remote_loggers", "masters", "actors"))
-    loggers = tuple(_opt(components, "remote_loggers", [], "components", list))
+    loggers = tuple(_checked(list[str], components.get("remote_loggers", []), "components.remote_loggers"))
     if not loggers:
         raise ConfigError("components.remote_loggers", "at least one remote logger required")
-    masters = tuple(_need(components, "masters", "components", list))
+    masters = tuple(_checked(list[str], _need(components, "masters", "components", list), "components.masters"))
     if not masters:
         raise ConfigError("components.masters", "at least one master required")
     for group, hosts in (("remote_loggers", loggers), ("masters", masters)):
@@ -298,6 +309,13 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
 
     users = _parse_users(_opt(tree, "users", [], "", list), "users", apps, specs, masters)
     experiment = _parse_experiment(_opt(tree, "experiment", {}, "", dict), len(users), apps)
+    discovery = _build(DiscoveryConfig, tree.get("discovery", {}), "discovery")
+    if discovery.enabled:
+        for i, host in enumerate(specs):
+            try:
+                ipaddress.IPv4Address(host)
+            except ValueError:
+                raise ConfigError(f"topology.hosts[{i}].host", "discovery needs IPv4 host addresses") from None
 
     return ScenarioConfig(
         **scalars,
@@ -311,7 +329,7 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
         users=users,
         ga=_build(GaParams, tree.get("ga", {}), "ga"),
         scheduler=_build(SchedulerConfig, tree.get("scheduler", {}), "scheduler"),
-        discovery=_build(DiscoveryConfig, tree.get("discovery", {}), "discovery"),
+        discovery=discovery,
         actor_runtime=_build(ActorConfig, tree.get("actor_runtime", {}), "actor_runtime"),
     )
 

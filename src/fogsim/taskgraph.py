@@ -35,6 +35,12 @@ class TaskSpec:
     compute_cost: float
     output_size_bytes: int
 
+    def validate(self) -> None:
+        if self.compute_cost <= 0:
+            raise ValueError(f"task {self.name!r} compute_cost must be positive")
+        if self.output_size_bytes <= 0:
+            raise ValueError(f"task {self.name!r} output_size_bytes must be positive")
+
 
 @dataclass
 class AppSpec:
@@ -50,10 +56,7 @@ class AppSpec:
         if not self.tasks:
             raise ValueError(f"app {self.name!r} has no tasks")
         for task in self.tasks.values():
-            if task.compute_cost <= 0:
-                raise ValueError(f"task {task.name!r} compute_cost must be positive")
-            if task.output_size_bytes <= 0:
-                raise ValueError(f"task {task.name!r} output_size_bytes must be positive")
+            task.validate()
         for parent, child in self.edges:
             if parent not in self.tasks or child not in self.tasks:
                 raise ValueError(f"edge ({parent!r}, {child!r}) names an unknown task")
@@ -182,27 +185,6 @@ def vocr_app() -> AppSpec:
         edges=edges,
         entry_tasks=[names[0]],
         exit_tasks=[names[-1]],
-    )
-
-
-def app_from_config(tree: dict) -> AppSpec:
-    """Build a custom app from its declarative config section."""
-
-    tasks = {
-        spec["name"]: TaskSpec(
-            name=spec["name"],
-            compute_cost=float(spec["compute_cost"]),
-            output_size_bytes=int(spec["output_size_bytes"]),
-        )
-        for spec in tree.get("tasks", [])
-    }
-    edges = [(parent, child) for parent, child in tree.get("edges", [])]
-    return AppSpec(
-        name=tree["name"],
-        tasks=tasks,
-        edges=edges,
-        entry_tasks=list(tree.get("entry", [])),
-        exit_tasks=list(tree.get("exit", [])),
     )
 
 

@@ -1,9 +1,13 @@
 """Wall-clock kernel that carries envelopes over loopback TCP.
 
-RealtimeKernel has the simulated kernel's surface (now, schedule,
-schedule_at, bind, unbind, is_bound, send, run, close) but advances with
-the wall clock.  Virtual addresses keep their (host, port) form; each
-bound address gets its own loopback listener and the kernel keeps a
+RealtimeKernel has the simulated kernel's surface (topology, now,
+schedule, schedule_at, bind, unbind, is_bound, send, run, traffic) but
+advances with the wall clock, so ``Runtime(config, kernel=RealtimeKernel)``
+runs a deployment over TCP; the CLI drives the simulated kernel.  The
+topology seeds the masters' views and discovery; no link model applies.
+``traffic`` counts frames, their encoded bytes and unbound-destination
+drops per payload type.  Virtual addresses keep their (host, port) form;
+each bound address gets its own loopback listener and the kernel keeps a
 directory from virtual address to real port.  One TCP connection per
 (source, destination) pair preserves the per-pair FIFO order the
 simulated kernel gives.  Frames on the wire are the codec's canonical
@@ -28,10 +32,11 @@ import math
 import selectors
 import socket
 import time
+from collections import defaultdict
 
 from . import protocol
 from .errors import ProtocolError
-from .netsim import _Event
+from .netsim import Traffic, _Event
 from .protocol import Address, FrameBuffer, MessageEnvelope
 
 __all__ = ["RealtimeKernel"]
@@ -42,9 +47,10 @@ _RECV_BYTES = 65536
 class RealtimeKernel:
     """Wall-clock kernel with the simulated kernel's surface, over loopback TCP."""
 
-    def __init__(self):
-        self.topology = None
+    def __init__(self, topology=None):
+        self.topology = topology
         self.bad_frames = 0
+        self.traffic: defaultdict[type, Traffic] = defaultdict(Traffic)  # by payload type
         self._t0 = time.monotonic()
         self._timers: list[_Event] = []
         self._seq = 0
@@ -105,9 +111,13 @@ class RealtimeKernel:
     def send(self, envelope: MessageEnvelope) -> None:
         envelope.sent_at = self.now
         frame = protocol.encode(envelope)
+        traffic = self.traffic[type(envelope.payload)]
+        traffic.sent += 1
+        traffic.bytes += len(frame)
         endpoint = self._endpoints.get(envelope.destination)
         if endpoint is None:
-            return  # same as the simulated kernel: unbound destinations drop
+            traffic.dropped += 1  # same as the simulated kernel: unbound destinations drop
+            return
         pair = (envelope.source, envelope.destination)
         if pair not in self._conns:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -115,6 +125,7 @@ class RealtimeKernel:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if sock.connect_ex(endpoint[1].getsockname()) not in (0, errno.EINPROGRESS):
                 sock.close()
+                traffic.dropped += 1
                 return
             self._conns[pair] = (sock, bytearray())
         sock, pending = self._conns[pair]
@@ -179,6 +190,7 @@ class RealtimeKernel:
                 return
             endpoint = self._endpoints.get(envelope.destination)
             if endpoint is None:
+                self.traffic[type(envelope.payload)].dropped += 1
                 continue
             try:
                 endpoint[0](envelope)

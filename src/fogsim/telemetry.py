@@ -101,9 +101,6 @@ class LogStore:
             accepted += 1
         return accepted, rejected
 
-    def all_records(self) -> list:
-        return list(self.images) + list(self.resources) + list(self.perf)
-
     def snapshot(self) -> list:
         """Latest record per key, deterministically ordered; feeds master syncs."""
 
@@ -111,21 +108,6 @@ class LogStore:
         for table in (self.latest.host_profiles, self.latest.images, self.latest.links):
             out.extend(table[key] for key in sorted(table))
         return out
-
-    # -- persistence --------------------------------------------------------
-
-    def save(self, path: str):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in self.all_records():
-                fh.write(protocol.encode_record(record) + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "LogStore":
-        store = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            records = [protocol.decode_record(line) for line in fh if line.strip()]
-        store.ingest(records)
-        return store
 
 
 def rate_from_profile(profile: HostProfile) -> float:
@@ -161,12 +143,10 @@ class TelemetryView:
         self.host_profiles: dict[str, HostProfile] = {}
         self.links: dict[tuple[str, str], LinkSample] = {}
         self.images: dict[tuple[str, str], ImageRecord] = {}
-        self.processing: dict[tuple[str, str], ProcessingSample] = {}
         self._tables = {
             HostProfile: (self.host_profiles, attrgetter("host")),
             LinkSample: (self.links, attrgetter("host_a", "host_b")),
             ImageRecord: (self.images, attrgetter("host", "task")),
-            ProcessingSample: (self.processing, attrgetter("task", "host")),
         }
         if topology is not None:
             for spec in topology.hosts.values():

@@ -68,9 +68,6 @@ class RequestMetrics:
     rrt_ms: float | None = None
     response_ms: list = field(default_factory=list)
     forwards: int = 0
-    timed_out: bool = False
-    sent_at: float | None = None
-    completed_at: float | None = None
 
 
 class User:
@@ -229,7 +226,4 @@ class User:
             rrt_ms=None if self.ready_at is None or self.t0 is None else self.ready_at - self.t0,
             response_ms=[self.response_ms[k] for k in sorted(self.response_ms)],
             forwards=self.forwards,
-            timed_out=self.timed_out,
-            sent_at=self.t0,
-            completed_at=self.completed_at,
         )

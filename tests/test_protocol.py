@@ -41,8 +41,6 @@ from fogsim.protocol import (
     WarnNoResources,
     decode,
     encode,
-    encode_record,
-    decode_record,
     frame_length,
     message_wire_bytes,
 )
@@ -81,6 +79,11 @@ SAMPLE_PAYLOADS = [
 
 def _envelope(payload, sender=None):
     return MessageEnvelope(source=A1, destination=A2, payload=payload, sent_at=12.75, sender_id=sender)
+
+
+def _record_tree(record) -> dict:
+    """The record's wire tree, as a LogUpload frame carries it."""
+    return json.loads(encode(_envelope(LogUpload(records=[record])))[4:])["payload"]["records"][0]
 
 
 @pytest.mark.parametrize("payload", SAMPLE_PAYLOADS, ids=lambda p: type(p).__name__)
@@ -173,7 +176,7 @@ _WRONG_TYPES = [
     (RegisterActor(profile=PROFILE), lambda p: p["profile"].update(cpu_util=True), "HostProfile.cpu_util"),
     (
         RegisterActor(profile=PROFILE),
-        lambda p: p.update(profile=json.loads(encode_record(ImageRecord("h", "t", True, 1.0)))),
+        lambda p: p.update(profile=_record_tree(ImageRecord("h", "t", True, 1.0))),
         "RegisterActor.profile",
     ),
     (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(request_id=7), "Data.request_id"),
@@ -328,7 +331,7 @@ def test_a_sized_record_is_the_same_value():
     assert [f.name for f in fields(record)] == ["host", "task", "available", "sampled_at"]
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
     assert pickle.loads(pickle.dumps(record)) == record
-    assert encode_record(record) == encode_record(twin)
+    assert encode(_envelope(LogUpload(records=[record]))) == encode(_envelope(LogUpload(records=[twin])))
 
 
 def test_wire_bytes_charges_data_at_logical_size():
@@ -340,19 +343,19 @@ def test_wire_bytes_charges_data_at_logical_size():
     assert message_wire_bytes(probe) == len(encode(probe))
 
 
-def test_record_line_round_trip():
+def test_record_round_trips_inside_a_log_upload():
     for record in (PROFILE, ImageRecord("h", "t", False, 1.0), ResponseSample("r", "a", 5.0, 2.0)):
-        line = encode_record(record)
-        assert "\n" not in line
-        assert decode_record(line) == record
+        frame = encode(_envelope(LogUpload(records=[record])))
+        assert b"\n" not in frame[4:]
+        assert decode(frame).payload.records == [record]
 
 
-def test_record_line_rejects_payload_types():
-    line = encode_record(PROFILE).replace("HostProfile", "HostProfileX")
-    with pytest.raises(ProtocolError):
-        decode_record(line)
-    with pytest.raises(ProtocolError, match="not a telemetry record"):
-        decode_record(json.dumps({"type": "Probe"}))
+def test_log_upload_rejects_unknown_tags_and_payload_types_as_records():
+    upload = LogUpload(records=[PROFILE])
+    with pytest.raises(ProtocolError, match="HostProfileX"):
+        decode(_payload_frame(upload, lambda p: p["records"][0].update(type="HostProfileX")))
+    with pytest.raises(ProtocolError, match="LogUpload.records"):
+        decode(_payload_frame(upload, lambda p: p.update(records=[{"type": "Probe"}])))
 
 
 def test_address_parse_round_trip():
@@ -540,7 +543,7 @@ def test_encode_matches_the_type_ladder_oracle(payload):
     _assert_same_bytes_as_the_ladder(_envelope(payload, sender=ComponentId(ComponentKind.Actor, 9, A2)))
     if isinstance(payload, LogUpload):
         for record in payload.records:
-            assert encode_record(record) == json.dumps(_to_tree(record), sort_keys=True, separators=(",", ":"))
+            _assert_same_bytes_as_the_ladder(_envelope(LogUpload(records=[record])))
 
 
 @settings(max_examples=200, deadline=None)

@@ -163,6 +163,30 @@ def reject(mutate, match):
      r"topology\.links\[0\]: data_rate_bps must be positive"),
     (lambda t: t["components"].__setitem__("actors", [{"host": "10.0.0.2", "images": [1]}]),
      r"components\.actors\[0\]\.images: expected str, not int"),
+    (lambda t: t["components"].__setitem__("remote_loggers", [["10.0.0.1"]]),
+     r"components\.remote_loggers: expected str, not list"),
+    (lambda t: t["components"].__setitem__("masters", [["10.0.0.1"]]),
+     r"components\.masters: expected str, not list"),
+    (lambda t: t.update(discovery={"enabled": True}) or t["topology"]["hosts"][1].update(host="gateway")
+     or t["components"].update(actors=["gateway"]),
+     r"topology\.hosts\[1\]\.host: discovery needs IPv4 host addresses"),
+    (lambda t: t.__setitem__("apps", _custom_app(compute_cost=True)),
+     r"apps\.custom\[0\]\.tasks\[0\]\.compute_cost: expected float or int, not bool"),
+    (lambda t: t.__setitem__("apps", _custom_app(compute_cost="5")),
+     r"apps\.custom\[0\]\.tasks\[0\]\.compute_cost: expected float or int, not str"),
+    (lambda t: t.__setitem__("apps", _custom_app(output_size_bytes=10.7)),
+     r"apps\.custom\[0\]\.tasks\[0\]\.output_size_bytes: expected int, not float"),
+    (lambda t: t.__setitem__("apps", _custom_app(compute_cost=0)),
+     r"apps\.custom\[0\]\.tasks\[0\]: task 't' compute_cost must be positive"),
+    (lambda t: t.update(apps=_custom_app()) or t["apps"]["custom"][0].update(name=7),
+     r"apps\.custom\[0\]\.name: expected str"),
+    (lambda t: t.update(apps=_custom_app()) or t["apps"]["custom"][0].update(entry="t"),
+     r"apps\.custom\[0\]\.entry: expected list, not str"),
+    (lambda t: t.update(apps=_custom_app()) or t["apps"]["custom"][0].update(edges=["tt"]),
+     r"apps\.custom\[0\]\.edges\[0\]: expected list, not str"),
+    (lambda t: t.update(apps=_custom_app()) or t["apps"]["custom"][0]["tasks"].append(
+        {"name": "t", "compute_cost": 2.0, "output_size_bytes": 1}),
+     r"apps\.custom\[0\]\.tasks\[1\]\.name: duplicate task 't'"),
 ])
 def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
     reject(mutate, match)

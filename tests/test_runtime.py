@@ -1,12 +1,16 @@
-"""Runtime: how long a deployment runs and how a wedged one is reported."""
+"""Runtime: how long a deployment runs, how a wedged one is reported, and one deployment on either kernel."""
 import json
+import threading
 
 import pytest
 
 from fogsim.cli import main
 from fogsim.errors import DeadlockDetected
+from fogsim.netsim import SimKernel
+from fogsim.protocol import Data, Result
 from fogsim.runner import Runtime
 from fogsim.scenario import load_scenario, parse_scenario, preset_tree
+from fogsim.tcpnet import RealtimeKernel
 
 
 def test_deployment_stops_when_its_last_user_finishes():
@@ -17,7 +21,7 @@ def test_deployment_stops_when_its_last_user_finishes():
     last = max(user.completed_at for user in runtime.users)
     assert runtime.kernel.now == last
     assert last < config.time_limit_ms / 10
-    assert runtime.kernel.pending_events() > 0  # ticks and uploads left unrun
+    assert runtime.kernel.run(until_ms=last + 1000.0) > last  # ticks and uploads left unrun
 
 
 def test_chained_user_runs_before_the_stop():
@@ -56,3 +60,52 @@ def test_user_unfinished_at_the_time_limit_raises_and_the_cli_exits_3(tmp_path, 
     path.write_text(json.dumps(tree))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
     assert f"user {user.request_id}" in capsys.readouterr().err
+
+
+def _two_user_vocr():
+    """Smoke with two VOCR users, the second chained after the first, sized to take seconds of wall time."""
+    tree = preset_tree("smoke")
+    user = {"host": "10.0.0.1", "app": "VOCR", "frame_count": 2, "frame_interval_ms": 50.0}
+    tree["users"] = [dict(user, start_at_ms=100.0), dict(user, start_after_user=0, start_after_delay_ms=100.0)]
+    tree.update(
+        profile_period_ms=100.0,
+        actor_runtime={"executor_startup_ms": 20.0},
+        ga={"pop_size": 8, "max_iteration_num": 10, "n_parents": 4, "n_offsprings": 4},
+        # A wedged TCP run fails as DeadlockDetected after 30 s of wall time instead of hanging.
+        time_limit_ms=30_000.0,
+    )
+    return parse_scenario(tree)
+
+
+def _run_on(kernel, config):
+    runtime = Runtime(config, kernel=kernel)
+    thread_counts = []
+
+    def sample_threads():
+        thread_counts.append(threading.active_count())
+        runtime.kernel.schedule(50.0, sample_threads)
+
+    sample_threads()
+    try:
+        runtime.run()
+    finally:
+        if isinstance(runtime.kernel, RealtimeKernel):
+            runtime.kernel.close()
+    return runtime, thread_counts
+
+
+def test_runtime_gives_the_same_outcomes_on_the_simulated_kernel_and_over_tcp():
+    config = _two_user_vocr()
+    sim, _ = _run_on(SimKernel, config)
+    tcp, thread_counts = _run_on(RealtimeKernel, config)
+    assert isinstance(tcp.kernel, RealtimeKernel) and tcp.kernel.topology is config.topology
+    for runtime in (sim, tcp):
+        assert [m.outcome for m in runtime.request_metrics()] == ["Completed", "Completed"]
+        assert runtime.counters()["actors"]["warm_reuses"] > 0
+    assert tcp.counters()["actors"]["cold_starts"] == sim.counters()["actors"]["cold_starts"]
+    # The data path is the same on both kernels, so are its message counts.
+    for kind in (Data, Result):
+        assert tcp.kernel.traffic[kind].sent == sim.kernel.traffic[kind].sent > 0
+    assert "traffic RegisterActor: sent=" in tcp.dump()
+    assert thread_counts and set(thread_counts) == {1}
+    assert threading.active_count() == 1

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim.errors import CyclicDependency
-from fogsim.taskgraph import AppSpec, TaskSpec, app_from_config, builtin_apps, gol_app, topo_levels, vocr_app
+from fogsim.errors import ConfigError, CyclicDependency
+from fogsim.scenario import parse_scenario, preset_tree
+from fogsim.taskgraph import AppSpec, TaskSpec, builtin_apps, gol_app, topo_levels, vocr_app
 
 
 def _app(names, edges, entry, exit_, costs=None):
@@ -81,26 +82,33 @@ def test_gol_is_a_62_task_pyramid():
     assert total == pytest.approx(sum(2 * 720.0 / 2**k for k in range(31)))
 
 
-def test_app_from_config_round_trip():
-    tree = {
+def _with_custom_app(app_tree):
+    tree = preset_tree("smoke")
+    tree["apps"] = {"custom": [app_tree]}
+    return tree
+
+
+def test_custom_app_parses_from_the_scenario():
+    tree = _with_custom_app({
         "name": "custom",
         "tasks": [
             {"name": "grab", "compute_cost": 10, "output_size_bytes": 100},
-            {"name": "crunch", "compute_cost": 20, "output_size_bytes": 50},
+            {"name": "crunch", "compute_cost": 20.5, "output_size_bytes": 50},
         ],
         "edges": [["grab", "crunch"]],
         "entry": ["grab"],
         "exit": ["crunch"],
-    }
-    app = app_from_config(tree)
+    })
+    app = parse_scenario(tree).apps["custom"]
     assert app.name == "custom"
     assert app.levels == [["grab"], ["crunch"]]
-    assert app.tasks["crunch"].compute_cost == 20.0
+    assert app.tasks["crunch"] == TaskSpec("crunch", 20.5, 50)
 
 
-def test_app_from_config_validates():
-    with pytest.raises(ValueError):
-        app_from_config({"name": "bad", "tasks": [], "entry": [], "exit": []})
+def test_custom_app_is_validated_at_parse():
+    with pytest.raises(ConfigError, match="has no tasks") as info:
+        parse_scenario(_with_custom_app({"name": "bad", "tasks": [], "entry": [], "exit": []}))
+    assert info.value.path == "apps.custom[0]"
 
 
 # Random DAGs: edges only point from lower to higher index, so the graph is

@@ -1,7 +1,4 @@
 """Telemetry stores, freshest-wins views, and the central log sink."""
-import os
-import tempfile
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,15 +96,20 @@ def test_snapshot_is_latest_per_key_in_sorted_order():
     assert store.snapshot() == snap
 
 
-def test_save_load_round_trip(tmp_path):
+def stored(store):
+    """Every record the store accepted, table by table, each in arrival order."""
+    return store.images + store.resources + store.perf
+
+
+def test_ingest_files_each_record_in_its_table():
     store = LogStore()
-    store.ingest([profile("a", sampled_at=3.0), link("a", "b"),
-                  ImageRecord(host="a", task="t", available=False, sampled_at=1.0),
-                  ResponseSample(request_id="r", app="x", response_ms=12.5, sampled_at=2.0)])
-    path = tmp_path / "telemetry.log"
-    store.save(str(path))
-    loaded = LogStore.load(str(path))
-    assert loaded.all_records() == store.all_records()
+    records = [profile("a", sampled_at=3.0), link("a", "b"),
+               ImageRecord(host="a", task="t", available=False, sampled_at=1.0),
+               ResponseSample(request_id="r", app="x", response_ms=12.5, sampled_at=2.0)]
+    assert store.ingest(records) == (4, [])
+    assert store.images == [records[2]]
+    assert store.resources == [records[0]]
+    assert store.perf == [records[1], records[3]]
 
 
 _hosts = st.sampled_from(["a", "b", "c"])
@@ -146,17 +148,13 @@ def brute_force_snapshot(records):
 
 @settings(max_examples=150, deadline=None)
 @given(batches=st.lists(st.lists(_records, max_size=12), max_size=6))
-def test_incremental_ingest_snapshot_matches_brute_force_and_survives_reload(batches):
+def test_incremental_ingest_snapshot_matches_brute_force(batches):
     store = LogStore()
     accepted = 0
     for batch in batches:
         accepted += store.ingest(batch)[0]
-        assert store.snapshot() == brute_force_snapshot(store.all_records())
-    assert accepted == len(store.all_records())
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "telemetry.log")
-        store.save(path)
-        assert LogStore.load(path).snapshot() == store.snapshot()
+        assert store.snapshot() == brute_force_snapshot(stored(store))
+    assert accepted == len(stored(store))
 
 
 def test_rate_from_profile_discounts_load():
@@ -260,4 +258,4 @@ def test_logger_keeps_rejection_log():
     send(kernel, client, logger.addr, LogUpload(records=[profile("b", util=9.0)]))
     kernel.run()
     assert len(logger.rejections) == 1 and "cpu_util" in logger.rejections[0][1]
-    assert logger.store.all_records() == []
+    assert stored(logger.store) == []
