@@ -14,7 +14,7 @@ import heapq
 import ipaddress
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import protocol
 from .protocol import Address, MessageEnvelope
@@ -299,16 +299,19 @@ class HostCompute:
     def _integral_at(self, t: float) -> float:
         if t <= self._checkpoints[0][0]:
             return self._checkpoints[0][1]
-        result = self._integral + self.running * max(0.0, self.kernel.now - self._changed_at)
-        previous = self._checkpoints[0]
-        for point in list(self._checkpoints)[1:]:
-            if point[0] > t:
-                rate = (point[1] - previous[1]) / (point[0] - previous[0])
-                return previous[1] + rate * (t - previous[0])
-            previous = point
-        if t <= self.kernel.now and self.kernel.now > previous[0]:
-            return previous[1] + self.running * (t - previous[0])
-        return result
+        # Walk back from the newest checkpoint to the last one at or before t;
+        # the oldest lies before t, so the walk always stops.
+        after = None
+        for point in reversed(self._checkpoints):
+            if point[0] <= t:
+                break
+            after = point
+        if after is not None:
+            rate = (after[1] - point[1]) / (after[0] - point[0])
+            return point[1] + rate * (t - point[0])
+        if t <= self.kernel.now and self.kernel.now > point[0]:
+            return point[1] + self.running * (t - point[0])
+        return self._integral + self.running * max(0.0, self.kernel.now - self._changed_at)
 
     def utilization(self, window_ms: float) -> float:
         """Busy core time over the trailing window, normalized and clamped."""

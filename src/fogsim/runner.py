@@ -24,7 +24,7 @@ from .protocol import LOGGER_PORT, MASTER_PORT, USER_PORT_BASE, Address
 from .registry_master import Master
 from .scenario import ScenarioConfig
 from .scheduler import ResponseModel, build_task_actors_map
-from .telemetry import RemoteLogger
+from .telemetry import RemoteLogger, TelemetryView
 from .user_sim import RequestMetrics, User
 
 __all__ = ["Runtime", "MetricsReport", "run_scenario"]
@@ -269,12 +269,13 @@ def _run_single(config: ScenarioConfig, report: MetricsReport) -> None:
 
 def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
     # One live warm-up request populates the scheduling history, then each
-    # policy re-solves the same placement problem offline from identical
-    # telemetry, seed by seed, recording best fitness per iteration.
+    # policy re-solves the same placement problem offline, seed by seed,
+    # recording best fitness per iteration. The re-solves read idle
+    # ground-truth telemetry: the view every master starts from, which is
+    # also what the serving master's view settles to once its hosts go idle.
     warmup = replace(config, policy="ohnsga")
     runtime = Runtime(warmup)
     runtime.run()
-    runtime.kernel.run(until_ms=warmup.time_limit_ms)  # the re-solves read the master's view at the horizon
     user = runtime.users[0]
     state, master = runtime.serving_state(user.request_id)
     if state is None:
@@ -287,7 +288,7 @@ def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
         candidates,
         user_host=user.config.host,
         master_host=master.spec.host,
-        view=master.view,
+        view=TelemetryView(config.topology),
         frame_size_bytes=user.config.frame_size_bytes,
     )
     policies = config.experiment["policies"]

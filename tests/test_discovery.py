@@ -2,7 +2,7 @@
 import pytest
 
 from fogsim.discovery import Discovery, DiscoveryConfig
-from fogsim.netsim import DEFAULT_LINK, LinkSpec, SimKernel, Topology, host_from_class
+from fogsim.netsim import LinkSpec, SimKernel, Topology, host_from_class
 from fogsim.protocol import ACTOR_PORT, MASTER_PORT, Address, ComponentKind, Probe, ProbeReply
 
 

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim.netsim import (
     DEFAULT_LINK,
@@ -247,3 +249,52 @@ def test_utilization_includes_base_and_clamps():
     compute.submit(10.0, lambda: None)
     kernel.run()
     assert compute.utilization(10.0) == 1.0  # 0.9 base + fully busy window, clamped
+
+
+def _integral_at_by_forward_scan(compute, t):
+    """The busy integral at t as HostCompute once found it: copy the checkpoints, scan from the oldest."""
+    if t <= compute._checkpoints[0][0]:
+        return compute._checkpoints[0][1]
+    result = compute._integral + compute.running * max(0.0, compute.kernel.now - compute._changed_at)
+    previous = compute._checkpoints[0]
+    for point in list(compute._checkpoints)[1:]:
+        if point[0] > t:
+            rate = (point[1] - previous[1]) / (point[0] - previous[0])
+            return previous[1] + rate * (t - previous[0])
+        previous = point
+    if t <= compute.kernel.now and compute.kernel.now > previous[0]:
+        return previous[1] + compute.running * (t - previous[0])
+    return result
+
+
+_compute_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.floats(0.5, 20_000.0)),
+        st.tuples(st.just("advance"), st.floats(0.0, 30_000.0)),
+        st.tuples(st.just("query"), st.floats(-0.1, 1.2)),
+        st.tuples(st.just("checkpoint"), st.integers(0, 200)),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_compute_ops)
+def test_busy_integral_walk_back_matches_the_forward_scan(ops):
+    kernel = _kernel("a")
+    compute = HostCompute(kernel, HostSpec(host="a", cpu_cores=2, cpu_freq_ghz=1.0))
+    queries = []
+    for op, arg in ops:
+        if op == "submit":
+            compute.submit(arg, lambda: None)
+        elif op == "advance":
+            target = kernel.now + arg
+            kernel.schedule_at(target, lambda: None)
+            kernel.run(until_ms=target)
+        elif op == "query":
+            queries.append(arg * kernel.now)
+        else:
+            queries.append(compute._checkpoints[arg % len(compute._checkpoints)][0])
+        # every query is asked again after each later step, as the state moves on
+        for t in queries:
+            assert compute._integral_at(t) == _integral_at_by_forward_scan(compute, t)

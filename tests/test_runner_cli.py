@@ -1,5 +1,4 @@
 """Scenario loading, run drivers, report emission, and the CLI surface."""
-import copy
 import csv
 import dataclasses
 import filecmp

@@ -1,16 +1,22 @@
 """Runtime: how long a deployment runs, how a wedged one is reported, and one deployment on either kernel."""
+import copy
 import json
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fogsim.cli import main
 from fogsim.errors import DeadlockDetected
+from fogsim.ga_policies import POLICIES
 from fogsim.netsim import SimKernel
 from fogsim.protocol import Data, Result
-from fogsim.runner import Runtime
+from fogsim.runner import Runtime, run_scenario
 from fogsim.scenario import load_scenario, parse_scenario, preset_tree
+from fogsim.scheduler import ResponseModel, build_task_actors_map
 from fogsim.tcpnet import RealtimeKernel
+from fogsim.telemetry import TelemetryView
 
 
 def test_deployment_stops_when_its_last_user_finishes():
@@ -109,3 +115,76 @@ def test_runtime_gives_the_same_outcomes_on_the_simulated_kernel_and_over_tcp():
     assert "traffic RegisterActor: sent=" in tcp.dump()
     assert thread_counts and set(thread_counts) == {1}
     assert threading.active_count() == 1
+
+
+def _convergence_tree(seed=None, base_cpu_util=None, discovery=False):
+    tree = preset_tree("convergence")
+    tree["experiment"]["seeds"] = 1
+    if seed is not None:
+        tree["seed"] = seed
+    if base_cpu_util is not None:
+        for host in tree["topology"]["hosts"]:
+            host["base_cpu_util"] = base_cpu_util
+    if discovery:
+        tree["discovery"] = {"enabled": True, "interval_ms": 1000.0, "grace_ms": 50.0, "net_mask": 24}
+    return tree
+
+
+@pytest.mark.parametrize("tree", [
+    _convergence_tree(),
+    _convergence_tree(seed=1),
+    _convergence_tree(seed=2),
+    _convergence_tree(seed=3),
+    _convergence_tree(base_cpu_util=0.15),
+    _convergence_tree(discovery=True),
+], ids=["seed11", "seed1", "seed2", "seed3", "base-util-0.15", "discovery"])
+def test_convergence_resolves_see_at_the_horizon_what_the_idle_ground_truth_gives(tree):
+    # Oracle: the warm-up run on to its time limit, with the re-solves' model
+    # built from the serving master's view there. The convergence driver stops
+    # at the last user and builds it from the idle ground-truth view; both
+    # must give the same estimates, and the driver the same report rows.
+    config = replace(parse_scenario(tree), policy="ohnsga")
+    runtime = Runtime(config)
+    runtime.run()
+    user = runtime.users[0]
+    app = config.apps[user.config.app]
+    _, master = runtime.serving_state(user.request_id)
+    actors_at_stop = sorted((a.addr, sorted(a.images)) for a in master.actors.values())
+    history_at_stop = [genes.tolist() for genes in master.history.best_first(app.name)]
+    runtime.kernel.run(until_ms=config.time_limit_ms)
+    assert runtime.kernel.now == config.time_limit_ms
+
+    # Nothing the re-solves read from the master moves after the stop ...
+    assert sorted((a.addr, sorted(a.images)) for a in master.actors.values()) == actors_at_stop
+    assert [genes.tolist() for genes in master.history.best_first(app.name)] == history_at_stop
+    # ... and the horizon view is live telemetry, not just the seeded ground truth.
+    assert all(profile.sampled_at > 0 for profile in master.view.host_profiles.values())
+
+    def model(view):
+        return ResponseModel(
+            app,
+            build_task_actors_map(app, master.actors.values()),
+            user_host=user.config.host,
+            master_host=master.spec.host,
+            view=view,
+            frame_size_bytes=user.config.frame_size_bytes,
+        )
+
+    at_horizon, idle = model(master.view), model(TelemetryView(config.topology))
+    assert idle.counts == at_horizon.counts and min(idle.counts) > 0
+    rng = np.random.default_rng([config.seed, 12])
+    for _ in range(250):
+        assignment = [int(rng.integers(count)) for count in idle.counts]
+        assert idle.estimate(assignment) == at_horizon.estimate(assignment)
+
+    expected = []
+    for p_index, name in enumerate(config.experiment["policies"]):
+        for s in range(config.experiment["seeds"]):
+            rng = np.random.default_rng([config.seed, p_index, s])
+            history = copy.deepcopy(master.history)
+            result = POLICIES[name](at_horizon.counts, at_horizon.estimate, config.ga, rng, history=history, app=app.name)
+            expected += [
+                {"app": app.name, "policy": name, "seed": s, "iteration": iteration, "best_fitness": best}
+                for iteration, best in enumerate(result.series, start=1)
+            ]
+    assert run_scenario(config).convergence == expected

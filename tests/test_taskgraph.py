@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fogsim.errors import ConfigError, CyclicDependency
 from fogsim.scenario import parse_scenario, preset_tree
-from fogsim.taskgraph import AppSpec, TaskSpec, builtin_apps, gol_app, topo_levels, vocr_app
+from fogsim.taskgraph import AppSpec, TaskSpec, builtin_apps, gol_app, vocr_app
 
 
 def _app(names, edges, entry, exit_, costs=None):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim.netsim import DEFAULT_LINK, HostSpec, LinkSpec, SimKernel, Topology, host_from_class
+from fogsim.netsim import DEFAULT_LINK, LinkSpec, SimKernel, Topology, host_from_class
 from fogsim.protocol import (
     Address,
     ComponentId,

@@ -7,12 +7,13 @@ from fogsim.discovery import DiscoveryConfig
 from fogsim.ga_policies import GaParams
 from fogsim.netsim import DEFAULT_LINK, HostCompute, LinkSpec, SimKernel, Topology, host_from_class
 from fogsim.protocol import (
-    LOGGER_PORT,
     MASTER_PORT,
     USER_PORT_BASE,
     Address,
     AdvertiseMaster,
     MessageEnvelope,
+    PlacementRequest,
+    RegisterUser,
     ResponseSample,
 )
 from fogsim.registry_master import Master
@@ -145,6 +146,24 @@ def test_sequential_requests_reuse_warm_executors():
     assert second.metrics().rrt_ms < first.metrics().rrt_ms - 4000.0
     state = cluster.master().requests[second.request_id]
     assert all(state.reused.values())
+
+
+def test_request_ids_count_each_users_earlier_requests_however_they_arrived():
+    cluster = Cluster({})
+    master = cluster.master()
+    first, second = Address("u", USER_PORT_BASE), Address("u", USER_PORT_BASE + 1)
+
+    def send(source, payload):
+        cluster.kernel.send(MessageEnvelope(source, master.address, payload))
+
+    # A forwarded request keeps the id its first master gave it, and still counts here.
+    send(first, PlacementRequest(request_id=f"u:{USER_PORT_BASE}#0", app="VOCR"))
+    send(first, RegisterUser(app="VOCR", entry=first))
+    send(second, RegisterUser(app="VOCR", entry=second))
+    send(first, RegisterUser(app="VOCR", entry=first))
+    cluster.run(until=1000.0)
+    assert list(master.requests) == [
+        f"u:{USER_PORT_BASE}#0", f"u:{USER_PORT_BASE}#1", f"u:{USER_PORT_BASE + 1}#0", f"u:{USER_PORT_BASE}#2"]
 
 
 def test_no_actors_means_warn():
