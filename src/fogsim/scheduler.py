@@ -7,6 +7,12 @@ master -> user.  Node cost is compute_cost divided by the profiled host rate;
 edge cost is link latency plus whole-frame transmission time.  The simulator
 enacts exactly these hops with the same arithmetic, so measured response
 times match estimates by construction.
+
+A `ResponseModel` tabulates those costs once per placement request.  Its
+estimate is the critical-path recurrence unrolled into straight-line Python,
+generated and compiled once per DAG shape and cached, so the many models a
+run builds for one app share the code and differ only in the tables bound
+into it.
 """
 
 from __future__ import annotations
@@ -71,15 +77,16 @@ class ResponseModel:
     """Estimates end-to-end response for assignments of one placement request.
 
     Tabulates every cost an estimate can need up front: per task a node-cost
-    row and, for an entry task, an ingress row over its candidates; per DAG
-    edge a [parent candidate][child candidate] hop table; per exit task an
-    egress row.  An estimate is then list indexing plus the critical-path
-    recurrence, so a GA can afford tens of thousands of them.
+    row and, for a task without parents, an ingress row over its candidates;
+    per DAG edge a [parent candidate][child candidate] hop table; per exit
+    task an egress row.  The critical-path recurrence over those tables runs
+    as straight-line code, compiled once per DAG shape and shared by every
+    model of that shape; each model binds its own tables into it.  So a GA
+    can afford tens of thousands of estimates.
     """
 
     def __init__(self, app: AppSpec, candidates: dict[str, list], user_host: str,
                  master_host: str, view: TelemetryView, frame_size_bytes: int):
-        self.app = app
         self.tasks = app.task_names()
         self.candidate_hosts: list[list[str]] = [
             [actor.addr.host for actor in candidates[task]] for task in self.tasks
@@ -92,51 +99,92 @@ class ResponseModel:
         rate = functools.cache(view.host_rate)
         index = {name: i for i, name in enumerate(self.tasks)}
         out_bytes = [app.tasks[name].output_size_bytes for name in self.tasks]
-        # (task, node-cost row, [(parent, hop table)], ingress row or None), level order;
-        # a hop between co-located tasks is free
-        self._steps = []
+        node_cost = [
+            [app.tasks[name].compute_cost / rate(host) for host in hosts[i]]
+            for i, name in enumerate(self.tasks)
+        ]
+        steps, hops, ingress = [], [], []
         for name in (name for level in app.levels for name in level):
             i = index[name]
-            hops = [
-                (p, [[0.0 if src == dst else transfer(src, dst, out_bytes[p]) for dst in hosts[i]]
-                     for src in hosts[p]])
-                for p in (index[parent] for parent in app.parents(name))
+            parents = tuple(index[parent] for parent in app.parents(name))
+            steps.append((i, parents))
+            # a hop between co-located tasks is free
+            hops += [
+                [[0.0 if src == dst else transfer(src, dst, out_bytes[p]) for dst in hosts[i]]
+                 for src in hosts[p]]
+                for p in parents
             ]
-            # user frame to an entry executor, relayed through the master
-            ingress = None if hops else [
-                transfer(user_host, master_host, frame) + transfer(master_host, host, frame)
-                for host in hosts[i]
-            ]
-            cost = app.tasks[name].compute_cost
-            self._steps.append((i, [cost / rate(host) for host in hosts[i]], hops, ingress))
-        # (exit task, egress row): result back to the user, relayed through the master
-        self._egress = [
-            (i, [transfer(host, master_host, out_bytes[i]) + transfer(master_host, user_host, out_bytes[i])
-                 for host in hosts[i]])
-            for i in (index[name] for name in app.exit_tasks)
+            if not parents:
+                # user frame to an entry executor, relayed through the master
+                ingress.append([
+                    transfer(user_host, master_host, frame) + transfer(master_host, host, frame)
+                    for host in hosts[i]
+                ])
+        exits = tuple(index[name] for name in app.exit_tasks)
+        # result back to the user, relayed through the master
+        egress = [
+            [transfer(host, master_host, out_bytes[i]) + transfer(master_host, user_host, out_bytes[i])
+             for host in hosts[i]]
+            for i in exits
         ]
+        self._critical_path = _compile_critical_path(tuple(steps), exits)(
+            node_cost, hops, ingress, egress
+        )
 
     def estimate(self, assignment) -> float:
         """Critical-path response time of one assignment, in virtual ms."""
 
-        finish = [0.0] * len(self.tasks)
-        for i, node_cost, hops, ingress in self._steps:
-            a = assignment[i]
-            if hops:
-                start = 0.0
-                for p, table in hops:
-                    arrival = finish[p] + table[assignment[p]][a]
-                    if arrival > start:
-                        start = arrival
-            else:
-                start = ingress[a]
-            finish[i] = start + node_cost[a]
-        response = 0.0
-        for i, egress in self._egress:
-            arrival = finish[i] + egress[assignment[i]]
-            if arrival > response:
-                response = arrival
-        return response
+        return self._critical_path(assignment)
+
+
+@functools.cache
+def _compile_critical_path(steps: tuple, exits: tuple):
+    """The critical-path estimate of one DAG shape, as straight-line code.
+
+    `steps` holds (task, parent tasks) in level order and `exits` the exit
+    tasks, all as task indices.  Returns `bind(node_cost, hops, ingress,
+    egress)`, which takes the node-cost rows in task order, the hop tables
+    and ingress rows in step order and the egress rows in exit order, and
+    returns that model's `estimate(assignment)`.  The code does the float
+    operations of this recurrence in its order, so estimates are exact:
+
+        finish[i] = ingress[i] + node_cost[i]                 (no parents)
+        finish[i] = max(0.0, finish[p] + hop[p][i] ...) + node_cost[i]
+        response  = max(0.0, finish[x] + egress[x] ...)
+    """
+
+    hops, ingress, body = [], [], []
+    for i, parents in steps:
+        if not parents:
+            ingress.append(f"i{i}")
+            body.append(f"f{i} = i{i}[a{i}] + n{i}[a{i}]")
+            continue
+        body.append("s = 0.0")
+        for p in parents:
+            hops.append(f"h{len(hops)}")
+            body += [f"t = f{p} + {hops[-1]}[a{p}][a{i}]", "if t > s: s = t"]
+        body.append(f"f{i} = s + n{i}[a{i}]")
+    body.append("r = 0.0")
+    for k, x in enumerate(exits):
+        body += [f"t = f{x} + e{k}[a{x}]", "if t > r: r = t"]
+    body.append("return r")
+    tables = {
+        "node_cost": [f"n{i}" for i in range(len(steps))],
+        "hops": hops,
+        "ingress": ingress,
+        "egress": [f"e{k}" for k in range(len(exits))],
+    }
+    source = "\n".join([
+        f"def bind({', '.join(tables)}):",
+        *(f"    {', '.join(names)}, = {arg}" for arg, names in tables.items() if names),
+        "    def estimate(a):",
+        f"        {', '.join(f'a{i}' for i in range(len(steps)))}, = a",
+        *(f"        {line}" for line in body),
+        "    return estimate",
+    ])
+    namespace = {}
+    exec(compile(source, f"<critical path over {len(steps)} tasks>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def dependency_lists(app: AppSpec, actor_addr_by_task: dict) -> dict[str, list]:

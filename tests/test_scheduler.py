@@ -11,6 +11,7 @@ from fogsim.netsim import DEFAULT_LINK, LinkSpec, Topology, host_from_class
 from fogsim.protocol import Address, HostProfile, LinkSample
 from fogsim.scheduler import (
     ResponseModel,
+    _compile_critical_path,
     SchedulerConfig,
     build_task_actors_map,
     dependency_lists,
@@ -277,6 +278,36 @@ class _CacheBasedModel:
         return response
 
 
+def _perturbed_view(data):
+    view = _view()
+    # telemetry samples override the topology on some links, and not on others
+    for a, b in data.draw(st.sets(st.sampled_from(
+            [("u", "m"), ("m", "a"), ("a", "m"), ("m", "b"), ("a", "b"), ("b", "c"), ("m", "c")]))):
+        view.observe(LinkSample(host_a=a, host_b=b, latency_ms=data.draw(st.floats(0.0, 50.0)),
+                                data_rate_bps=data.draw(st.floats(1e5, 1e9)), packet_size=64,
+                                sampled_at=1.0))
+    view.observe(HostProfile(host="c", cpu_cores=2, cpu_freq_ghz=1.2, mem_capacity_mb=1024,
+                             cpu_util=0.3, mem_util=0.1, sampled_at=1.0))
+    return view
+
+
+def _assert_equals_oracle_exactly(app, candidates, view, frame):
+    model = ResponseModel(app, candidates, "u", "m", view, frame)
+    reference = _CacheBasedModel(app, candidates, "u", "m", view, frame)
+    for assignment in itertools.product(*(range(c) for c in model.counts)):
+        assert model.estimate(assignment) == reference.estimate(assignment)
+    return model
+
+
+def _draw_candidates_and_check(data, app):
+    view = _perturbed_view(data)
+    # two or three candidate hosts per task, repeats included, in any order
+    actors = [Entry(Address(h, 5001 + k), ("*",)) for k, h in enumerate(
+        data.draw(st.lists(st.sampled_from("abc"), min_size=2, max_size=3)))]
+    frame = data.draw(st.integers(0, 200000))
+    _assert_equals_oracle_exactly(app, build_task_actors_map(app, actors), view, frame)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_tabulated_estimate_equals_cache_based_recurrence_exactly(data):
@@ -292,24 +323,82 @@ def test_tabulated_estimate_equals_cache_based_recurrence_exactly(data):
     entry = [names[0]]
     exit_ = [nm for nm in names if nm not in children]
     app = _app(names, edges, entry, exit_, costs, outs)
-    view = _view()
-    # telemetry samples override the topology on some links, and not on others
-    for a, b in data.draw(st.sets(st.sampled_from(
-            [("u", "m"), ("m", "a"), ("a", "m"), ("m", "b"), ("a", "b"), ("b", "c"), ("m", "c")]))):
-        view.observe(LinkSample(host_a=a, host_b=b, latency_ms=data.draw(st.floats(0.0, 50.0)),
-                                data_rate_bps=data.draw(st.floats(1e5, 1e9)), packet_size=64,
-                                sampled_at=1.0))
-    view.observe(HostProfile(host="c", cpu_cores=2, cpu_freq_ghz=1.2, mem_capacity_mb=1024,
-                             cpu_util=0.3, mem_util=0.1, sampled_at=1.0))
-    # two or three candidate hosts per task, repeats included, in any order
-    actors = [Entry(Address(h, 5001 + k), ("*",)) for k, h in enumerate(
-        data.draw(st.lists(st.sampled_from("abc"), min_size=2, max_size=3)))]
-    candidates = build_task_actors_map(app, actors)
-    frame = data.draw(st.integers(0, 200000))
-    model = ResponseModel(app, candidates, "u", "m", view, frame)
-    reference = _CacheBasedModel(app, candidates, "u", "m", view, frame)
-    for assignment in itertools.product(*(range(c) for c in model.counts)):
-        assert model.estimate(assignment) == reference.estimate(assignment)
+    _draw_candidates_and_check(data, app)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_estimate_equals_cache_based_recurrence_on_irregular_dags(data):
+    """Several entries, entries with parents, tasks declared out of
+    topological order, parents out of index order, repeated edges and exits
+    with children."""
+
+    n = data.draw(st.integers(1, 6))
+    names = [f"n{i}" for i in range(n)]
+    # topo[r] is the declaration index of the task at topological rank r
+    topo = data.draw(st.permutations(range(n)))
+    edges = []
+    for r in range(1, n):
+        parents = data.draw(st.sets(st.integers(0, r - 1)))
+        edges.extend((names[topo[q]], names[topo[r]]) for q in parents)
+    if edges and data.draw(st.booleans()):
+        edges.append(data.draw(st.sampled_from(edges)))
+    edges = data.draw(st.permutations(edges))
+    parented = {b for _, b in edges}
+    children = {a for a, _ in edges}
+    entry = [nm for nm in names if nm not in parented or data.draw(st.booleans())]
+    exit_ = [nm for nm in names if nm not in children or data.draw(st.booleans())]
+    costs = {nm: data.draw(st.floats(1.0, 500.0)) for nm in names}
+    outs = {nm: data.draw(st.integers(1, 100000)) for nm in names}
+    _draw_candidates_and_check(data, _app(names, edges, entry, exit_, costs, outs))
+
+
+def _irregular_app(name="t", edges=None):
+    """Declared join-first; entries x0, x2 and x1 (which has parent x0); x3
+    joins x2 before x1 over a repeated edge; exits x3 and x1 (a parent)."""
+
+    names = ["x3", "x0", "x1", "x2"]
+    edges = edges or [("x2", "x3"), ("x1", "x3"), ("x0", "x1"), ("x2", "x3")]
+    tasks = {nm: TaskSpec(name=nm, compute_cost=10.0 + 7.0 * k, output_size_bytes=900 + 4000 * k)
+             for k, nm in enumerate(names)}
+    return AppSpec(name=name, tasks=tasks, edges=edges, entry_tasks=["x0", "x1", "x2"],
+                   exit_tasks=["x3", "x1"])
+
+
+def _abc_candidates(app):
+    actors = [Entry(Address(h, 5001 + k), ("*",)) for k, h in enumerate("bab")]
+    return build_task_actors_map(app, actors)
+
+
+def test_estimate_equals_cache_based_recurrence_on_an_irregular_dag():
+    app = _irregular_app()
+    assert app.parents("x3") == ["x2", "x1", "x2"]
+    _assert_equals_oracle_exactly(app, _abc_candidates(app), _view(), 30000)
+
+
+def test_models_share_compiled_code_per_shape_but_not_tables():
+    _compile_critical_path.cache_clear()
+    app = _irregular_app()
+    idle = _view()
+    busy = _view()
+    busy.observe(LinkSample(host_a="a", host_b="b", latency_ms=40.0, data_rate_bps=2e6,
+                            packet_size=64, sampled_at=1.0))
+    first = _assert_equals_oracle_exactly(app, _abc_candidates(app), idle, 30000)
+    assert _compile_critical_path.cache_info().misses == 1
+    second = _assert_equals_oracle_exactly(app, _abc_candidates(app), busy, 30000)
+    renamed = _irregular_app(name="renamed")
+    _assert_equals_oracle_exactly(renamed, _abc_candidates(renamed), idle, 5000)
+    assert _compile_critical_path.cache_info()[:2] == (2, 1)  # (hits, misses)
+    # the first model still reads its own tables after the others were built
+    reference = _CacheBasedModel(app, _abc_candidates(app), "u", "m", idle, 30000)
+    space = list(itertools.product(*(range(c) for c in first.counts)))
+    assert [first.estimate(a) for a in space] == [reference.estimate(a) for a in space]
+    assert [first.estimate(a) for a in space] != [second.estimate(a) for a in space]
+    # same tasks, x3's parents in another order: a shape of its own
+    reordered = _irregular_app(edges=[("x1", "x3"), ("x2", "x3"), ("x0", "x1"), ("x2", "x3")])
+    _assert_equals_oracle_exactly(reordered, _abc_candidates(reordered), idle, 30000)
+    assert _compile_critical_path.cache_info().misses == 2
+    assert _compile_critical_path.cache_info().currsize == 2
 
 
 def test_repeat_estimates_hit_caches_identically():
