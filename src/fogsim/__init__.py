@@ -36,7 +36,6 @@ from .tcpnet import RealtimeKernel
 from .telemetry import (
     HostProfile,
     ImageRecord,
-    LinkSample,
     LogStore,
     ProcessingSample,
     RemoteLogger,
@@ -71,7 +70,6 @@ __all__ = [
     "HostProfile",
     "HostSpec",
     "ImageRecord",
-    "LinkSample",
     "LinkSpec",
     "LogStore",
     "Master",

@@ -88,8 +88,7 @@ class _FrameJoin:
 class TaskExecutor:
     """One task of one request, bound to its own port on the actor's host."""
 
-    def __init__(self, actor: "Actor", address: Address, app: str, task: str, request_id: str, master: Address):
-        self.actor = actor
+    def __init__(self, address: Address, app: str, task: str, request_id: str, master: Address):
         self.address = address
         self.app_name = app
         self.task_name = task
@@ -258,7 +257,7 @@ class Actor:
     def _init_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
         addr = Address(self.spec.host, self._next_port)
         self._next_port += 1
-        executor = TaskExecutor(self, addr, msg.app, msg.task, msg.request_id, master)
+        executor = TaskExecutor(addr, msg.app, msg.task, msg.request_id, master)
         executor.rewire(app, msg.dependencies)
         self.executors[addr] = executor
         self.by_request.setdefault(msg.request_id, []).append(executor)

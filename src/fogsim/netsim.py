@@ -252,7 +252,8 @@ class HostCompute:
     At most cpu_cores jobs run at once; excess jobs queue FIFO.  Every running
     job progresses at the host's full aggregate rate, which keeps simulated
     durations equal to the response estimator's node costs by construction.
-    The busy integral feeds the synthesized CPU-utilization signal.
+    The busy integral feeds the synthesized CPU-utilization signal; its
+    checkpoints reach back as far as the longest window asked so far.
     """
 
     def __init__(self, kernel, spec: HostSpec):
@@ -263,6 +264,7 @@ class HostCompute:
         self._integral = 0.0
         self._changed_at = 0.0
         self._checkpoints = deque([(0.0, 0.0)])
+        self._history_ms = 0.0
 
     def _account(self):
         now = self.kernel.now
@@ -270,7 +272,7 @@ class HostCompute:
             self._integral += self.running * (now - self._changed_at)
             self._changed_at = now
             self._checkpoints.append((now, self._integral))
-            while len(self._checkpoints) > 2 and self._checkpoints[1][0] < now - 60_000.0:
+            while len(self._checkpoints) > 2 and self._checkpoints[1][0] < now - self._history_ms:
                 self._checkpoints.popleft()
 
     def submit(self, work_units: float, done) -> float:
@@ -314,8 +316,13 @@ class HostCompute:
         return self._integral + self.running * max(0.0, self.kernel.now - self._changed_at)
 
     def utilization(self, window_ms: float) -> float:
-        """Busy core time over the trailing window, normalized and clamped."""
+        """Busy core time over the trailing window, normalized and clamped.
 
+        Exact for a window no longer than one asked before; a longer window
+        may miss busy time whose history was already dropped.
+        """
+
+        self._history_ms = max(self._history_ms, window_ms)
         now = self.kernel.now
         if window_ms <= 0 or now <= 0:
             return min(1.0, self.spec.base_cpu_util)

@@ -121,18 +121,6 @@ class ImageRecord(_Record):
 
 
 @dataclass(frozen=True, slots=True)
-class LinkSample(_Record):
-    """Measured latency and data rate between an ordered host pair."""
-
-    host_a: str
-    host_b: str
-    latency_ms: float
-    data_rate_bps: float
-    packet_size: int
-    sampled_at: float
-
-
-@dataclass(frozen=True, slots=True)
 class ProcessingSample(_Record):
     """Observed processing duration of one task on one host."""
 
@@ -152,7 +140,7 @@ class ResponseSample(_Record):
     sampled_at: float
 
 
-TelemetryRecord = HostProfile | ImageRecord | LinkSample | ProcessingSample | ResponseSample
+TelemetryRecord = HostProfile | ImageRecord | ProcessingSample | ResponseSample
 RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 

@@ -77,13 +77,8 @@ class PlacementState:
     app: str
     user_addr: Address
     frame_size_bytes: int
-    enqueued_at: float
     status: str = "queued"
-    sched_started_at: float | None = None
     decided_at: float | None = None
-    ready_at: float | None = None
-    completed_at: float | None = None
-    first_data_at: float | None = None
     estimate: float | None = None
     assignment: dict = field(default_factory=dict)  # task -> actor Address
     reused: dict = field(default_factory=dict)  # task -> bool
@@ -246,7 +241,6 @@ class Master:
             app=app,
             user_addr=user_addr,
             frame_size_bytes=frame_size,
-            enqueued_at=self.kernel.now,
         )
         self.requests[request_id] = state
         self.queue.append(state)
@@ -287,7 +281,6 @@ class Master:
             self._warn(state)
             return
         state.status = "scheduling"
-        state.sched_started_at = self.kernel.now
         self.in_flight += 1
         self._sched_seq += 1
         model = ResponseModel(
@@ -355,7 +348,7 @@ class Master:
         for addr in self.known_masters:
             if addr == self.address:
                 continue
-            latency = self.view.link_latency_ms(self.spec.host, addr.host)
+            latency = self.view.topology.link(self.spec.host, addr.host).latency_ms
             profile = self.view.host_profile(addr.host)
             util = profile.cpu_util if profile is not None else 0.0
             key = (latency, util, addr)
@@ -383,7 +376,7 @@ class Master:
                 ScaleCandidate(
                     address=entry.addr,
                     profile=entry.profile,
-                    latency_ms=self.view.link_latency_ms(state.user_addr.host, entry.addr.host),
+                    latency_ms=self.view.topology.link(state.user_addr.host, entry.addr.host).latency_ms,
                 )
                 for entry in eligible
             ]
@@ -414,8 +407,6 @@ class Master:
         if state is None or state.status not in ("streaming", "waiting_ready"):
             self.protocol_anomalies += 1
             return
-        if state.first_data_at is None:
-            state.first_data_at = self.kernel.now
         app = self.apps[state.app]
         seen: list[Address] = []
         for task in app.entry_tasks:
@@ -436,7 +427,6 @@ class Master:
         app = self.apps[state.app]
         if state.status == "streaming" and state.final_exits >= set(app.exit_tasks):
             state.status = "completed"
-            state.completed_at = self.kernel.now
             self.completed += 1
             deadline = self.kernel.now + self.cool_off_ms
             for task, addr in state.assignment.items():
@@ -452,7 +442,6 @@ class Master:
         state.ready.add(msg.task)
         if state.status == "waiting_ready" and state.ready == state.expected:
             state.status = "streaming"
-            state.ready_at = self.kernel.now
             self._send(state.user_addr, ResourcesReady(request_id=msg.request_id))
 
     # -- dispatch ---------------------------------------------------------------------

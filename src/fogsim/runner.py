@@ -55,7 +55,7 @@ class Runtime:
     def __init__(self, config: ScenarioConfig, kernel=SimKernel):
         self.config = config
         self.kernel = kernel(config.topology)
-        self.computes = {host: HostCompute(self.kernel, spec) for host, spec in config.host_specs.items()}
+        self.computes = {host: HostCompute(self.kernel, spec) for host, spec in config.topology.hosts.items()}
 
         self.loggers = [RemoteLogger(self.kernel, host) for host in config.loggers]
         logger_addr = Address(config.loggers[0], LOGGER_PORT)
@@ -65,7 +65,7 @@ class Runtime:
         def spawn_master(host: str) -> Master:
             master = Master(
                 kernel=self.kernel,
-                spec=config.host_specs[host],
+                spec=config.topology.hosts[host],
                 compute=self.computes[host],
                 apps=config.apps,
                 logger=logger_addr,
@@ -89,7 +89,7 @@ class Runtime:
         for host, images, initial in config.actors:
             actor = Actor(
                 kernel=self.kernel,
-                spec=config.host_specs[host],
+                spec=config.topology.hosts[host],
                 compute=self.computes[host],
                 apps=config.apps,
                 images=images,

@@ -61,7 +61,6 @@ class ScenarioConfig:
     scaling_enabled: bool
     time_limit_ms: float
     topology: Topology
-    host_specs: dict[str, HostSpec]
     loggers: tuple[str, ...]
     masters: tuple[str, ...]
     actors: tuple[tuple[str, frozenset, tuple], ...]  # (host, images, initial master hosts)
@@ -139,7 +138,7 @@ def _build(cls, tree, path: str, ends=(), base=(), **given):
     return built
 
 
-def _parse_topology(tree: dict, path: str):
+def _parse_topology(tree: dict, path: str) -> Topology:
     _object(tree, path, ("hosts", "default_link", "links"))
     hosts_tree = _need(tree, "hosts", path, list)
     if not hosts_tree:
@@ -167,8 +166,7 @@ def _parse_topology(tree: dict, path: str):
             if end not in specs:
                 raise ConfigError(lpath, f"unknown host {end!r}")
         links[(a, b)] = link
-    topology = Topology(list(specs.values()), links=links, default_link=default)
-    return topology, specs
+    return Topology(list(specs.values()), links=links, default_link=default)
 
 
 def _parse_apps(tree: dict, path: str) -> dict[str, AppSpec]:
@@ -267,7 +265,8 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
             raise ConfigError(key, "must be positive")
         scalars[key] = float(scalars[key])
 
-    topology, specs = _parse_topology(_need(tree, "topology", "", dict), "topology")
+    topology = _parse_topology(_need(tree, "topology", "", dict), "topology")
+    specs = topology.hosts
     apps = _parse_apps(_opt(tree, "apps", {}, "", dict), "apps")
 
     components = _object(_need(tree, "components", "", dict), "components", ("remote_loggers", "masters", "actors"))
@@ -321,7 +320,6 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
         **scalars,
         experiment=experiment,
         topology=topology,
-        host_specs=specs,
         loggers=loggers,
         masters=masters,
         actors=tuple(actors),

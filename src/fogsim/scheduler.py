@@ -4,9 +4,9 @@ The response model here is the single source of truth for end-to-end timing.
 A frame travels user -> master -> entry executors, flows down the task DAG
 (an edge between co-located tasks is free), and results return exit ->
 master -> user.  Node cost is compute_cost divided by the profiled host rate;
-edge cost is link latency plus whole-frame transmission time.  The simulator
-enacts exactly these hops with the same arithmetic, so measured response
-times match estimates by construction.
+edge cost is the topology link's latency plus whole-frame transmission time.
+The simulator enacts exactly these hops with the same arithmetic, so
+measured response times match estimates by construction.
 
 A `ResponseModel` tabulates those costs once per placement request.  Its
 estimate is the critical-path recurrence unrolled into straight-line Python,
@@ -95,7 +95,7 @@ class ResponseModel:
         hosts = self.candidate_hosts
         frame = int(frame_size_bytes)
         # memoized for the build only: candidates often share hosts
-        transfer = functools.cache(view.link_transfer_ms)
+        transfer = functools.cache(view.topology.transfer_ms)
         rate = functools.cache(view.host_rate)
         index = {name: i for i, name in enumerate(self.tasks)}
         out_bytes = [app.tasks[name].output_size_bytes for name in self.tasks]

@@ -2,7 +2,7 @@
 
 Three databases mirror what the orchestration components record about the
 system: task images present on hosts, host resource profiles, and performance
-samples (link, processing, response).  Ingestion validates each record
+samples (processing, response).  Ingestion validates each record
 individually and reports a reason per rejected record; accepted records are
 append-only.  The freshest view of any host is the record with the largest
 sampled_at, later insertion winning ties.
@@ -19,7 +19,6 @@ from .protocol import (
     ComponentKind,
     HostProfile,
     ImageRecord,
-    LinkSample,
     LogUpload,
     MessageEnvelope,
     Probe,
@@ -54,11 +53,6 @@ def validate_record(record) -> str | None:
     elif isinstance(record, ImageRecord):
         if not record.task:
             return "task name must be non-empty"
-    elif isinstance(record, LinkSample):
-        if record.latency_ms < 0:
-            return "latency_ms must be non-negative"
-        if record.data_rate_bps <= 0:
-            return "data_rate_bps must be positive"
     elif isinstance(record, ProcessingSample):
         if record.processing_ms < 0:
             return "processing_ms must be non-negative"
@@ -105,7 +99,7 @@ class LogStore:
         """Latest record per key, deterministically ordered; feeds master syncs."""
 
         out = []
-        for table in (self.latest.host_profiles, self.latest.images, self.latest.links):
+        for table in (self.latest.host_profiles, self.latest.images):
             out.extend(table[key] for key in sorted(table))
         return out
 
@@ -131,21 +125,20 @@ def sample_host(spec, compute, now: float, period_ms: float = PROFILE_PERIOD_MS)
 
 
 class TelemetryView:
-    """One component's current knowledge of hosts, links, and images.
+    """One component's current knowledge of hosts and images.
 
     Masters are constructed with the topology as ground truth (the desk-scale
     stand-in for an initial profiling pass) and then fold in uploaded records,
-    freshest sample winning.
+    freshest sample winning.  Link costs are not sampled: they come from the
+    topology alone.
     """
 
     def __init__(self, topology=None):
         self.topology = topology
         self.host_profiles: dict[str, HostProfile] = {}
-        self.links: dict[tuple[str, str], LinkSample] = {}
         self.images: dict[tuple[str, str], ImageRecord] = {}
         self._tables = {
             HostProfile: (self.host_profiles, attrgetter("host")),
-            LinkSample: (self.links, attrgetter("host_a", "host_b")),
             ImageRecord: (self.images, attrgetter("host", "task")),
         }
         if topology is not None:
@@ -176,28 +169,6 @@ class TelemetryView:
         if profile is None:
             raise KeyError(f"no profile for host {host}")
         return rate_from_profile(profile)
-
-    def link_latency_ms(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        sample = self.links.get((src, dst)) or self.links.get((dst, src))
-        if sample is not None:
-            return sample.latency_ms
-        if self.topology is not None:
-            return self.topology.link(src, dst).latency_ms
-        return 0.0
-
-    def link_transfer_ms(self, src: str, dst: str, frame_bytes: int) -> float:
-        if src == dst:
-            return 0.0
-        sample = self.links.get((src, dst)) or self.links.get((dst, src))
-        if sample is not None:
-            if frame_bytes <= 0:
-                return sample.latency_ms
-            return sample.latency_ms + frame_bytes * 8.0 / sample.data_rate_bps * 1000.0
-        if self.topology is not None:
-            return self.topology.transfer_ms(src, dst, frame_bytes)
-        return 0.0
 
 
 class RemoteLogger:

@@ -3,8 +3,11 @@
 A user registers one placement request with a master, follows forwards
 to sub-masters (the clocks never reset), and once resources are ready
 streams data frames at a fixed interval, recording the response time of
-every frame. Each frame's response also goes to telemetry, so the
-logger's per-request mean equals the user's own.
+every frame. Each frame's response also goes to the current master as
+telemetry. A master relays it to the logger only for users that
+registered with it, so the logger's per-request mean equals the user's
+own only when the request was served by the master the user registered
+with; the samples of a user forwarded elsewhere stop at that master.
 """
 from __future__ import annotations
 

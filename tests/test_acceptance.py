@@ -108,7 +108,7 @@ def test_criterion_1_optimality_on_small_spaces():
 
 def test_criterion_2_convergence_profile():
     config = load_scenario("convergence")
-    report = run_scenario(config)
+    report = conftest.preset_report("convergence")
     app = config.apps[config.users[0].app]
     assert len(app.task_names()) == 62 and len(config.actors) == 5
 
@@ -139,7 +139,7 @@ def test_criterion_2_convergence_profile():
 
 
 def test_criterion_3_response_accuracy_and_wins():
-    report = run_scenario(load_scenario("response"))
+    report = conftest.preset_report("response")
     max_err = report.summary["max_err_pct"]
     seeds = report.summary["seeds"]
     wins = report.summary["ohnsga_wins"]
@@ -155,7 +155,7 @@ def test_criterion_3_response_accuracy_and_wins():
 
 
 def test_criterion_4_scaling_relieves_sft():
-    report = run_scenario(load_scenario("scalability"))
+    report = conftest.preset_report("scalability")
     rows = report.summary["counts"]
     all_scheduled = all(
         row["scheduled_scaling"] == row["scheduled_no_scaling"] == int(count)
@@ -173,7 +173,7 @@ def test_criterion_4_scaling_relieves_sft():
 
 
 def test_criterion_5_reuse_ratios():
-    report = run_scenario(load_scenario("reuse"))
+    report = conftest.preset_report("reuse")
     apps = report.summary["apps"]
     gol, vocr = apps["GameOfLife"]["ratio"], apps["VOCR"]["ratio"]
     ok = gol < 0.55 and 0.55 < vocr < 1.0

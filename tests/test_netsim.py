@@ -251,6 +251,18 @@ def test_utilization_includes_base_and_clamps():
     assert compute.utilization(10.0) == 1.0  # 0.9 base + fully busy window, clamped
 
 
+def test_utilization_keeps_the_history_its_longest_window_needs():
+    kernel = _kernel("a")
+    compute = HostCompute(kernel, HostSpec(host="a", cpu_cores=1, cpu_freq_ghz=1.0))
+    assert compute.utilization(120_000.0) == 0.0  # a profiler's first ask, at t=0
+    compute.submit(50_000.0, lambda: None)  # busy from 0 to 50 s
+    kernel.schedule_at(119_000.0, lambda: compute.submit(1.0, lambda: None))
+    kernel.run(until_ms=119_000.0)
+    # the submit at 119 s checkpoints the integral; 0-50 s must survive it
+    assert compute.utilization(120_000.0) == pytest.approx(50 / 119, rel=1e-12)
+    assert compute.utilization(90_000.0) == pytest.approx(21 / 90, rel=1e-12)
+
+
 def _integral_at_by_forward_scan(compute, t):
     """The busy integral at t as HostCompute once found it: copy the checkpoints, scan from the oldest."""
     if t <= compute._checkpoints[0][0]:

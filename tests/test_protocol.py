@@ -25,7 +25,6 @@ from fogsim.protocol import (
     ImageRecord,
     InitNewMaster,
     InitTaskExecutor,
-    LinkSample,
     LogUpload,
     MessageEnvelope,
     PlacementRequest,
@@ -69,7 +68,6 @@ SAMPLE_PAYLOADS = [
         records=[
             PROFILE,
             ImageRecord("10.0.0.2", "ocr", True, 5.0),
-            LinkSample("10.0.0.1", "10.0.0.2", 2.5, 1e8, 65536, 6.0),
             ProcessingSample("ocr", "10.0.0.2", 12.5, 7.0),
             ResponseSample("r", "VOCR", 104.5, 8.0),
         ]
@@ -388,15 +386,6 @@ def _envelopes_with(floats):
     records = st.one_of(
         profiles,
         st.builds(ImageRecord, host=_hosts, task=_names, available=st.booleans(), sampled_at=floats),
-        st.builds(
-            LinkSample,
-            host_a=_hosts,
-            host_b=_hosts,
-            latency_ms=floats,
-            data_rate_bps=floats,
-            packet_size=_sizes,
-            sampled_at=floats,
-        ),
         st.builds(ProcessingSample, task=_names, host=_hosts, processing_ms=floats, sampled_at=floats),
         st.builds(ResponseSample, request_id=_names, app=_names, response_ms=floats, sampled_at=floats),
     )

@@ -7,6 +7,7 @@ import typing
 
 import pytest
 
+import conftest
 from fogsim import protocol, scenario
 from fogsim.actor_runtime import ActorConfig
 from fogsim.cli import main
@@ -332,7 +333,7 @@ def test_every_config_field_has_a_wire_rule_and_every_config_is_frozen(monkeypat
 
 @pytest.fixture(scope="module")
 def smoke_report():
-    return run_scenario(load_scenario("smoke"))
+    return conftest.preset_report("smoke")
 
 
 def test_smoke_run_summary(smoke_report):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fogsim.ga_policies import GaParams
 from fogsim.netsim import DEFAULT_LINK, LinkSpec, Topology, host_from_class
-from fogsim.protocol import Address, HostProfile, LinkSample
+from fogsim.protocol import Address, HostProfile
 from fogsim.scheduler import (
     ResponseModel,
     _compile_critical_path,
@@ -39,16 +39,17 @@ def _app(names, edges, entry, exit_, costs, outs):
     return AppSpec(name="t", tasks=tasks, edges=edges, entry_tasks=entry, exit_tasks=exit_)
 
 
-def _view():
+def _view(links=None):
+    """The four-host view; `links` replaces or adds topology links by ordered pair."""
     hosts = [host_from_class("u", "rpi4"), host_from_class("m", "desktop"),
              host_from_class("a", "desktop"), host_from_class("b", "rpi4")]
-    links = {
+    base = {
         ("u", "m"): LinkSpec(2.0, 100e6),
         ("m", "a"): LinkSpec(4.0, 100e6),
         ("m", "b"): LinkSpec(10.0, 50e6),
         ("a", "b"): LinkSpec(1.0, 100e6),
     }
-    return TelemetryView(Topology(hosts, links, DEFAULT_LINK))
+    return TelemetryView(Topology(hosts, {**base, **(links or {})}, DEFAULT_LINK))
 
 
 RATE = {"a": 8 * 3.6, "b": 4 * 1.5}
@@ -152,18 +153,18 @@ def reference_estimate(app, hosts_by_task, user, master, view, frame):
             parents = app.parents(name)
             if parents:
                 start = max(
-                    finish[p] + (0.0 if hosts_by_task[p] == host else view.link_transfer_ms(
+                    finish[p] + (0.0 if hosts_by_task[p] == host else view.topology.transfer_ms(
                         hosts_by_task[p], host, app.tasks[p].output_size_bytes))
                     for p in parents
                 )
             else:
-                start = view.link_transfer_ms(user, master, frame) \
-                    + view.link_transfer_ms(master, host, frame)
+                start = view.topology.transfer_ms(user, master, frame) \
+                    + view.topology.transfer_ms(master, host, frame)
             finish[name] = start + app.tasks[name].compute_cost / view.host_rate(host)
     return max(
         finish[name]
-        + view.link_transfer_ms(hosts_by_task[name], master, app.tasks[name].output_size_bytes)
-        + view.link_transfer_ms(master, user, app.tasks[name].output_size_bytes)
+        + view.topology.transfer_ms(hosts_by_task[name], master, app.tasks[name].output_size_bytes)
+        + view.topology.transfer_ms(master, user, app.tasks[name].output_size_bytes)
         for name in app.exit_tasks
     )
 
@@ -234,16 +235,16 @@ class _CacheBasedModel:
         key = (src_host, dst_host, size)
         cached = self._edge_cache.get(key)
         if cached is None:
-            cached = self.view.link_transfer_ms(src_host, dst_host, size)
+            cached = self.view.topology.transfer_ms(src_host, dst_host, size)
             self._edge_cache[key] = cached
         return cached
 
     def ingress_ms(self, entry_host):
         cached = self._ingress_cache.get(entry_host)
         if cached is None:
-            cached = self.view.link_transfer_ms(
+            cached = self.view.topology.transfer_ms(
                 self.user_host, self.master_host, self.frame_size_bytes
-            ) + self.view.link_transfer_ms(self.master_host, entry_host, self.frame_size_bytes)
+            ) + self.view.topology.transfer_ms(self.master_host, entry_host, self.frame_size_bytes)
             self._ingress_cache[entry_host] = cached
         return cached
 
@@ -251,8 +252,8 @@ class _CacheBasedModel:
         key = (exit_host, size)
         cached = self._egress_cache.get(key)
         if cached is None:
-            cached = self.view.link_transfer_ms(exit_host, self.master_host, size) \
-                + self.view.link_transfer_ms(self.master_host, self.user_host, size)
+            cached = self.view.topology.transfer_ms(exit_host, self.master_host, size) \
+                + self.view.topology.transfer_ms(self.master_host, self.user_host, size)
             self._egress_cache[key] = cached
         return cached
 
@@ -279,13 +280,13 @@ class _CacheBasedModel:
 
 
 def _perturbed_view(data):
-    view = _view()
-    # telemetry samples override the topology on some links, and not on others
+    # drawn links replace the topology's on some pairs and not on others; an
+    # ordered pair is looked up before its reverse, so (m, a) and (a, m) may differ
+    links = {}
     for a, b in data.draw(st.sets(st.sampled_from(
             [("u", "m"), ("m", "a"), ("a", "m"), ("m", "b"), ("a", "b"), ("b", "c"), ("m", "c")]))):
-        view.observe(LinkSample(host_a=a, host_b=b, latency_ms=data.draw(st.floats(0.0, 50.0)),
-                                data_rate_bps=data.draw(st.floats(1e5, 1e9)), packet_size=64,
-                                sampled_at=1.0))
+        links[(a, b)] = LinkSpec(data.draw(st.floats(0.0, 50.0)), data.draw(st.floats(1e5, 1e9)))
+    view = _view(links)
     view.observe(HostProfile(host="c", cpu_cores=2, cpu_freq_ghz=1.2, mem_capacity_mb=1024,
                              cpu_util=0.3, mem_util=0.1, sampled_at=1.0))
     return view
@@ -380,9 +381,7 @@ def test_models_share_compiled_code_per_shape_but_not_tables():
     _compile_critical_path.cache_clear()
     app = _irregular_app()
     idle = _view()
-    busy = _view()
-    busy.observe(LinkSample(host_a="a", host_b="b", latency_ms=40.0, data_rate_bps=2e6,
-                            packet_size=64, sampled_at=1.0))
+    busy = _view({("a", "b"): LinkSpec(40.0, 2e6)})
     first = _assert_equals_oracle_exactly(app, _abc_candidates(app), idle, 30000)
     assert _compile_critical_path.cache_info().misses == 1
     second = _assert_equals_oracle_exactly(app, _abc_candidates(app), busy, 30000)

@@ -10,7 +10,6 @@ from fogsim.protocol import (
     ComponentKind,
     HostProfile,
     ImageRecord,
-    LinkSample,
     LogUpload,
     MessageEnvelope,
     Probe,
@@ -34,11 +33,6 @@ def profile(host, sampled_at=0.0, util=0.0, cores=4, ghz=2.0):
                        sampled_at=sampled_at)
 
 
-def link(a, b, latency=5.0, rate=100e6, sampled_at=0.0):
-    return LinkSample(host_a=a, host_b=b, latency_ms=latency, data_rate_bps=rate,
-                      packet_size=65536, sampled_at=sampled_at)
-
-
 def test_validate_catches_each_bad_field():
     assert validate_record(profile("h")) is None
     assert "cpu_cores" in validate_record(profile("h", cores=0))
@@ -46,8 +40,8 @@ def test_validate_catches_each_bad_field():
     assert "finite" in validate_record(profile("h", ghz=float("inf")))
     assert "sampled_at" in validate_record(profile("h", sampled_at=-1.0))
     assert "task" in validate_record(ImageRecord(host="h", task="", available=True, sampled_at=0.0))
-    assert "latency" in validate_record(link("a", "b", latency=-1.0))
-    assert "data_rate" in validate_record(link("a", "b", rate=0.0))
+    assert "processing_ms" in validate_record(
+        ProcessingSample(task="t", host="h", processing_ms=-1.0, sampled_at=1.0))
     assert "response_ms" in validate_record(
         ResponseSample(request_id="r", app="a", response_ms=-5.0, sampled_at=1.0))
     assert "not a telemetry record" in validate_record("hello")
@@ -55,7 +49,8 @@ def test_validate_catches_each_bad_field():
 
 def test_ingest_accepts_good_rejects_bad_with_reasons():
     store = LogStore()
-    good = [profile("a"), link("a", "b"), ImageRecord(host="a", task="t", available=True, sampled_at=1.0)]
+    good = [profile("a"), ProcessingSample(task="t", host="a", processing_ms=3.0, sampled_at=1.0),
+            ImageRecord(host="a", task="t", available=True, sampled_at=1.0)]
     bad = profile("c", util=2.0)
     accepted, rejected = store.ingest(good + [bad])
     assert accepted == 3
@@ -72,8 +67,9 @@ def test_view_freshest_wins_insertion_breaks_ties():
     assert view.host_profiles == {"h": fresh}
     view.observe(tied)
     assert view.host_profiles == {"h": tied}
-    view.observe_all([link("a", "b", sampled_at=1.0), link("b", "a", sampled_at=2.0)])
-    assert set(view.links) == {("a", "b"), ("b", "a")}
+    fresh_image = ImageRecord(host="h", task="t", available=False, sampled_at=2.0)
+    view.observe_all([fresh_image, ImageRecord(host="h", task="t", available=True, sampled_at=1.0)])
+    assert view.images == {("h", "t"): fresh_image}
 
 
 def test_snapshot_is_latest_per_key_in_sorted_order():
@@ -84,15 +80,12 @@ def test_snapshot_is_latest_per_key_in_sorted_order():
         profile("a", sampled_at=5.0, util=0.4),
         ImageRecord(host="b", task="t2", available=True, sampled_at=0.0),
         ImageRecord(host="a", task="t1", available=True, sampled_at=0.0),
-        link("b", "c", sampled_at=0.0),
-        link("a", "b", sampled_at=0.0),
         ResponseSample(request_id="r", app="x", response_ms=10.0, sampled_at=0.0),
     ])
     snap = store.snapshot()
     assert [r.host for r in snap[:2]] == ["a", "b"]
     assert snap[0].cpu_util == 0.4
-    assert [(r.host, r.task) for r in snap[2:4]] == [("a", "t1"), ("b", "t2")]
-    assert [(r.host_a, r.host_b) for r in snap[4:]] == [("a", "b"), ("b", "c")]
+    assert [(r.host, r.task) for r in snap[2:]] == [("a", "t1"), ("b", "t2")]
     assert store.snapshot() == snap
 
 
@@ -103,7 +96,8 @@ def stored(store):
 
 def test_ingest_files_each_record_in_its_table():
     store = LogStore()
-    records = [profile("a", sampled_at=3.0), link("a", "b"),
+    records = [profile("a", sampled_at=3.0),
+               ProcessingSample(task="t", host="a", processing_ms=4.0, sampled_at=0.0),
                ImageRecord(host="a", task="t", available=False, sampled_at=1.0),
                ResponseSample(request_id="r", app="x", response_ms=12.5, sampled_at=2.0)]
     assert store.ingest(records) == (4, [])
@@ -118,7 +112,6 @@ _records = st.one_of(
     st.builds(profile, _hosts, sampled_at=_times, util=st.sampled_from([0.0, 0.5, 1.5])),
     st.builds(ImageRecord, host=_hosts, task=st.sampled_from(["t1", "t2", ""]),
               available=st.booleans(), sampled_at=_times),
-    st.builds(link, _hosts, _hosts, latency=st.sampled_from([1.0, 7.0, -2.0]), sampled_at=_times),
     st.builds(ProcessingSample, task=st.sampled_from(["t1", "t2"]), host=_hosts,
               processing_ms=st.sampled_from([3.0, -1.0]), sampled_at=_times),
     st.builds(ResponseSample, request_id=st.sampled_from(["r1", "r2"]), app=st.just("x"),
@@ -130,14 +123,12 @@ _records = st.one_of(
 def brute_force_snapshot(records):
     """Per key, the last-inserted of the records with the largest sampled_at."""
 
-    groups = ({}, {}, {})
+    groups = ({}, {})
     for r in records:
         if isinstance(r, HostProfile):
             groups[0].setdefault(r.host, []).append(r)
         elif isinstance(r, ImageRecord):
             groups[1].setdefault((r.host, r.task), []).append(r)
-        elif isinstance(r, LinkSample):
-            groups[2].setdefault((r.host_a, r.host_b), []).append(r)
     out = []
     for by_key in groups:
         for key in sorted(by_key):
@@ -191,23 +182,6 @@ def test_view_freshest_sample_overrides_topology():
     assert view.host_rate("a") == pytest.approx(8 * 3.6 * 0.5)
     view.observe(profile("a", sampled_at=50.0, util=0.0, cores=8, ghz=3.6))
     assert view.host_rate("a") == pytest.approx(8 * 3.6 * 0.5)  # stale ignored
-
-
-def test_view_link_falls_back_to_topology_then_sample_wins():
-    view = TelemetryView(two_host_topology())
-    assert view.link_transfer_ms("a", "b", 65536) == pytest.approx(5.0 + 65536 * 8 / 100e6 * 1000)
-    view.observe(link("b", "a", latency=20.0, rate=10e6, sampled_at=1.0))
-    # samples are direction-agnostic: the (b, a) reading serves (a, b) too
-    assert view.link_transfer_ms("a", "b", 65536) == pytest.approx(20.0 + 65536 * 8 / 10e6 * 1000)
-    assert view.link_latency_ms("a", "b") == 20.0
-    assert view.link_transfer_ms("a", "a", 65536) == 0.0
-
-
-def test_view_without_topology_defaults_to_zero_cost_links():
-    view = TelemetryView()
-    assert view.link_transfer_ms("x", "y", 1000) == 0.0
-    view.observe(link("x", "y", latency=3.0, rate=8e6, sampled_at=0.0))
-    assert view.link_transfer_ms("x", "y", 1000) == pytest.approx(3.0 + 1.0)
 
 
 # -- remote logger ----------------------------------------------------------------
