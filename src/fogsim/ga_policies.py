@@ -7,6 +7,14 @@ The flagship policy seeds its initial population from past winners for the
 same app and deduplicates on decoded assignments, which is what makes warm
 starts converge in a handful of iterations.
 
+A row of genes is keyed by its index bytes: floored and clamped, cast to the
+narrowest unsigned dtype that holds every candidate index, and sliced out of
+the block's bytes.  The fitness memo and the dedup both use that key; the
+assignment tuple is built only when fitness must run on it.  A row whose key
+the generation has already taken is skipped before it is boxed as an
+individual, and its key is cached already, so skipping it costs no fitness
+call.
+
 A generation refills its population in rounds: binary tournaments pick
 parents from the current population, SBX and polynomial mutation breed
 offspring from them, and rounds repeat until the pool is full or
@@ -15,14 +23,15 @@ generation select from the same population and differ only in their draws,
 so the loop breeds a block of rounds at once: it draws each round's
 tournament entrants and uniforms in the order a round-by-round loop would,
 notes the generator's state after each round, and runs the operators over
-the whole block as one set of array operations.  It then scores the rounds
-in order; when the refill ends before the block does, it restores the state
-noted after the last round used, so the rounds not used take no draws and no
-fitness calls.  A generation's first block is as long as the previous
-generation's refill; a top-up block is only as long as the refill must
-still run.  Once every assignment has been scored the search stops, since
-the best can no longer change.  A seed yields the same placements, series,
-fitness calls and evaluation counts as a loop over individuals.
+the whole block as one set of array operations; mutation computes its step
+only for the genes its mask hits.  It then scores the rounds in order; when
+the refill ends before the block does, it restores the state noted after the
+last round used, so the rounds not used take no draws and no fitness calls.
+A generation's first block is as long as the previous generation's refill; a
+top-up block is only as long as the refill must still run.  Once every
+assignment has been scored the search stops, since the best can no longer
+change.  A seed yields the same placements, series, fitness calls and
+evaluation counts as a loop over individuals.
 """
 
 from __future__ import annotations
@@ -50,14 +59,15 @@ class GaParams:
     def validate(self):
         if self.pop_size < 1:
             raise ValueError("pop_size must be at least 1")
-        if self.hist_ratio < 1:
-            raise ValueError("hist_ratio must be at least 1")
+        if not 1 <= self.hist_ratio < math.inf:
+            raise ValueError("hist_ratio must be finite and at least 1")
         if self.max_iteration_num < 1:
             raise ValueError("max_iteration_num must be at least 1")
         if self.n_parents < 1 or self.n_offsprings < 1:
             raise ValueError("n_parents and n_offsprings must be at least 1")
-        if self.crossover_eta <= 0 or self.mutation_eta <= 0:
-            raise ValueError("distribution indices must be positive")
+        for name in ("crossover_eta", "mutation_eta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError("mutation_prob must lie in [0, 1]")
 
@@ -68,7 +78,7 @@ class GaParams:
 @dataclass(slots=True)
 class Individual:
     genes: np.ndarray
-    assignment: tuple
+    key: bytes  # index bytes of the decoded assignment
     fitness: float
 
 
@@ -106,11 +116,29 @@ def _clamp(x, lower, upper):
     return np.minimum(np.maximum(x, lower), upper)
 
 
-def decode(genes: np.ndarray, counts: np.ndarray) -> list[tuple]:
-    """Floor each gene of each row and clamp it into its candidate range."""
+def _index_dtype(counts: np.ndarray) -> np.dtype:
+    """The narrowest unsigned dtype that holds every candidate index."""
 
-    idx = _clamp(np.floor(genes).astype(int), 0, counts - 1)
-    return list(map(tuple, idx.tolist()))
+    return np.min_scalar_type(int(counts.max(initial=1)) - 1)
+
+
+def _keys(genes: np.ndarray, counts: np.ndarray, dtype) -> list[bytes]:
+    """Each row's index bytes: each gene floored and clamped into its candidate range."""
+
+    idx = _clamp(np.floor(genes).astype(int), 0, counts - 1).astype(dtype)
+    data, step = idx.tobytes(), idx.shape[1] * idx.itemsize
+    return [data[i * step:(i + 1) * step] for i in range(len(idx))]
+
+
+def _assignment(key: bytes, dtype) -> tuple:
+    return tuple(np.frombuffer(key, dtype).tolist())
+
+
+def decode(genes: np.ndarray, counts: np.ndarray) -> list[tuple]:
+    """Each row's assignment: a tuple of candidate indices."""
+
+    dtype = _index_dtype(counts)
+    return [_assignment(key, dtype) for key in _keys(genes, counts, dtype)]
 
 
 def _checked_counts(counts_list, params: GaParams) -> np.ndarray:
@@ -121,16 +149,25 @@ def _checked_counts(counts_list, params: GaParams) -> np.ndarray:
     return counts
 
 
-def _score(rows: np.ndarray, assignments: list[tuple], fitness, cache: dict) -> list[Individual]:
-    """One individual per row; fitness runs once per decoded assignment ever seen."""
+def _score(rows: np.ndarray, keys: list[bytes], dtype, fitness, cache: dict, pool: list, seen: set | None = None):
+    """Append one individual per row to pool; fitness runs once per key ever seen.
 
-    out = []
-    for genes, assignment in zip(rows, assignments):
-        value = cache.get(assignment)
-        if value is None:
-            value = cache[assignment] = fitness(assignment)
-        out.append(Individual(genes, assignment, value))
-    return out
+    cache maps a key to its (fitness, assignment), and the assignment tuple
+    is built only on a miss.  Given seen, a row whose key is in it is skipped
+    before it is boxed.  Every key in seen is cached already, so the skip
+    costs no fitness call.
+    """
+
+    for i, key in enumerate(keys):
+        if seen is not None:
+            if key in seen:
+                continue
+            seen.add(key)
+        scored = cache.get(key)
+        if scored is None:
+            assignment = _assignment(key, dtype)
+            scored = cache[key] = (fitness(assignment), assignment)
+        pool.append(Individual(rows[i], key, scored[0]))
 
 
 def tournament_select(fitness: list, bounds: np.ndarray, rng) -> list[int]:
@@ -161,26 +198,30 @@ def _breed(p1, p2, uniforms, params: GaParams, mutation_prob: float, upper) -> n
     and children 0.5*((1 +- beta)p1 + (1 -+ beta)p2): c1, c2 of pair 0, then
     of pair 1, ..., cut to n_offsprings.  Identical parents reproduce
     themselves exactly.  Deb's polynomial mutation then moves each gene with
-    probability mutation_prob.  Every child is clamped into its gene bounds
-    after each step.  Returns (rounds, n_offsprings, genes) rows.
+    probability mutation_prob; its step is computed only for the genes it
+    moves.  Every child is clamped into its gene bounds after each step.
+    Returns (rounds, n_offsprings, genes) rows.
     """
 
     rounds, pairs, width = p1.shape
     n_offsprings = params.n_offsprings
     u = _clamp(uniforms[:, :pairs * width].reshape(p1.shape), 1e-12, 1.0 - 1e-12)
     beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.crossover_eta + 1.0))
+    plus, minus = 1.0 + beta, 1.0 - beta
     children = np.empty((rounds, 2 * pairs, width))
-    children[:, 0::2] = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    children[:, 1::2] = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    children[:, 0::2] = 0.5 * (plus * p1 + minus * p2)
+    children[:, 1::2] = 0.5 * (minus * p1 + plus * p2)
     children = _clamp(children[:, :n_offsprings], 0.0, upper)
 
     draws = uniforms[:, pairs * width:].reshape(rounds, n_offsprings, 2, width)
-    mask = draws[:, :, 0] < mutation_prob
-    u = _clamp(draws[:, :, 1], 1e-12, 1.0 - 1e-12)
+    hit = (draws[:, :, 0] < mutation_prob).nonzero()
+    u = _clamp(draws[:, :, 1][hit], 1e-12, 1.0 - 1e-12)
     low = u < 0.5
     power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (params.mutation_eta + 1.0))
     delta = np.where(low, power - 1.0, 1.0 - power)
-    return _clamp(children + mask * delta * upper, 0.0, upper)
+    top = upper[hit[2]]
+    children[hit] = _clamp(children[hit] + delta * top, 0.0, top)
+    return children
 
 
 def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool) -> PolicyResult:
@@ -188,10 +229,11 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
 
     counts = _checked_counts(counts_list, params)
     index_counts = counts.astype(int)
+    dtype = _index_dtype(index_counts)
     space = math.prod(index_counts.tolist())
     upper = counts - GENE_EPS
     width = len(counts)
-    cache: dict[tuple, float] = {}
+    cache: dict[bytes, tuple[float, tuple]] = {}
     mutation_prob = params.mutation_prob
     if mutation_prob is None:
         mutation_prob = 1.0 / len(counts_list)
@@ -202,14 +244,14 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
     n_uniforms = pairs * width + n_offsprings * 2 * width
     per_round = n_parents + n_offsprings
 
-    def random_individuals(m: int) -> list[Individual]:
-        rows = rng.random((m, width)) * counts
-        return _score(rows, decode(rows, index_counts), fitness, cache)
+    def score(rows: np.ndarray, pool: list, seen: set | None):
+        _score(rows, _keys(rows, index_counts, dtype), dtype, fitness, cache, pool, seen)
 
+    pop: list[Individual] = []
+    seen = set() if dedup else None
     seeds = np.array(seed_genes, dtype=float).reshape(len(seed_genes), width)
-    initial = _score(seeds, decode(seeds, index_counts), fitness, cache)
-    initial += random_individuals(pop_size - len(initial))
-    pop = _dedup(initial) if dedup else initial
+    score(seeds, pop, seen)
+    score(rng.random((pop_size - len(seeds), width)) * counts, pop, seen)
     pop.sort(key=lambda ind: ind.fitness)
     best = pop[0]
 
@@ -225,7 +267,7 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
         pop_fitness = [ind.fitness for ind in pop]
         bounds = np.tile([len(pop), len(pop) - 1], n_parents)
         pool: list[Individual] = []
-        seen: set[tuple] = set()
+        seen = set() if dedup else None
         stall = used = 0
         while len(pool) < pop_size and stall < REFILL_STALL_LIMIT:
             # Draw `block` rounds in stream order, noting the generator's
@@ -240,21 +282,15 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
             children = _breed(
                 parents[:, mates1], parents[:, mates2], np.array(uniforms), params, mutation_prob, upper,
             )
-            assignments = decode(children.reshape(-1, width), index_counts)
+            keys = _keys(children.reshape(-1, width), index_counts, dtype)
             for r, entrants in enumerate(winners):
                 used += 1
-                offspring = _score(
-                    children[r], assignments[r * n_offsprings:(r + 1) * n_offsprings], fitness, cache,
+                size = len(pool)
+                _admit([pop[k] for k in entrants], pool, seen)
+                _score(
+                    children[r], keys[r * n_offsprings:(r + 1) * n_offsprings], dtype, fitness, cache, pool, seen,
                 )
-                added = 0
-                for ind in [pop[k] for k in entrants] + offspring:
-                    if dedup:
-                        if ind.assignment in seen:
-                            continue
-                        seen.add(ind.assignment)
-                    pool.append(ind)
-                    added += 1
-                stall = stall + 1 if added == 0 else 0
+                stall = stall + 1 if len(pool) == size else 0
                 if len(pool) >= pop_size or stall >= REFILL_STALL_LIMIT:
                     if r < block - 1:
                         rng.bit_generator.state = states[r]  # un-draw the rounds not used
@@ -266,18 +302,18 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
                 block = min(-(-(pop_size - len(pool)) // per_round), REFILL_STALL_LIMIT - stall)
         block = used
         if len(pool) < pop_size:
-            # stalled refill: random padding, duplicates allowed
-            pool += random_individuals(pop_size - len(pool))
+            # stalled refill: random padding
+            score(rng.random((pop_size - len(pool), width)) * counts, pool, seen)
         merged = [best] + pool
         if dedup:
-            merged = _dedup(merged)
+            merged = _admit(merged, [], set())
         merged.sort(key=lambda ind: ind.fitness)
         pop = merged[:pop_size]
         best = pop[0]
         series.append(best.fitness)
 
     return PolicyResult(
-        assignment=best.assignment,
+        assignment=cache[best.key][1],
         genes=best.genes,
         fitness=best.fitness,
         series=series,
@@ -285,17 +321,16 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
     )
 
 
-def _dedup(individuals: list) -> list:
-    """Keep the first individual per decoded assignment, preserving order."""
+def _admit(individuals: list, pool: list, seen: set | None) -> list:
+    """Append each individual to pool and return it; given seen, skip a key it holds."""
 
-    seen: set[tuple] = set()
-    out = []
     for ind in individuals:
-        if ind.assignment in seen:
-            continue
-        seen.add(ind.assignment)
-        out.append(ind)
-    return out
+        if seen is not None:
+            if ind.key in seen:
+                continue
+            seen.add(ind.key)
+        pool.append(ind)
+    return pool
 
 
 def _history_seeds(history, app, params, counts_list) -> list[np.ndarray]:
@@ -338,16 +373,20 @@ def random_policy(counts, fitness, params: GaParams, rng, history: HistoryStore 
     """Uniform random search: one fresh assignment per iteration, best kept."""
 
     counts_arr = _checked_counts(counts, params)
-    cache: dict[tuple, float] = {}
+    index_counts = counts_arr.astype(int)
+    dtype = _index_dtype(index_counts)
+    cache: dict[bytes, tuple[float, tuple]] = {}
     rows = rng.random((params.max_iteration_num, len(counts_arr))) * counts_arr
+    candidates: list[Individual] = []
+    _score(rows, _keys(rows, index_counts, dtype), dtype, fitness, cache, candidates)
     best = None
     series = []
-    for candidate in _score(rows, decode(rows, counts_arr.astype(int)), fitness, cache):
+    for candidate in candidates:
         if best is None or candidate.fitness < best.fitness:
             best = candidate
         series.append(best.fitness)
     return PolicyResult(
-        assignment=best.assignment,
+        assignment=cache[best.key][1],
         genes=best.genes,
         fitness=best.fitness,
         series=series,

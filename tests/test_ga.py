@@ -511,6 +511,41 @@ def test_game_of_life_shape_matches_sequential_reference(name):
         _assert_matches_reference(name, [5] * 62, params, seed, None, 1000)
 
 
+@pytest.mark.parametrize("name", ["ohnsga", "nsga2"])
+@pytest.mark.parametrize("mutation_prob", [0.0, 1.0])
+def test_game_of_life_shape_matches_reference_at_mutation_extremes(name, mutation_prob):
+    # 0.0 mutates no gene and 1.0 every gene: the empty and the full hit set.
+    params = GaParams(pop_size=20, max_iteration_num=30, n_parents=6, n_offsprings=10, mutation_prob=mutation_prob)
+    for seed in range(2):
+        _assert_matches_reference(name, [5] * 62, params, seed, None, 1000)
+
+
+# Assignments are keyed by index bytes in the narrowest unsigned dtype that
+# holds the largest index, so each width meets its edge here: 256 candidates
+# still fit uint8 and 257 do not; 65,536 still fit uint16 and 65,537 do not.
+_WIDE_COUNTS = [
+    [1, 255, 256],
+    [256, 257, 1, 255],
+    [65536, 1, 257, 256],
+    [65537, 256, 1, 65536, 257],
+]
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+@pytest.mark.parametrize("counts", _WIDE_COUNTS)
+def test_wide_candidate_ranges_match_sequential_reference(name, counts):
+    params = GaParams(pop_size=12, hist_ratio=4.0, max_iteration_num=20, n_parents=4, n_offsprings=6)
+    # The largest index is the one a too-narrow key would wrap.  decode casts
+    # through the same dtype as the keys; a history seed at the top of every
+    # range puts each largest index into ohnsga's first population.
+    top = [c - 0.5 for c in counts]
+    assert decode(np.array([top]), np.array(counts)) == [tuple(c - 1 for c in counts)]
+    history = HistoryStore()
+    history.record("app", np.array(top), 0.0)
+    for seed in range(3):
+        _assert_matches_reference(name, counts, params, seed, history, 1000)
+
+
 def test_one_uniform_draw_continues_the_stream_like_two():
     # The batched loop draws a refill round's SBX and mutation uniforms in one
     # call where a round used to make two; that is the same stream

@@ -187,6 +187,12 @@ def reject(mutate, match):
     (lambda t: t.update(apps=_custom_app()) or t["apps"]["custom"][0]["tasks"].append(
         {"name": "t", "compute_cost": 2.0, "output_size_bytes": 1}),
      r"apps\.custom\[0\]\.tasks\[1\]\.name: duplicate task 't'"),
+    (lambda t: t["ga"].__setitem__("crossover_eta", float("nan")), r"^ga: crossover_eta must be finite"),
+    (lambda t: t["ga"].__setitem__("mutation_eta", float("nan")), r"^ga: mutation_eta must be finite"),
+    (lambda t: t["ga"].__setitem__("hist_ratio", float("nan")), r"^ga: hist_ratio must be finite"),
+    (lambda t: t["ga"].__setitem__("crossover_eta", float("inf")), r"^ga: crossover_eta must be finite"),
+    (lambda t: t["ga"].__setitem__("mutation_eta", float("inf")), r"^ga: mutation_eta must be finite"),
+    (lambda t: t["ga"].__setitem__("hist_ratio", float("inf")), r"^ga: hist_ratio must be finite"),
 ])
 def test_invalid_scenarios_are_rejected_with_paths(mutate, match):
     reject(mutate, match)
