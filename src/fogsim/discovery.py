@@ -11,14 +11,16 @@ number of masters and never de-register.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Container
 
 from .netsim import SimKernel, Topology, scan_subnet
 from .protocol import (
     ACTOR_PORT,
     MASTER_PORT,
     Address,
+    AdvertiseMaster,
     ComponentKind,
+    MessageEnvelope,
     Probe,
     ProbeReply,
 )
@@ -45,11 +47,11 @@ class DiscoveryConfig:
 class Discovery:
     """Subnet sweep driven by the owning master's periodic timer.
 
-    The owner supplies small callbacks instead of itself so this class
-    stays free of master internals: ``send`` transmits a payload,
-    ``is_registered`` checks whether an actor address is already in the
-    registry, ``on_master`` records a foreign master and ``advertise``
-    sends AdvertiseMaster to an actor address.
+    The sweep sends its probes and AdvertiseMaster nudges itself, from the
+    owner's address. The owner passes the rest on each tick: ``registered``,
+    the actor addresses already in its registry, and ``on_master``, which
+    records a foreign master. Only the sweep's pending close holds them, so
+    the sweep keeps no reference to its owner.
     """
 
     def __init__(
@@ -58,37 +60,34 @@ class Discovery:
         topology: Topology,
         self_address: Address,
         config: DiscoveryConfig,
-        send: Callable[[Address, object], None],
-        is_registered: Callable[[Address], bool],
-        on_master: Callable[[Address], None],
-        advertise: Callable[[Address], None],
     ) -> None:
         config.validate()
         self.kernel = kernel
         self.topology = topology
         self.self_address = self_address
         self.config = config
-        self._send = send
-        self._is_registered = is_registered
-        self._on_master = on_master
-        self._advertise = advertise
         self._last_tick = float("-inf")
         self._round = 0
         self._open_round: int | None = None
         self._replies: dict[Address, ProbeReply] = {}
         self.rounds_run = 0
 
-    def maybe_tick(self, now: float) -> bool:
+    def maybe_tick(
+        self, now: float, registered: Container[Address], on_master: Callable[[Address], None]
+    ) -> bool:
         """Run a sweep unless one ran less than an interval ago."""
         if not self.config.enabled:
             return False
         if now - self._last_tick < self.config.interval_ms:
             return False
         self._last_tick = now
-        self._start_round()
+        self._start_round(registered, on_master)
         return True
 
-    def _start_round(self) -> None:
+    def _send(self, dest: Address, payload) -> None:
+        self.kernel.send(MessageEnvelope(self.self_address, dest, payload))
+
+    def _start_round(self, registered: Container[Address], on_master: Callable[[Address], None]) -> None:
         hosts = scan_subnet(self.self_address.host, self.config.net_mask, self.topology)
         targets = []
         for host in hosts:
@@ -109,7 +108,7 @@ class Discovery:
             link = self.topology.link(self.self_address.host, target.host)
             worst_rtt = max(worst_rtt, 2.0 * link.latency_ms)
         deadline = worst_rtt + self.config.grace_ms
-        self.kernel.schedule(deadline, lambda: self._finish_round(round_id))
+        self.kernel.schedule(deadline, lambda: self._finish_round(round_id, registered, on_master))
 
     def on_probe_reply(self, source: Address, reply: ProbeReply) -> None:
         """Record a reply if a sweep is still collecting; late ones drop."""
@@ -117,7 +116,9 @@ class Discovery:
             return
         self._replies.setdefault(source, reply)
 
-    def _finish_round(self, round_id: int) -> None:
+    def _finish_round(
+        self, round_id: int, registered: Container[Address], on_master: Callable[[Address], None]
+    ) -> None:
         if self._open_round != round_id:
             return
         self._open_round = None
@@ -126,7 +127,7 @@ class Discovery:
         seen: set[Address] = set()
         for source, reply in replies.items():
             if reply.kind == ComponentKind.Master:
-                self._on_master(source)
+                on_master(source)
                 for addr in reply.actors:
                     if addr not in seen:
                         seen.add(addr)
@@ -136,5 +137,5 @@ class Discovery:
                     seen.add(source)
                     actor_addrs.append(source)
         for addr in actor_addrs:
-            if not self._is_registered(addr):
-                self._advertise(addr)
+            if addr not in registered:
+                self._send(addr, AdvertiseMaster(master=self.self_address))

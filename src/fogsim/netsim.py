@@ -135,16 +135,21 @@ def scan_subnet(gateway: str, net_mask: int, topology: Topology) -> list[str]:
 
 
 class _Event:
-    __slots__ = ("time", "seq", "action", "cancelled")
+    """A timer in a kernel's heap; its action is None once it fired or was cancelled.
+
+    Dropping the action lets a component keep its event (a cool-off or
+    timeout handle) without the event's closure keeping the component alive.
+    """
+
+    __slots__ = ("time", "seq", "action")
 
     def __init__(self, time, seq, action):
         self.time = time
         self.seq = seq
         self.action = action
-        self.cancelled = False
 
     def cancel(self):
-        self.cancelled = True
+        self.action = None
 
     def __lt__(self, other):
         return (self.time, self.seq) < (other.time, other.seq)
@@ -237,13 +242,27 @@ class SimKernel:
             if event.time > until_ms:
                 break
             heapq.heappop(self._queue)
-            if event.cancelled:
+            action = event.action
+            if action is None:
                 continue
+            event.action = None
             self.now = max(self.now, event.time)
-            event.action()
+            action()
             if stop_when is not None and stop_when():
                 break
         return self.now
+
+    def close(self) -> None:
+        """Drops the handlers and the pending events, which hold the components.
+
+        ``Runtime.run()`` calls it when the deployment ends. The clock, the
+        counts and the traffic table stay readable.
+        """
+
+        for event in self._queue:
+            event.action = None
+        self._queue.clear()
+        self._handlers.clear()
 
 
 class HostCompute:

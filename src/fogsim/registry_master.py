@@ -144,16 +144,7 @@ class Master:
         self.completed = 0
         self.protocol_anomalies = 0
 
-        self.discovery = Discovery(
-            kernel,
-            kernel.topology,
-            self.address,
-            discovery_config or DiscoveryConfig(),
-            send=self._send,
-            is_registered=lambda addr: addr in self.actors,
-            on_master=self._note_master,
-            advertise=lambda addr: self._send(addr, AdvertiseMaster(master=self.address)),
-        )
+        self.discovery = Discovery(kernel, kernel.topology, self.address, discovery_config or DiscoveryConfig())
 
     # -- identity & plumbing ----------------------------------------------------
 
@@ -192,7 +183,7 @@ class Master:
         self.view.observe(profile)
         if self.logger is not None:
             self._send(self.logger, LogUpload(records=[profile]), sender_id=self.id)
-        self.discovery.maybe_tick(self.kernel.now)
+        self.discovery.maybe_tick(self.kernel.now, self.actors, self._note_master)
         self._pump()
         self.kernel.schedule(self.period, self._profile_tick)
 

@@ -48,8 +48,7 @@ def emit_report(report: MetricsReport, out_dir: str) -> dict[str, str]:
 
     json_path = os.path.join(out_dir, "report.json")
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_tree(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report.to_tree(), indent=2, sort_keys=True) + "\n")
     written["report.json"] = json_path
 
     tables = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class MetricsReport:
     response: list = field(default_factory=list)  # policy, seed, estimate_ms, measured_ms, err_pct
 
     def to_tree(self) -> dict:
-        return asdict(self)
+        """The report as a JSON-ready tree; it shares the rows and the summary, it does not copy them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Runtime:
@@ -61,12 +62,14 @@ class Runtime:
         logger_addr = Address(config.loggers[0], LOGGER_PORT)
 
         self.masters: list[Master] = []
+        # Actors keep this factory, so it holds the parts it needs, not the Runtime.
+        kernel, computes, masters = self.kernel, self.computes, self.masters
 
         def spawn_master(host: str) -> Master:
             master = Master(
-                kernel=self.kernel,
+                kernel=kernel,
                 spec=config.topology.hosts[host],
-                compute=self.computes[host],
+                compute=computes[host],
                 apps=config.apps,
                 logger=logger_addr,
                 policy=config.policy,
@@ -79,7 +82,7 @@ class Runtime:
                 seed=config.seed,
             )
             master.start()
-            self.masters.append(master)
+            masters.append(master)
             return master
 
         for host in config.masters:
@@ -133,9 +136,20 @@ class Runtime:
     # -- execution -------------------------------------------------------------
 
     def run(self) -> None:
-        """Run until every user is done; users still unfinished at the time limit are a wedge."""
+        """Run until every user is done; users still unfinished at the time limit are a wedge.
+
+        A Runtime runs once. When run() returns or raises, the kernel is
+        closed and the users' done callbacks are dropped, so nothing left
+        refers back to the deployment and it is freed with its last
+        reference; the clock, the traffic and every component stay readable.
+        """
         stop_when = (lambda: not self._unfinished) if self.users else None
-        self.kernel.run(until_ms=self.config.time_limit_ms, stop_when=stop_when)
+        try:
+            self.kernel.run(until_ms=self.config.time_limit_ms, stop_when=stop_when)
+        finally:
+            self.kernel.close()
+            for user in self.users:
+                user.on_done = None
         if self._unfinished:
             raise DeadlockDetected(
                 f"{self._unfinished} of {len(self.users)} user(s) unfinished at the time limit",

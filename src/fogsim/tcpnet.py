@@ -1,7 +1,7 @@
 """Wall-clock kernel that carries envelopes over loopback TCP.
 
 RealtimeKernel has the simulated kernel's surface (topology, now,
-schedule, schedule_at, bind, unbind, is_bound, send, run, traffic) but
+schedule, schedule_at, bind, unbind, is_bound, send, run, close, traffic) but
 advances with the wall clock, so ``Runtime(config, kernel=RealtimeKernel)``
 runs a deployment over TCP; the CLI drives the simulated kernel.  The
 topology seeds the masters' views and discovery; no link model applies.
@@ -144,10 +144,12 @@ class RealtimeKernel:
             now = self.now
             if now >= until_ms:
                 return now
-            while self._timers and self._timers[0].cancelled:
+            while self._timers and self._timers[0].action is None:
                 heapq.heappop(self._timers)
             if self._timers and self._timers[0].time <= now:
-                heapq.heappop(self._timers).action()
+                timer = heapq.heappop(self._timers)
+                action, timer.action = timer.action, None
+                action()
                 continue
             horizon = min(until_ms, self._timers[0].time) if self._timers else until_ms
             timeout = None if horizon == math.inf else (horizon - now) / 1000.0
@@ -223,10 +225,18 @@ class RealtimeKernel:
         sock.close()
 
     def close(self) -> None:
-        for key in list(self._selector.get_map().values()):
+        """Closes every socket and drops the handlers and pending timers; a second call does nothing."""
+
+        keys = self._selector.get_map()
+        if keys is None:  # the selector is already closed
+            return
+        for key in list(keys.values()):
             key.fileobj.close()
         for sock, _ in self._conns.values():
             sock.close()
         self._selector.close()
         self._endpoints.clear()
         self._conns.clear()
+        for timer in self._timers:
+            timer.action = None
+        self._timers.clear()

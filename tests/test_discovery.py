@@ -3,7 +3,7 @@ import pytest
 
 from fogsim.discovery import Discovery, DiscoveryConfig
 from fogsim.netsim import LinkSpec, SimKernel, Topology, host_from_class
-from fogsim.protocol import ACTOR_PORT, MASTER_PORT, Address, ComponentKind, Probe, ProbeReply
+from fogsim.protocol import ACTOR_PORT, MASTER_PORT, Address, AdvertiseMaster, ComponentKind, Probe, ProbeReply
 
 
 def topology():
@@ -15,10 +15,10 @@ def topology():
 class Harness:
     def __init__(self, enabled=True, net_mask=24, interval_ms=1000.0, grace_ms=50.0):
         self.kernel = SimKernel(topology())
-        self.sent = []
+        self.envelopes = []
+        self.kernel.send = self.envelopes.append  # the sweep sends through its kernel
         self.registered = set()
         self.masters = []
-        self.advertised = []
         self.self_addr = Address("10.0.0.1", MASTER_PORT)
         self.discovery = Discovery(
             kernel=self.kernel,
@@ -26,11 +26,21 @@ class Harness:
             self_address=self.self_addr,
             config=DiscoveryConfig(enabled=enabled, interval_ms=interval_ms,
                                    net_mask=net_mask, grace_ms=grace_ms),
-            send=lambda addr, payload: self.sent.append((addr, payload)),
-            is_registered=lambda addr: addr in self.registered,
-            on_master=self.masters.append,
-            advertise=self.advertised.append,
         )
+
+    def tick(self, now):
+        return self.discovery.maybe_tick(now, self.registered, self.masters.append)
+
+    @property
+    def sent(self):
+        assert all(env.source == self.self_addr for env in self.envelopes)
+        return [(env.destination, env.payload) for env in self.envelopes]
+
+    @property
+    def advertised(self):
+        adverts = [(addr, p) for addr, p in self.sent if isinstance(p, AdvertiseMaster)]
+        assert all(p.master == self.self_addr for _, p in adverts)
+        return [addr for addr, _ in adverts]
 
 
 def test_config_validation():
@@ -45,21 +55,21 @@ def test_config_validation():
 
 def test_disabled_discovery_never_probes():
     h = Harness(enabled=False)
-    assert h.discovery.maybe_tick(0.0) is False
+    assert h.tick(0.0) is False
     assert h.sent == [] and h.discovery.rounds_run == 0
 
 
 def test_tick_rate_limited_to_the_interval():
     h = Harness()
-    assert h.discovery.maybe_tick(0.0) is True
-    assert h.discovery.maybe_tick(500.0) is False
-    assert h.discovery.maybe_tick(1000.0) is True
+    assert h.tick(0.0) is True
+    assert h.tick(500.0) is False
+    assert h.tick(1000.0) is True
     assert h.discovery.rounds_run == 2
 
 
 def test_probe_fan_out_covers_both_ports_of_subnet_peers_only():
     h = Harness()
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     targets = [addr for addr, _ in h.sent]
     assert all(isinstance(p, Probe) for _, p in h.sent)
     assert targets == [
@@ -72,13 +82,13 @@ def test_probe_fan_out_covers_both_ports_of_subnet_peers_only():
 
 def test_mask_32_yields_no_targets_and_no_round():
     h = Harness(net_mask=32)
-    assert h.discovery.maybe_tick(0.0) is True  # the tick happens, the sweep is empty
+    assert h.tick(0.0) is True  # the tick happens, the sweep is empty
     assert h.sent == [] and h.discovery.rounds_run == 0
 
 
 def test_round_collects_replies_then_advertises_unknown_actors():
     h = Harness()
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     known = Address("10.0.0.2", ACTOR_PORT)
     stranger = Address("10.0.0.3", ACTOR_PORT)
     h.registered.add(known)
@@ -91,7 +101,7 @@ def test_round_collects_replies_then_advertises_unknown_actors():
 
 def test_master_reply_is_noted_and_its_actors_are_merged_deduped():
     h = Harness()
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     peer = Address("10.0.0.2", MASTER_PORT)
     shared = Address("10.0.0.3", ACTOR_PORT)
     h.discovery.on_probe_reply(peer, ProbeReply(kind=ComponentKind.Master, actors=[shared]))
@@ -103,7 +113,7 @@ def test_master_reply_is_noted_and_its_actors_are_merged_deduped():
 
 def test_duplicate_replies_from_one_source_keep_the_first():
     h = Harness()
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     src = Address("10.0.0.2", MASTER_PORT)
     h.discovery.on_probe_reply(src, ProbeReply(kind=ComponentKind.Master, actors=[]))
     h.discovery.on_probe_reply(
@@ -115,7 +125,7 @@ def test_duplicate_replies_from_one_source_keep_the_first():
 
 def test_replies_after_the_window_are_dropped():
     h = Harness()
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     h.kernel.run()  # window closes with zero replies
     h.discovery.on_probe_reply(Address("10.0.0.2", ACTOR_PORT),
                                ProbeReply(kind=ComponentKind.Actor))
@@ -125,7 +135,7 @@ def test_replies_after_the_window_are_dropped():
 
 def test_logger_replies_are_ignored():
     h = Harness()
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     h.discovery.on_probe_reply(Address("10.0.0.2", ACTOR_PORT),
                                ProbeReply(kind=ComponentKind.RemoteLogger))
     h.kernel.run()
@@ -134,7 +144,7 @@ def test_logger_replies_are_ignored():
 
 def test_window_scales_with_the_slowest_link_round_trip():
     h = Harness(grace_ms=50.0)
-    h.discovery.maybe_tick(0.0)
+    h.tick(0.0)
     fired = []
     h.kernel.schedule(2 * 5.0 + 50.0 - 0.001, lambda: fired.append(h.advertised.copy()))
     h.discovery.on_probe_reply(Address("10.0.0.2", ACTOR_PORT),

@@ -109,6 +109,20 @@ def test_cancelled_events_do_not_fire():
     assert kernel.now == 2.0
 
 
+def test_fired_and_cancelled_events_hold_no_action():
+    # A component may keep its event handle; the event must not keep the
+    # closure, and through it the component, alive.
+    kernel = _kernel("a")
+    log = []
+    fired = kernel.schedule_at(1.0, lambda: log.append("fired"))
+    cancelled = kernel.schedule_at(2.0, lambda: log.append("no"))
+    cancelled.cancel()
+    assert cancelled.action is None
+    kernel.run()
+    assert log == ["fired"]
+    assert fired.action is None and cancelled.action is None
+
+
 def test_run_until_horizon_leaves_later_events_queued():
     kernel = _kernel("a")
     log = []

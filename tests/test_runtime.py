@@ -1,7 +1,11 @@
-"""Runtime: how long a deployment runs, how a wedged one is reported, and one deployment on either kernel."""
+"""Runtime: how long a deployment runs, how a wedged one is reported, that a
+finished one is freed, and one deployment on either kernel."""
 import copy
+import gc
 import json
 import threading
+import types
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +17,7 @@ from fogsim.ga_policies import POLICIES
 from fogsim.netsim import SimKernel
 from fogsim.protocol import Data, Result
 from fogsim.runner import Runtime, run_scenario
-from fogsim.scenario import load_scenario, parse_scenario, preset_tree
+from fogsim.scenario import load_scenario, parse_scenario, preset_names, preset_tree
 from fogsim.scheduler import ResponseModel, build_task_actors_map
 from fogsim.tcpnet import RealtimeKernel
 from fogsim.telemetry import TelemetryView
@@ -27,7 +31,12 @@ def test_deployment_stops_when_its_last_user_finishes():
     last = max(user.completed_at for user in runtime.users)
     assert runtime.kernel.now == last
     assert last < config.time_limit_ms / 10
-    assert runtime.kernel.run(until_ms=last + 1000.0) > last  # ticks and uploads left unrun
+    # run() closed its kernel; the same deployment driven by hand with run()'s
+    # stop condition stops at the same instant, with ticks and uploads left unrun.
+    again = Runtime(config)
+    again.kernel.run(until_ms=config.time_limit_ms, stop_when=lambda: all(user.done for user in again.users))
+    assert again.kernel.now == last
+    assert again.kernel.run(until_ms=last + 1000.0) > last
 
 
 def test_chained_user_runs_before_the_stop():
@@ -68,6 +77,51 @@ def test_user_unfinished_at_the_time_limit_raises_and_the_cli_exits_3(tmp_path, 
     assert f"user {user.request_id}" in capsys.readouterr().err
 
 
+def _first_cell(config):
+    """The config of the first deployment its experiment's driver builds (response's seed mix aside)."""
+    kind = config.experiment["kind"]
+    if kind == "convergence":
+        return replace(config, policy="ohnsga")
+    if kind == "scalability":
+        return replace(config, scaling_enabled=True, users=config.users[: config.experiment["counts"][0]])
+    if kind == "reuse":
+        app = config.experiment["apps"][0]
+        return replace(config, users=tuple(replace(u, app=app) for u in config.users))
+    if kind == "response":
+        return replace(config, policy=config.experiment["policies"][0])
+    return config
+
+
+def _of_fogsim(obj):
+    if isinstance(obj, types.MethodType):
+        obj = obj.__func__
+    module = obj.__module__ if isinstance(obj, types.FunctionType) else type(obj).__module__
+    return (module or "").split(".")[0] == "fogsim"
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_a_finished_deployment_is_freed_by_reference_counting(preset):
+    # With the collector off, every object of a dropped Runtime that is still
+    # allocated is in a reference cycle; DEBUG_SAVEALL keeps what collect() finds.
+    config = _first_cell(load_scenario(preset))
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        runtime = Runtime(config)
+        runtime.run()
+        del runtime
+        gc.collect()
+        leaked = Counter(type(obj).__name__ for obj in gc.garbage if _of_fogsim(obj))
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
+    assert not leaked, f"cyclic garbage of fogsim after a {preset} run: {dict(leaked)}"
+
+
 def _two_user_vocr():
     """Smoke with two VOCR users, the second chained after the first, sized to take seconds of wall time."""
     tree = preset_tree("smoke")
@@ -92,11 +146,7 @@ def _run_on(kernel, config):
         runtime.kernel.schedule(50.0, sample_threads)
 
     sample_threads()
-    try:
-        runtime.run()
-    finally:
-        if isinstance(runtime.kernel, RealtimeKernel):
-            runtime.kernel.close()
+    runtime.run()
     return runtime, thread_counts
 
 
@@ -143,6 +193,8 @@ def test_convergence_resolves_see_at_the_horizon_what_the_idle_ground_truth_give
     # built from the serving master's view there. The convergence driver stops
     # at the last user and builds it from the idle ground-truth view; both
     # must give the same estimates, and the driver the same report rows.
+    # run() closes its kernel, so the horizon is reached by a second
+    # deployment of the same config, driven by hand past the stop.
     config = replace(parse_scenario(tree), policy="ohnsga")
     runtime = Runtime(config)
     runtime.run()
@@ -151,8 +203,10 @@ def test_convergence_resolves_see_at_the_horizon_what_the_idle_ground_truth_give
     _, master = runtime.serving_state(user.request_id)
     actors_at_stop = sorted((a.addr, sorted(a.images)) for a in master.actors.values())
     history_at_stop = [genes.tolist() for genes in master.history.best_first(app.name)]
-    runtime.kernel.run(until_ms=config.time_limit_ms)
-    assert runtime.kernel.now == config.time_limit_ms
+    horizon = Runtime(config)
+    horizon.kernel.run(until_ms=config.time_limit_ms)
+    assert horizon.kernel.now == config.time_limit_ms
+    _, master = horizon.serving_state(user.request_id)
 
     # Nothing the re-solves read from the master moves after the stop ...
     assert sorted((a.addr, sorted(a.images)) for a in master.actors.values()) == actors_at_stop

@@ -2,11 +2,11 @@
 
 Every check runs against both kernels: delivery intactness, per-pair
 FIFO order, interleaving across pairs, fan-in from many sources, large
-frames, unbind semantics, silent drops for unbound destinations and
-handler exceptions.  The TCP-only checks at the end cover the wall-clock
-timers, a peer that sends a malformed frame, the descriptors unbind
-releases and a burst of new connections beyond Python's default listen
-backlog.
+frames, unbind semantics, silent drops for unbound destinations,
+handler exceptions and close.  The TCP-only checks at the end cover the
+wall-clock timers, a peer that sends a malformed frame, the descriptors
+unbind releases and a burst of new connections beyond Python's default
+listen backlog.
 """
 import os
 import socket
@@ -64,8 +64,7 @@ class Harness:
 def harness(request):
     kernel = request.param()
     yield Harness(kernel)
-    if isinstance(kernel, RealtimeKernel):
-        kernel.close()
+    kernel.close()
 
 
 def test_delivers_envelope_intact(harness):
@@ -197,6 +196,20 @@ def test_handler_exception_propagates_and_run_resumes(harness):
         harness.flush(3)
     harness.flush(2)
     assert got == ["raised", 1, 2]
+
+
+def test_close_drops_handlers_and_timers_keeps_counts_and_a_second_close_does_nothing(harness):
+    kernel = harness.kernel
+    dst = Address(HOSTS[1], 7000)
+    got = []
+    harness.bind(dst, got.append)
+    kernel.send(MessageEnvelope(Address(HOSTS[0], 7001), dst, Probe()))
+    harness.flush(1)
+    pending = kernel.schedule(60_000.0, lambda: got.append("late"))
+    kernel.close()
+    kernel.close()
+    assert pending.action is None and not kernel.is_bound(dst)
+    assert kernel.traffic[Probe].sent == 1 and len(got) == 1
 
 
 # -- TCP only: wall-clock timers, misbehaving peers, connection bursts --------------
