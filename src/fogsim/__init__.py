@@ -37,9 +37,7 @@ from .telemetry import (
     HostProfile,
     ImageRecord,
     LogStore,
-    ProcessingSample,
     RemoteLogger,
-    ResponseSample,
     TelemetryView,
 )
 from .user_sim import RequestMetrics, User, UserConfig
@@ -79,14 +77,12 @@ __all__ = [
     "POLICIES",
     "PlacementState",
     "PolicyResult",
-    "ProcessingSample",
     "ProtocolError",
     "RealtimeKernel",
     "RegisteredActor",
     "RemoteLogger",
     "RequestMetrics",
     "ResponseModel",
-    "ResponseSample",
     "Runtime",
     "ScaleCandidate",
     "ScenarioConfig",

@@ -41,7 +41,7 @@ from .protocol import (
     Result,
 )
 from .taskgraph import AppSpec
-from .telemetry import PROFILE_PERIOD_MS, ProcessingSample, sample_host
+from .telemetry import PROFILE_PERIOD_MS, sample_host
 
 __all__ = ["ActorConfig", "ExecutorPhase", "TaskExecutor", "Actor"]
 
@@ -162,7 +162,6 @@ class Actor:
         self._lane: deque = deque()
         self._lane_busy = False
         self._next_port = EXECUTOR_PORT_BASE
-        self._pending_perf: list = []
         self._master_pending = False
         self._master_requesters: list[Address] = []
         self._master_seed_actors: list[Address] = []
@@ -203,8 +202,7 @@ class Actor:
     def _profile_tick(self) -> None:
         profile = sample_host(self.spec, self.compute, self.kernel.now, self.period)
         if self.logger is not None:
-            self._upload(self.logger, [profile] + self._pending_perf)
-            self._pending_perf = []
+            self._upload(self.logger, [profile])
         for master in self.registered_masters:
             self._upload(master, [profile])
         self.kernel.schedule(self.period, self._profile_tick)
@@ -362,16 +360,12 @@ class Actor:
         executor.ready_frames.remove(seq)
         executor.running = True
         task = self.apps[executor.app_name].tasks[executor.task_name]
-        # The callback fires strictly later, after `duration` is bound.
-        duration = self.compute.submit(task.compute_cost, lambda: self._frame_done(executor, seq, duration))
+        self.compute.submit(task.compute_cost, lambda: self._frame_done(executor, seq))
 
-    def _frame_done(self, executor: TaskExecutor, seq: int, duration: float) -> None:
+    def _frame_done(self, executor: TaskExecutor, seq: int) -> None:
         executor.running = False
         frame = executor.frames.pop(seq)
         task = self.apps[executor.app_name].tasks[executor.task_name]
-        self._pending_perf.append(
-            ProcessingSample(task=executor.task_name, host=self.spec.host, processing_ms=duration, sampled_at=self.kernel.now)
-        )
         if executor.child_addrs:
             for addr in executor.child_addrs:
                 self._send(

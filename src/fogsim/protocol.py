@@ -120,27 +120,7 @@ class ImageRecord(_Record):
     sampled_at: float
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessingSample(_Record):
-    """Observed processing duration of one task on one host."""
-
-    task: str
-    host: str
-    processing_ms: float
-    sampled_at: float
-
-
-@dataclass(frozen=True, slots=True)
-class ResponseSample(_Record):
-    """End-to-end response observation for one request."""
-
-    request_id: str
-    app: str
-    response_ms: float
-    sampled_at: float
-
-
-TelemetryRecord = HostProfile | ImageRecord | ProcessingSample | ResponseSample
+TelemetryRecord = HostProfile | ImageRecord
 RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 

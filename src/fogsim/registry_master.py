@@ -1,6 +1,6 @@
 """The Master component.
 
-One master owns a registry of actors and users, takes placement
+One master owns a registry of actors, takes placement
 requests in FIFO order, prices its own scheduling work on the host it
 runs on, and dispatches executor init/reuse messages. When saturated it
 forwards users to a known sub-master or asks an actor to start a new
@@ -62,7 +62,6 @@ __all__ = ["RegisteredActor", "PlacementState", "Master"]
 class RegisteredActor:
     """Registry row for one actor."""
 
-    id: ComponentId
     addr: Address
     profile: HostProfile
     images: set
@@ -122,10 +121,8 @@ class Master:
         self.seed = seed
         self.address = Address(spec.host, MASTER_PORT)
 
-        self._serial = 0
-        self.id = self._next_id(ComponentKind.Master)
+        self.id = ComponentId(ComponentKind.Master, 0, self.address)
         self.actors: dict[Address, RegisteredActor] = {}
-        self.users: dict[Address, ComponentId] = {}
         self.requests: dict[str, PlacementState] = {}
         self.queue: deque = deque()
         self.in_flight = 0
@@ -147,11 +144,6 @@ class Master:
         self.discovery = Discovery(kernel, kernel.topology, self.address, discovery_config or DiscoveryConfig())
 
     # -- identity & plumbing ----------------------------------------------------
-
-    def _next_id(self, kind: ComponentKind) -> ComponentId:
-        cid = ComponentId(kind=kind, serial=self._serial, origin=self.address)
-        self._serial += 1
-        return cid
 
     def _send(self, dest: Address, payload, sender_id: ComponentId | None = None) -> None:
         self.kernel.send(MessageEnvelope(self.address, dest, payload, sender_id=sender_id))
@@ -197,7 +189,6 @@ class Master:
         entry = self.actors.get(source)
         if entry is None:
             entry = RegisteredActor(
-                id=self._next_id(ComponentKind.Actor),
                 addr=source,
                 profile=msg.profile,
                 images=set(msg.images),
@@ -211,8 +202,6 @@ class Master:
         self.view.observe(msg.profile)
 
     def _register_user(self, source: Address, msg: RegisterUser) -> None:
-        if source not in self.users:
-            self.users[source] = self._next_id(ComponentKind.User)
         seq = sum(1 for state in self.requests.values() if state.user_addr == source)
         request_id = f"{source.host}:{source.port}#{seq}"
         self._enqueue(request_id, msg.app, source, msg.frame_size_bytes)
@@ -473,6 +462,3 @@ class Master:
             for record in msg.records:
                 if isinstance(record, HostProfile) and record.host == source.host:
                     entry.profile = record
-            return
-        if source in self.users and self.logger is not None:
-            self._send(self.logger, LogUpload(records=msg.records))

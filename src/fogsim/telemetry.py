@@ -1,11 +1,10 @@
 """Telemetry: append-only log stores, profile views, and the remote logger.
 
-Three databases mirror what the orchestration components record about the
-system: task images present on hosts, host resource profiles, and performance
-samples (processing, response).  Ingestion validates each record
-individually and reports a reason per rejected record; accepted records are
-append-only.  The freshest view of any host is the record with the largest
-sampled_at, later insertion winning ties.
+Two databases mirror what the orchestration components record about the
+system: task images present on hosts and host resource profiles.  Ingestion
+validates each record individually and reports a reason per rejected
+record; accepted records are append-only.  The freshest view of any host is
+the record with the largest sampled_at, later insertion winning ties.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from .protocol import (
     MessageEnvelope,
     Probe,
     ProbeReply,
-    ProcessingSample,
-    ResponseSample,
     RECORD_TYPES,
 )
 
@@ -53,12 +50,6 @@ def validate_record(record) -> str | None:
     elif isinstance(record, ImageRecord):
         if not record.task:
             return "task name must be non-empty"
-    elif isinstance(record, ProcessingSample):
-        if record.processing_ms < 0:
-            return "processing_ms must be non-negative"
-    elif isinstance(record, ResponseSample):
-        if record.response_ms < 0:
-            return "response_ms must be non-negative"
     return None
 
 
@@ -72,7 +63,7 @@ class LogStore:
     def __init__(self):
         self.images: list[ImageRecord] = []
         self.resources: list[HostProfile] = []
-        self.perf: list = []
+        self.perf: list = []  # always empty; read only by bench/tracing.py's store_records count
         self.latest = TelemetryView()
 
     def ingest(self, records) -> tuple[int, list]:
@@ -87,10 +78,8 @@ class LogStore:
                 continue
             if isinstance(record, ImageRecord):
                 self.images.append(record)
-            elif isinstance(record, HostProfile):
-                self.resources.append(record)
             else:
-                self.perf.append(record)
+                self.resources.append(record)
             self.latest.observe(record)
             accepted += 1
         return accepted, rejected

@@ -3,11 +3,7 @@
 A user registers one placement request with a master, follows forwards
 to sub-masters (the clocks never reset), and once resources are ready
 streams data frames at a fixed interval, recording the response time of
-every frame. Each frame's response also goes to the current master as
-telemetry. A master relays it to the logger only for users that
-registered with it, so the logger's per-request mean equals the user's
-own only when the request was served by the master the user registered
-with; the samples of a user forwarded elsewhere stop at that master.
+every frame.
 """
 from __future__ import annotations
 
@@ -20,14 +16,12 @@ from .protocol import (
     ComponentKind,
     Data,
     ForwardToMaster,
-    LogUpload,
     MessageEnvelope,
     PlacementRequest,
     Probe,
     ProbeReply,
     RegisterUser,
     ResourcesReady,
-    ResponseSample,
     Result,
     WarnNoResources,
 )
@@ -194,21 +188,7 @@ class User:
         sent = self._send_times.get(msg.frame_seq)
         if sent is None:
             return
-        elapsed = self.kernel.now - sent
-        self.response_ms[msg.frame_seq] = elapsed
-        self._send(
-            self.current_master,
-            LogUpload(
-                records=[
-                    ResponseSample(
-                        request_id=self.request_id,
-                        app=self.config.app,
-                        response_ms=elapsed,
-                        sampled_at=self.kernel.now,
-                    )
-                ]
-            ),
-        )
+        self.response_ms[msg.frame_seq] = self.kernel.now - sent
         if len(self.response_ms) == self.config.frame_count:
             self._finish()
 

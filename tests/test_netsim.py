@@ -16,7 +16,7 @@ from fogsim.netsim import (
     host_from_class,
     scan_subnet,
 )
-from fogsim.protocol import Address, Data, LogUpload, MessageEnvelope, Probe, ResponseSample, message_wire_bytes
+from fogsim.protocol import Address, Data, HostProfile, LogUpload, MessageEnvelope, Probe, message_wire_bytes
 
 
 def _kernel(*hosts, links=None, default=DEFAULT_LINK):
@@ -187,7 +187,7 @@ def test_unbound_destination_is_dropped_and_logged():
 def test_traffic_is_counted_per_payload_type():
     kernel = _kernel("a", "b")
     kernel.bind(Address("b", 2), lambda env: None)
-    upload = _env("a", "b", LogUpload(records=[ResponseSample("r", "VOCR", 104.5, 8.0)]))
+    upload = _env("a", "b", LogUpload(records=[HostProfile("a", 4, 2.0, 4096.0, 0.5, 0.1, 8.0)]))
     probe = MessageEnvelope(Address("a", 1), Address("b", 9), Probe())  # nothing bound at b:9
     kernel.send(upload)
     kernel.send(probe)

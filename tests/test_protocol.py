@@ -30,11 +30,9 @@ from fogsim.protocol import (
     PlacementRequest,
     Probe,
     ProbeReply,
-    ProcessingSample,
     RegisterActor,
     RegisterUser,
     ResourcesReady,
-    ResponseSample,
     Result,
     ReuseTaskExecutor,
     WarnNoResources,
@@ -68,8 +66,6 @@ SAMPLE_PAYLOADS = [
         records=[
             PROFILE,
             ImageRecord("10.0.0.2", "ocr", True, 5.0),
-            ProcessingSample("ocr", "10.0.0.2", 12.5, 7.0),
-            ResponseSample("r", "VOCR", 104.5, 8.0),
         ]
     ),
 ]
@@ -342,7 +338,7 @@ def test_wire_bytes_charges_data_at_logical_size():
 
 
 def test_record_round_trips_inside_a_log_upload():
-    for record in (PROFILE, ImageRecord("h", "t", False, 1.0), ResponseSample("r", "a", 5.0, 2.0)):
+    for record in (PROFILE, ImageRecord("h", "t", False, 1.0)):
         frame = encode(_envelope(LogUpload(records=[record])))
         assert b"\n" not in frame[4:]
         assert decode(frame).payload.records == [record]
@@ -386,8 +382,6 @@ def _envelopes_with(floats):
     records = st.one_of(
         profiles,
         st.builds(ImageRecord, host=_hosts, task=_names, available=st.booleans(), sampled_at=floats),
-        st.builds(ProcessingSample, task=_names, host=_hosts, processing_ms=floats, sampled_at=floats),
-        st.builds(ResponseSample, request_id=_names, app=_names, response_ms=floats, sampled_at=floats),
     )
     deps = st.lists(st.tuples(_names, _addrs), max_size=4)
 

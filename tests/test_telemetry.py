@@ -1,4 +1,7 @@
 """Telemetry stores, freshest-wins views, and the central log sink."""
+import typing
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +17,7 @@ from fogsim.protocol import (
     MessageEnvelope,
     Probe,
     ProbeReply,
-    ProcessingSample,
-    ResponseSample,
+    RECORD_TYPES,
 )
 from fogsim.telemetry import (
     LogStore,
@@ -40,22 +42,30 @@ def test_validate_catches_each_bad_field():
     assert "finite" in validate_record(profile("h", ghz=float("inf")))
     assert "sampled_at" in validate_record(profile("h", sampled_at=-1.0))
     assert "task" in validate_record(ImageRecord(host="h", task="", available=True, sampled_at=0.0))
-    assert "processing_ms" in validate_record(
-        ProcessingSample(task="t", host="h", processing_ms=-1.0, sampled_at=1.0))
-    assert "response_ms" in validate_record(
-        ResponseSample(request_id="r", app="a", response_ms=-5.0, sampled_at=1.0))
     assert "not a telemetry record" in validate_record("hello")
 
 
 def test_ingest_accepts_good_rejects_bad_with_reasons():
     store = LogStore()
-    good = [profile("a"), ProcessingSample(task="t", host="a", processing_ms=3.0, sampled_at=1.0),
-            ImageRecord(host="a", task="t", available=True, sampled_at=1.0)]
+    good = [profile("a"), ImageRecord(host="a", task="t", available=True, sampled_at=1.0)]
     bad = profile("c", util=2.0)
     accepted, rejected = store.ingest(good + [bad])
-    assert accepted == 3
+    assert accepted == 2
     assert len(rejected) == 1 and rejected[0][0] is bad and "cpu_util" in rejected[0][1]
-    assert len(store.resources) == 1 and len(store.perf) == 1 and len(store.images) == 1
+    assert len(store.resources) == 1 and len(store.images) == 1
+
+
+_PLAIN = {str: "h", int: 1, float: 1.0, bool: True}
+
+
+@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+def test_the_view_keeps_every_record_type(cls):
+    """A record type the view drops would be uploaded and stored but never read."""
+    hints = typing.get_type_hints(cls)
+    record = cls(**{f.name: _PLAIN[hints[f.name]] for f in fields(cls)})
+    view = TelemetryView()
+    view.observe(record)
+    assert [*view.host_profiles.values(), *view.images.values()] == [record]
 
 
 def test_view_freshest_wins_insertion_breaks_ties():
@@ -80,7 +90,6 @@ def test_snapshot_is_latest_per_key_in_sorted_order():
         profile("a", sampled_at=5.0, util=0.4),
         ImageRecord(host="b", task="t2", available=True, sampled_at=0.0),
         ImageRecord(host="a", task="t1", available=True, sampled_at=0.0),
-        ResponseSample(request_id="r", app="x", response_ms=10.0, sampled_at=0.0),
     ])
     snap = store.snapshot()
     assert [r.host for r in snap[:2]] == ["a", "b"]
@@ -91,19 +100,17 @@ def test_snapshot_is_latest_per_key_in_sorted_order():
 
 def stored(store):
     """Every record the store accepted, table by table, each in arrival order."""
-    return store.images + store.resources + store.perf
+    return store.images + store.resources
 
 
 def test_ingest_files_each_record_in_its_table():
     store = LogStore()
     records = [profile("a", sampled_at=3.0),
-               ProcessingSample(task="t", host="a", processing_ms=4.0, sampled_at=0.0),
                ImageRecord(host="a", task="t", available=False, sampled_at=1.0),
-               ResponseSample(request_id="r", app="x", response_ms=12.5, sampled_at=2.0)]
-    assert store.ingest(records) == (4, [])
-    assert store.images == [records[2]]
-    assert store.resources == [records[0]]
-    assert store.perf == [records[1], records[3]]
+               profile("b", sampled_at=2.0)]
+    assert store.ingest(records) == (3, [])
+    assert store.images == [records[1]]
+    assert store.resources == [records[0], records[2]]
 
 
 _hosts = st.sampled_from(["a", "b", "c"])
@@ -112,10 +119,6 @@ _records = st.one_of(
     st.builds(profile, _hosts, sampled_at=_times, util=st.sampled_from([0.0, 0.5, 1.5])),
     st.builds(ImageRecord, host=_hosts, task=st.sampled_from(["t1", "t2", ""]),
               available=st.booleans(), sampled_at=_times),
-    st.builds(ProcessingSample, task=st.sampled_from(["t1", "t2"]), host=_hosts,
-              processing_ms=st.sampled_from([3.0, -1.0]), sampled_at=_times),
-    st.builds(ResponseSample, request_id=st.sampled_from(["r1", "r2"]), app=st.just("x"),
-              response_ms=st.sampled_from([9.0, -1.0]), sampled_at=_times),
     st.just("not a record"),
 )
 
