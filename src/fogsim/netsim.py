@@ -135,24 +135,21 @@ def scan_subnet(gateway: str, net_mask: int, topology: Topology) -> list[str]:
 
 
 class _Event:
-    """A timer in a kernel's heap; its action is None once it fired or was cancelled.
+    """A timer's handle; its action is None once it fired or was cancelled.
 
-    Dropping the action lets a component keep its event (a cool-off or
-    timeout handle) without the event's closure keeping the component alive.
+    A kernel's heap holds ``(time, seq, event)`` entries, so the heap
+    compares a float and an int and never reaches the event.  Dropping the
+    action lets a component keep its event (a cool-off or timeout handle)
+    without the event's closure keeping the component alive.
     """
 
-    __slots__ = ("time", "seq", "action")
+    __slots__ = ("action",)
 
-    def __init__(self, time, seq, action):
-        self.time = time
-        self.seq = seq
+    def __init__(self, action):
         self.action = action
 
     def cancel(self):
         self.action = None
-
-    def __lt__(self, other):
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 @dataclass
@@ -170,7 +167,7 @@ class SimKernel:
     def __init__(self, topology: Topology):
         self.topology = topology
         self.now = 0.0
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, _Event]] = []
         self._seq = 0
         self._handlers: dict[Address, object] = {}
         self._last_arrival: dict[tuple[str, str], float] = {}
@@ -185,9 +182,9 @@ class SimKernel:
         return self.schedule_at(self.now + max(0.0, delay_ms), action)
 
     def schedule_at(self, when: float, action) -> _Event:
-        event = _Event(when, self._seq, action)
+        event = _Event(action)
+        heapq.heappush(self._queue, (when, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         return event
 
     # -- endpoints ----------------------------------------------------------
@@ -237,16 +234,14 @@ class SimKernel:
     def run(self, until_ms: float = math.inf, stop_when=None) -> float:
         """Process events until the horizon, stop condition, or quiescence."""
 
-        while self._queue:
-            event = self._queue[0]
-            if event.time > until_ms:
-                break
-            heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= until_ms:
+            when, _, event = heapq.heappop(queue)
             action = event.action
             if action is None:
                 continue
             event.action = None
-            self.now = max(self.now, event.time)
+            self.now = max(self.now, when)
             action()
             if stop_when is not None and stop_when():
                 break
@@ -259,7 +254,7 @@ class SimKernel:
         counts and the traffic table stay readable.
         """
 
-        for event in self._queue:
+        for _, _, event in self._queue:
             event.action = None
         self._queue.clear()
         self._handlers.clear()
@@ -294,8 +289,8 @@ class HostCompute:
             while len(self._checkpoints) > 2 and self._checkpoints[1][0] < now - self._history_ms:
                 self._checkpoints.popleft()
 
-    def submit(self, work_units: float, done) -> float:
-        """Queue one job; done() fires at completion.  Returns the duration."""
+    def submit(self, work_units: float, done) -> None:
+        """Queue one job; done() fires at completion."""
 
         duration = work_units / self.spec.rate_units_per_ms
         self._account()
@@ -303,7 +298,6 @@ class HostCompute:
             self._start(duration, done)
         else:
             self._waiting.append((duration, done))
-        return duration
 
     def _start(self, duration, done):
         self.running += 1

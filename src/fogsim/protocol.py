@@ -126,7 +126,7 @@ RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 # ---------------------------------------------------------------------------
 # Message payloads.  This is the complete vocabulary: every payload used
-# anywhere in the system is one of these sixteen variants.
+# anywhere in the system is one of these seventeen variants.
 
 
 @dataclass
@@ -225,6 +225,14 @@ class ForwardToMaster:
 
 
 @dataclass
+class MasterLoad:
+    """A master's requests waiting in its queue and being scheduled, sent to the masters it knows."""
+
+    queued: int
+    in_flight: int
+
+
+@dataclass
 class WarnNoResources:
     request_id: str
 
@@ -238,7 +246,7 @@ MessagePayload = (
     RegisterActor | RegisterUser | PlacementRequest | InitTaskExecutor
     | ReuseTaskExecutor | ExecutorReady | ResourcesReady | Data | Result
     | Probe | ProbeReply | AdvertiseMaster | InitNewMaster | ForwardToMaster
-    | WarnNoResources | LogUpload
+    | MasterLoad | WarnNoResources | LogUpload
 )
 PAYLOAD_TYPES = typing.get_args(MessagePayload)
 

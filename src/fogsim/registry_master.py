@@ -2,10 +2,12 @@
 
 One master owns a registry of actors, takes placement
 requests in FIFO order, prices its own scheduling work on the host it
-runs on, and dispatches executor init/reuse messages. When saturated it
-forwards users to a known sub-master or asks an actor to start a new
-master on its host. It also relays the data path: user frames fan out
-to entry actors, exit results flow back to the user, and the final
+runs on, and dispatches executor init/reuse messages. Each profile tick
+it tells the masters it knows its load (queued plus in flight) when that
+changed. When saturated it forwards a user to a known master that
+reported a lower load, keeps the request queued if none did, or, knowing
+no master, asks an actor to start a new master on its host. It also
+relays the data path: user frames fan out to entry actors, exit results flow back to the user, and the final
 result of every exit task marks the request complete (which is what
 feeds the reuse pool view).
 """
@@ -33,6 +35,7 @@ from .protocol import (
     InitNewMaster,
     InitTaskExecutor,
     LogUpload,
+    MasterLoad,
     MessageEnvelope,
     PlacementRequest,
     Probe,
@@ -128,6 +131,8 @@ class Master:
         self.in_flight = 0
         self._sched_seq = 0
         self.known_masters: list[Address] = []
+        self.peer_load: dict[Address, int] = {}  # queued + in flight, as last reported; unheard counts 0
+        self._load_sent: dict[Address, tuple[int, int]] = {}  # last MasterLoad sent to each master
         self.pending_scale = False
         self.parked: deque = deque()
         self.history = HistoryStore()
@@ -177,7 +182,20 @@ class Master:
             self._send(self.logger, LogUpload(records=[profile]), sender_id=self.id)
         self.discovery.maybe_tick(self.kernel.now, self.actors, self._note_master)
         self._pump()
+        self._report_load()
         self.kernel.schedule(self.period, self._profile_tick)
+
+    def _report_load(self) -> None:
+        """Sends each known master this master's load when it differs from the last one sent there.
+
+        A master that was never told counts this one as idle, so an idle
+        master sends nothing.
+        """
+        load = (len(self.queue), self.in_flight)
+        for addr in self.known_masters:
+            if self._load_sent.get(addr, (0, 0)) != load:
+                self._load_sent[addr] = load
+                self._send(addr, MasterLoad(queued=load[0], in_flight=load[1]))
 
     # -- registry -----------------------------------------------------------------
 
@@ -244,10 +262,8 @@ class Master:
                 self.queue.popleft()
                 self._start_schedule(state, live)
                 continue
-            if not self.scaling_enabled:
-                return
-            self.queue.popleft()
-            self._forward_or_scale(state)
+            if not self.scaling_enabled or not self._forward_or_scale(state):
+                return  # _commit or the next tick pumps again
 
     def _warn(self, state: PlacementState) -> None:
         state.status = "warned"
@@ -322,11 +338,12 @@ class Master:
 
     # -- saturation: forward or scale ------------------------------------------------
 
-    def _best_submaster(self) -> Address | None:
+    def _best_submaster(self, own_load: int) -> Address | None:
+        """The best known master by (latency, cpu_util, address) whose load, with one more request, is below own_load."""
         best = None
         best_key = None
         for addr in self.known_masters:
-            if addr == self.address:
+            if self.peer_load.get(addr, 0) + 1 >= own_load:
                 continue
             latency = self.view.topology.link(self.spec.host, addr.host).latency_ms
             profile = self.view.host_profile(addr.host)
@@ -336,21 +353,35 @@ class Master:
                 best, best_key = addr, key
         return best
 
-    def _forward_or_scale(self, state: PlacementState) -> None:
-        target = self._best_submaster()
-        if target is not None:
+    def _forward_or_scale(self, state: PlacementState) -> bool:
+        """Takes the queue's head away: to a less loaded master, or, knowing none, parked while a master is scaled.
+
+        Returns False, leaving the request at the head of the queue, when a
+        master is known but none reported a load that, with this request
+        added, is below this master's own (the queue, head included, plus
+        the requests in flight).
+        """
+        if self.known_masters:
+            target = self._best_submaster(len(self.queue) + self.in_flight)
+            if target is None:
+                return False
             state.status = "forwarded"
             self.forwards += 1
+            self.peer_load[target] = self.peer_load.get(target, 0) + 1
             self._send(state.user_addr, ForwardToMaster(sub_master=target))
-            return
-        self.parked.append(state)
-        if self.pending_scale:
-            return
+        else:
+            self.parked.append(state)
+            if not self.pending_scale:
+                self._scale(state)
+        self.queue.popleft()
+        return True
+
+    def _scale(self, state: PlacementState) -> None:
+        """Asks the best live actor off this host to start a master; with none, the parked request waits for one."""
         live = self._live_actors()
-        master_hosts = {self.spec.host} | {addr.host for addr in self.known_masters}
-        eligible = [entry for entry in live if entry.addr.host not in master_hosts]
+        eligible = [entry for entry in live if entry.addr.host != self.spec.host]
         if not eligible:
-            return  # nowhere to scale; stays parked until a master appears
+            return
         choice = select_scale_target(
             [
                 ScaleCandidate(
@@ -374,11 +405,12 @@ class Master:
         self._unpark()
 
     def _unpark(self) -> None:
-        if not self.parked or not any(a != self.address for a in self.known_masters):
+        if not self.parked or not self.known_masters:
             return
-        parked, self.parked = self.parked, deque()
-        for state in parked:
-            self._forward_or_scale(state)
+        # Parked requests left the head of the queue before any now in it.
+        self.queue.extendleft(reversed(self.parked))
+        self.parked.clear()
+        self._pump()
 
     # -- data path -------------------------------------------------------------------
 
@@ -449,6 +481,8 @@ class Master:
         elif isinstance(payload, AdvertiseMaster):
             self.pending_scale = False
             self._note_master(payload.master)
+        elif isinstance(payload, MasterLoad):
+            self.peer_load[env.source] = payload.queued + payload.in_flight
         elif isinstance(payload, LogUpload):
             self._on_log_upload(env.source, payload)
         else:

@@ -52,7 +52,7 @@ class RealtimeKernel:
         self.bad_frames = 0
         self.traffic: defaultdict[type, Traffic] = defaultdict(Traffic)  # by payload type
         self._t0 = time.monotonic()
-        self._timers: list[_Event] = []
+        self._timers: list[tuple[float, int, _Event]] = []
         self._seq = 0
         self._selector = selectors.DefaultSelector()
         # bound address -> its handler and its loopback listener
@@ -70,9 +70,9 @@ class RealtimeKernel:
         return self.schedule_at(self.now + max(0.0, delay_ms), action)
 
     def schedule_at(self, when: float, action) -> _Event:
-        timer = _Event(when, self._seq, action)
+        timer = _Event(action)
+        heapq.heappush(self._timers, (when, self._seq, timer))
         self._seq += 1
-        heapq.heappush(self._timers, timer)
         return timer
 
     # -- endpoints ---------------------------------------------------------------
@@ -144,14 +144,14 @@ class RealtimeKernel:
             now = self.now
             if now >= until_ms:
                 return now
-            while self._timers and self._timers[0].action is None:
+            while self._timers and self._timers[0][2].action is None:
                 heapq.heappop(self._timers)
-            if self._timers and self._timers[0].time <= now:
-                timer = heapq.heappop(self._timers)
+            if self._timers and self._timers[0][0] <= now:
+                timer = heapq.heappop(self._timers)[2]
                 action, timer.action = timer.action, None
                 action()
                 continue
-            horizon = min(until_ms, self._timers[0].time) if self._timers else until_ms
+            horizon = min(until_ms, self._timers[0][0]) if self._timers else until_ms
             timeout = None if horizon == math.inf else (horizon - now) / 1000.0
             for key, _ in self._selector.select(timeout):
                 key.data()
@@ -237,6 +237,6 @@ class RealtimeKernel:
         self._selector.close()
         self._endpoints.clear()
         self._conns.clear()
-        for timer in self._timers:
+        for _, _, timer in self._timers:
             timer.action = None
         self._timers.clear()

@@ -26,6 +26,7 @@ from fogsim.protocol import (
     InitNewMaster,
     InitTaskExecutor,
     LogUpload,
+    MasterLoad,
     MessageEnvelope,
     PlacementRequest,
     Probe,
@@ -61,6 +62,7 @@ SAMPLE_PAYLOADS = [
     AdvertiseMaster(master=A1),
     InitNewMaster(requester=A1, actors=[A2]),
     ForwardToMaster(sub_master=Address("10.0.0.4", 5000)),
+    MasterLoad(queued=3, in_flight=2),
     WarnNoResources(request_id="r"),
     LogUpload(
         records=[
@@ -190,6 +192,8 @@ _WRONG_TYPES = [
         "InitTaskExecutor.dependencies",
     ),
     (InitNewMaster(requester=A1, actors=[]), lambda p: p.update(actors={"a": 1}), "InitNewMaster.actors"),
+    (MasterLoad(queued=0, in_flight=1), lambda p: p.update(queued=1.0), "MasterLoad.queued"),
+    (MasterLoad(queued=0, in_flight=1), lambda p: p.update(in_flight=True), "MasterLoad.in_flight"),
 ]
 
 
@@ -415,6 +419,7 @@ def _envelopes_with(floats):
         st.builds(AdvertiseMaster, master=_addrs),
         st.builds(InitNewMaster, requester=_addrs, actors=st.lists(_addrs, max_size=4)),
         st.builds(ForwardToMaster, sub_master=_addrs),
+        st.builds(MasterLoad, queued=st.integers(0, 2**31), in_flight=st.integers(0, 2**31)),
         st.builds(WarnNoResources, request_id=_names),
         st.builds(LogUpload, records=st.lists(records, max_size=4)),
     )

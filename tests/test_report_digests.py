@@ -44,10 +44,10 @@ DIGESTS = {
     },
     "scalability": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",
-        "report.json": "320584b7f4d1459d8acbb90d65db06dae1cb690d69eb9728422c091968cfdb50",
+        "report.json": "ba0e2b17a9d32b075357f786ec636ca63f2d22243512e2ad87f68a48a321358c",
         "response.csv": "51c8f21dde0bdc09cfab6177e46f381bb69d54ca8a4d80cf45daeed0600634ea",
         "rrt.csv": "cf46e1e87cba05c30cc62b6111b275422dae63bd4ae8d961198e1e28cc558471",
-        "sft.csv": "c7f57786d966601ebb00a7a021dedebb41f08cc0cbe6e807f4e0a5869104c7b6",
+        "sft.csv": "73a419361a605ad073645cc50aaccf36cb7e1447ef74b6a19f928dfca39b2fd4",
     },
     "smoke": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",

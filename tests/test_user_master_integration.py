@@ -1,4 +1,6 @@
 """End-to-end request flow on one kernel: schedule, stream, reuse, degrade."""
+from dataclasses import replace
+
 import pytest
 
 from fogsim.actor_runtime import Actor, ActorConfig
@@ -10,11 +12,14 @@ from fogsim.protocol import (
     USER_PORT_BASE,
     Address,
     AdvertiseMaster,
+    MasterLoad,
     MessageEnvelope,
     PlacementRequest,
     RegisterUser,
 )
 from fogsim.registry_master import Master
+from fogsim.runner import Runtime
+from fogsim.scenario import load_scenario
 from fogsim.scheduler import SchedulerConfig
 from fogsim.taskgraph import builtin_apps
 from fogsim.telemetry import RemoteLogger
@@ -206,3 +211,91 @@ def test_saturated_master_with_no_forward_target_parks_the_request():
     assert second.timed_out and second.metrics().outcome == "Warned"
     assert len(cluster.master().parked) == 1
     assert cluster.master().scales_requested == 0
+
+
+def _saturated_pair_with_a_peer_report(queued, in_flight):
+    """Masters m and m2 that schedule one request at a time; m knows m2, which reported this load."""
+    cluster = Cluster({"a": {"*"}, "b": {"*"}}, policy="random",
+                      masters=("m", "m2"), max_sched_count=0)
+    primary, secondary = cluster.masters["m"], cluster.masters["m2"]
+    cluster.kernel.send(MessageEnvelope(Address("u", 4999), primary.address,
+                                        AdvertiseMaster(master=secondary.address)))
+    cluster.kernel.send(MessageEnvelope(secondary.address, primary.address,
+                                        MasterLoad(queued=queued, in_flight=in_flight)))
+    return cluster, primary, secondary
+
+
+def test_saturated_master_keeps_a_request_its_equally_loaded_peer_would_not_relieve():
+    # m holds one request in flight and one in hand: load 2, as m2 reported.
+    cluster, primary, secondary = _saturated_pair_with_a_peer_report(queued=1, in_flight=1)
+    first = cluster.add_user(frames=1)
+    second = cluster.add_user(frames=1)
+    cluster.kernel.run(until_ms=60000.0, stop_when=lambda: len(primary.requests) == 2)
+    kept = primary.requests[second.request_id]
+    assert primary.in_flight == 1 and list(primary.queue) == [kept] and kept.status == "queued"
+    cluster.run()
+    assert first.metrics().outcome == second.metrics().outcome == "Completed"
+    assert first.forwards == second.forwards == 0 and primary.forwards == 0
+    assert primary.completed == 2 and not secondary.requests
+    assert primary.requests[first.request_id].decided_at < kept.decided_at  # scheduled after the first
+
+
+def test_saturated_master_forwards_to_a_peer_that_reported_a_lower_load():
+    # With one in flight, m's load is 2 for the second request and 3 once the
+    # third queues behind it; m2 reported 1, so it takes one request, not two.
+    cluster, primary, secondary = _saturated_pair_with_a_peer_report(queued=0, in_flight=1)
+    first, second, third = (cluster.add_user(frames=1) for _ in range(3))
+    cluster.run()
+    assert [user.metrics().outcome for user in (first, second, third)] == ["Completed", "Forwarded", "Completed"]
+    assert (first.forwards, second.forwards, third.forwards) == (0, 1, 0)
+    assert primary.forwards == 1 and primary.peer_load[secondary.address] == 2
+    assert primary.completed == 2 and secondary.completed == 1
+    assert secondary.requests[second.request_id].status == "completed"
+
+
+def test_a_master_reports_its_load_on_its_tick_only_when_it_changed():
+    # m2 reported a load m never gets above, so m keeps every request.
+    cluster, primary, secondary = _saturated_pair_with_a_peer_report(queued=9, in_flight=1)
+    for _ in range(6):
+        cluster.add_user(frames=1, start_at=490.0)
+    cluster.run(until=750.0)
+    assert secondary.peer_load == {primary.address: 6}  # at the 500 ms tick: 5 queued, 1 in flight
+    cluster.run(until=3000.0)
+    assert primary.forwards == 0 and secondary.peer_load == {primary.address: 0}
+    # The report sent above, then m's two: loaded at 500 ms, idle at 1000 ms and unchanged since.
+    assert cluster.kernel.traffic[MasterLoad].sent == 3
+
+
+def _scalability_cells():
+    config = load_scenario("scalability")
+    for count in config.experiment["counts"]:
+        for scaling in (True, False):
+            yield pytest.param(replace(config, scaling_enabled=scaling, users=config.users[:count]),
+                               id=f"n={count},scaling={'on' if scaling else 'off'}")
+
+
+@pytest.mark.parametrize("config", _scalability_cells())
+def test_scalability_cell_forwards_each_request_a_bounded_number_of_times_and_loses_none(config):
+    runtime = Runtime(config)
+    lost = []
+
+    def check():
+        for master in runtime.masters:
+            waiting = [*master.queue, *master.parked]
+            lost.extend(
+                (str(master.address), rid) for rid, state in master.requests.items()
+                if state.status == "queued" and not any(state is other for other in waiting)
+            )
+        return all(user.done for user in runtime.users)
+
+    runtime.kernel.run(until_ms=config.time_limit_ms, stop_when=check)
+    assert not lost, f"queued requests in neither queue nor parked: {sorted(set(lost))}"
+    assert all(user.metrics().outcome in ("Completed", "Forwarded") for user in runtime.users)
+    # A master forwards only to one that reported a lower load, so a request
+    # comes back only on an out-of-date report: from a master not heard from
+    # yet (it counts as idle), or sent before the forwards it has since
+    # received. So each master may hand one request on twice, once on each
+    # kind. Forwarded on saturation alone, one request of the 16-user cell
+    # went back and forth 441 times.
+    bound = 2 * len(runtime.masters)
+    assert max(user.forwards for user in runtime.users) <= bound
