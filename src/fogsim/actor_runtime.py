@@ -165,7 +165,6 @@ class Actor:
         self._master_pending = False
         self._master_requesters: list[Address] = []
         self._master_seed_actors: list[Address] = []
-        self.local_master = None
 
         self.cold_starts = 0
         self.warm_reuses = 0
@@ -443,7 +442,6 @@ class Actor:
 
         def boot():
             master = self.spawn_master(self.spec.host)
-            self.local_master = master
             requesters, self._master_requesters = self._master_requesters, []
             seeds, self._master_seed_actors = self._master_seed_actors, []
             self._master_pending = False

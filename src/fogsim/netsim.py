@@ -173,7 +173,6 @@ class SimKernel:
         self._last_arrival: dict[tuple[str, str], float] = {}
         self.delivered = 0
         self.dropped = 0
-        self.drop_log: list[str] = []
         self.traffic: defaultdict[type, Traffic] = defaultdict(Traffic)  # by payload type
 
     # -- timers ------------------------------------------------------------
@@ -221,10 +220,6 @@ class SimKernel:
         if handler is None:
             self.dropped += 1
             self.traffic[type(envelope.payload)].dropped += 1
-            if len(self.drop_log) < 64:
-                self.drop_log.append(
-                    f"{type(envelope.payload).__name__} {envelope.source} -> {envelope.destination}"
-                )
             return
         self.delivered += 1
         handler(envelope)

@@ -5,8 +5,8 @@ requests in FIFO order, prices its own scheduling work on the host it
 runs on, and dispatches executor init/reuse messages. Each profile tick
 it tells the masters it knows its load (queued plus in flight) when that
 changed. When saturated it forwards a user to a known master that
-reported a lower load, keeps the request queued if none did, or, knowing
-no master, asks an actor to start a new master on its host. It also
+reported a lower load, or else keeps the request at the head of its one
+queue; knowing no master, it also asks an actor to start one. It also
 relays the data path: user frames fan out to entry actors, exit results flow back to the user, and the final
 result of every exit task marks the request complete (which is what
 feeds the reuse pool view).
@@ -31,7 +31,6 @@ from .protocol import (
     Data,
     ExecutorReady,
     ForwardToMaster,
-    HostProfile,
     InitNewMaster,
     InitTaskExecutor,
     LogUpload,
@@ -66,7 +65,6 @@ class RegisteredActor:
     """Registry row for one actor."""
 
     addr: Address
-    profile: HostProfile
     images: set
     last_seen: float
 
@@ -83,8 +81,6 @@ class PlacementState:
     decided_at: float | None = None
     estimate: float | None = None
     assignment: dict = field(default_factory=dict)  # task -> actor Address
-    reused: dict = field(default_factory=dict)  # task -> bool
-    expected: set = field(default_factory=set)
     ready: set = field(default_factory=set)
     final_exits: set = field(default_factory=set)
 
@@ -134,7 +130,6 @@ class Master:
         self.peer_load: dict[Address, int] = {}  # queued + in flight, as last reported; unheard counts 0
         self._load_sent: dict[Address, tuple[int, int]] = {}  # last MasterLoad sent to each master
         self.pending_scale = False
-        self.parked: deque = deque()
         self.history = HistoryStore()
         self.view = TelemetryView(kernel.topology)
         self.pool_view: dict[tuple, deque] = {}
@@ -162,7 +157,7 @@ class Master:
 
         Advertise to the parent's actors immediately so registrations are
         underway, then (one grace later) to the requesting masters, which
-        unpark their queued users toward us.
+        then forward the head of their queues to us.
         """
         for addr in actor_addrs:
             self._send(addr, AdvertiseMaster(master=self.address))
@@ -208,13 +203,11 @@ class Master:
         if entry is None:
             entry = RegisteredActor(
                 addr=source,
-                profile=msg.profile,
                 images=set(msg.images),
                 last_seen=self.kernel.now,
             )
             self.actors[source] = entry
         else:
-            entry.profile = msg.profile
             entry.images = set(msg.images)
             entry.last_seen = self.kernel.now
         self.view.observe(msg.profile)
@@ -263,7 +256,7 @@ class Master:
                 self._start_schedule(state, live)
                 continue
             if not self.scaling_enabled or not self._forward_or_scale(state):
-                return  # _commit or the next tick pumps again
+                return  # _commit, the next tick or a newly noted master pumps again
 
     def _warn(self, state: PlacementState) -> None:
         state.status = "warned"
@@ -305,9 +298,7 @@ class Master:
         actor_by_task = {
             task: candidates[task][result.assignment[i]].addr for i, task in enumerate(names)
         }
-        state.assignment = dict(actor_by_task)
-        state.expected = set(names)
-        state.ready = set()
+        state.assignment = actor_by_task
         state.status = "waiting_ready"
         deps = dependency_lists(app, actor_by_task)
         now = self.kernel.now
@@ -316,24 +307,15 @@ class Master:
             idle = self.pool_view.get((addr, task))
             while idle and idle[0] <= now:
                 idle.popleft()
+            message_type = InitTaskExecutor
             if idle:
                 idle.popleft()
-                state.reused[task] = True
                 self.reuses_dispatched += 1
-                self._send(
-                    addr,
-                    ReuseTaskExecutor(
-                        request_id=state.request_id, app=state.app, task=task, dependencies=deps[task]
-                    ),
-                )
-            else:
-                state.reused[task] = False
-                self._send(
-                    addr,
-                    InitTaskExecutor(
-                        request_id=state.request_id, app=state.app, task=task, dependencies=deps[task]
-                    ),
-                )
+                message_type = ReuseTaskExecutor
+            self._send(
+                addr,
+                message_type(request_id=state.request_id, app=state.app, task=task, dependencies=deps[task]),
+            )
         self._pump()
 
     # -- saturation: forward or scale ------------------------------------------------
@@ -354,30 +336,27 @@ class Master:
         return best
 
     def _forward_or_scale(self, state: PlacementState) -> bool:
-        """Takes the queue's head away: to a less loaded master, or, knowing none, parked while a master is scaled.
+        """Forwards the queue's head to a less loaded master; if none qualifies, leaves it there and returns False.
 
-        Returns False, leaving the request at the head of the queue, when a
-        master is known but none reported a load that, with this request
-        added, is below this master's own (the queue, head included, plus
-        the requests in flight).
+        A master qualifies when its reported load, with this request added,
+        is below this master's own (the queue, head included, plus the
+        requests in flight). Knowing no master, and with no scale pending,
+        it also asks for one to be started.
         """
-        if self.known_masters:
-            target = self._best_submaster(len(self.queue) + self.in_flight)
-            if target is None:
-                return False
-            state.status = "forwarded"
-            self.forwards += 1
-            self.peer_load[target] = self.peer_load.get(target, 0) + 1
-            self._send(state.user_addr, ForwardToMaster(sub_master=target))
-        else:
-            self.parked.append(state)
-            if not self.pending_scale:
+        target = self._best_submaster(len(self.queue) + self.in_flight)
+        if target is None:
+            if not self.known_masters and not self.pending_scale:
                 self._scale(state)
+            return False
         self.queue.popleft()
+        state.status = "forwarded"
+        self.forwards += 1
+        self.peer_load[target] = self.peer_load.get(target, 0) + 1
+        self._send(state.user_addr, ForwardToMaster(sub_master=target))
         return True
 
     def _scale(self, state: PlacementState) -> None:
-        """Asks the best live actor off this host to start a master; with none, the parked request waits for one."""
+        """Asks the best live actor off this host to start a master; with none, it asks nothing."""
         live = self._live_actors()
         eligible = [entry for entry in live if entry.addr.host != self.spec.host]
         if not eligible:
@@ -386,7 +365,7 @@ class Master:
             [
                 ScaleCandidate(
                     address=entry.addr,
-                    profile=entry.profile,
+                    profile=self.view.host_profile(entry.addr.host),
                     latency_ms=self.view.topology.link(state.user_addr.host, entry.addr.host).latency_ms,
                 )
                 for entry in eligible
@@ -402,15 +381,7 @@ class Master:
     def _note_master(self, addr: Address) -> None:
         if addr != self.address and addr not in self.known_masters:
             self.known_masters.append(addr)
-        self._unpark()
-
-    def _unpark(self) -> None:
-        if not self.parked or not self.known_masters:
-            return
-        # Parked requests left the head of the queue before any now in it.
-        self.queue.extendleft(reversed(self.parked))
-        self.parked.clear()
-        self._pump()
+            self._pump()
 
     # -- data path -------------------------------------------------------------------
 
@@ -446,13 +417,13 @@ class Master:
 
     def _on_executor_ready(self, msg: ExecutorReady) -> None:
         state = self.requests.get(msg.request_id)
-        if state is None or msg.task not in state.expected:
+        if state is None or msg.task not in state.assignment:
             self.protocol_anomalies += 1
             return
         if msg.task in state.ready:
             return
         state.ready.add(msg.task)
-        if state.status == "waiting_ready" and state.ready == state.expected:
+        if state.status == "waiting_ready" and state.ready == state.assignment.keys():
             state.status = "streaming"
             self._send(state.user_addr, ResourcesReady(request_id=msg.request_id))
 
@@ -493,6 +464,3 @@ class Master:
         entry = self.actors.get(source)
         if entry is not None:
             entry.last_seen = self.kernel.now
-            for record in msg.records:
-                if isinstance(record, HostProfile) and record.host == source.host:
-                    entry.profile = record

@@ -167,7 +167,7 @@ class Runtime:
         for master in self.masters:
             lines.append(
                 f"master {master.address}: queue={len(master.queue)} in_flight={master.in_flight} "
-                f"parked={len(master.parked)} pending_scale={master.pending_scale} "
+                f"pending_scale={master.pending_scale} "
                 f"actors={len(master.actors)} requests="
                 + ",".join(f"{rid}:{st.status}" for rid, st in master.requests.items())
             )

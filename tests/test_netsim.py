@@ -175,13 +175,13 @@ def test_fifo_clamp_is_per_ordered_pair():
     assert order == ["fastpair", "slowpair"]
 
 
-def test_unbound_destination_is_dropped_and_logged():
+def test_unbound_destination_is_dropped_and_counted():
     kernel = _kernel("a", "b")
     kernel.send(_env("a", "b"))
     kernel.run()
     assert kernel.delivered == 0
     assert kernel.dropped == 1
-    assert "Probe" in kernel.drop_log[0]
+    assert kernel.traffic[Probe].dropped == 1
 
 
 def test_traffic_is_counted_per_payload_type():

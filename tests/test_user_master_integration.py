@@ -44,13 +44,14 @@ def topology():
 
 class Cluster:
     def __init__(self, actor_images, policy="ohnsga", masters=("m",), user_masters=None,
-                 max_sched_count=4, scaling_enabled=True, apps=None):
+                 max_sched_count=4, scaling_enabled=True, apps=None, spawn=False):
         self.kernel = SimKernel(topology())
         self.apps = apps or builtin_apps()
         self.logger = RemoteLogger(self.kernel, "m")
         logger_addr = self.logger.addr
         self.masters = {}
-        for host in masters:
+
+        def add_master(host):
             spec = self.kernel.topology.hosts[host]
             master = Master(
                 kernel=self.kernel, spec=spec, compute=HostCompute(self.kernel, spec),
@@ -61,6 +62,10 @@ class Cluster:
             )
             master.start()
             self.masters[host] = master
+            return master
+
+        for host in masters:
+            add_master(host)
         self.actors = {}
         for host, images in actor_images.items():
             spec = self.kernel.topology.hosts[host]
@@ -69,6 +74,7 @@ class Cluster:
                 apps=self.apps, images=set(images),
                 masters=[Address(m, MASTER_PORT) for m in masters],
                 logger=logger_addr, config=ActorConfig(), profile_period_ms=500.0,
+                spawn_master=add_master if spawn else None,
             )
             actor.start()
             self.actors[host] = actor
@@ -137,8 +143,6 @@ def test_sequential_requests_reuse_warm_executors():
     assert cluster.master().reuses_dispatched == 3
     # cold path serializes three container startups; the warm path skips them
     assert second.metrics().rrt_ms < first.metrics().rrt_ms - 4000.0
-    state = cluster.master().requests[second.request_id]
-    assert all(state.reused.values())
 
 
 def test_request_ids_count_each_users_earlier_requests_however_they_arrived():
@@ -201,16 +205,32 @@ def test_saturated_master_forwards_to_a_known_submaster():
     assert secondary.requests[second.request_id].status == "completed"
 
 
-def test_saturated_master_with_no_forward_target_parks_the_request():
+def test_saturated_master_with_no_scale_target_schedules_the_held_request_once_its_slot_frees():
     # the only actor lives on the master's own host, so scaling has nowhere to go
     cluster = Cluster({"m": {"*"}}, policy="random", max_sched_count=0)
     first = cluster.add_user(frames=1)
-    second = cluster.add_user(frames=1, timeout=8000.0)
-    cluster.run(until=20000.0)
-    assert first.metrics().outcome == "Completed"
-    assert second.timed_out and second.metrics().outcome == "Warned"
-    assert len(cluster.master().parked) == 1
-    assert cluster.master().scales_requested == 0
+    second = cluster.add_user(frames=1)
+    cluster.run()
+    master = cluster.master()
+    assert first.metrics().outcome == second.metrics().outcome == "Completed"
+    assert second.forwards == 0 and master.forwards == 0
+    assert master.scales_requested == 0 and master.completed == 2
+    held = master.requests[second.request_id]
+    assert master.requests[first.request_id].decided_at < held.decided_at
+
+
+def test_saturated_master_schedules_the_held_request_before_the_master_it_scaled_boots():
+    cluster = Cluster({"a": {"*"}}, policy="random", max_sched_count=0, spawn=True)
+    first = cluster.add_user(frames=1)
+    second = cluster.add_user(frames=1)
+    cluster.run()
+    master = cluster.masters["m"]
+    assert master.scales_requested == 1 and "a" in cluster.masters
+    assert first.metrics().outcome == second.metrics().outcome == "Completed"
+    assert second.forwards == 0 and master.completed == 2
+    # m asks for the scale as the second request arrives, after the user
+    # started, and the new master boots a startup after that.
+    assert master.requests[second.request_id].decided_at < second.t0 + ActorConfig().master_startup_ms
 
 
 def _saturated_pair_with_a_peer_report(queued, in_flight):
@@ -281,15 +301,14 @@ def test_scalability_cell_forwards_each_request_a_bounded_number_of_times_and_lo
 
     def check():
         for master in runtime.masters:
-            waiting = [*master.queue, *master.parked]
             lost.extend(
                 (str(master.address), rid) for rid, state in master.requests.items()
-                if state.status == "queued" and not any(state is other for other in waiting)
+                if state.status == "queued" and not any(state is other for other in master.queue)
             )
         return all(user.done for user in runtime.users)
 
     runtime.kernel.run(until_ms=config.time_limit_ms, stop_when=check)
-    assert not lost, f"queued requests in neither queue nor parked: {sorted(set(lost))}"
+    assert not lost, f"queued requests not in their master's queue: {sorted(set(lost))}"
     assert all(user.metrics().outcome in ("Completed", "Forwarded") for user in runtime.users)
     # A master forwards only to one that reported a lower load, so a request
     # comes back only on an out-of-date report: from a master not heard from
