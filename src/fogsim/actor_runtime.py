@@ -104,8 +104,6 @@ class TaskExecutor:
         self.running = False
         self.saw_final = False
         self.cool_timer = None
-        self.frames_in = 0
-        self.frames_out = 0
 
     def _move(self, phase: ExecutorPhase) -> None:
         if phase not in _LEGAL[self.phase]:
@@ -348,7 +346,6 @@ class Actor:
         frame.got.add(msg.task)
         frame.final = frame.final or msg.final
         if frame.got >= executor.parents_needed:
-            executor.frames_in += 1
             executor.ready_frames.append(msg.frame_seq)
             self._pump_executor(executor)
 
@@ -390,7 +387,6 @@ class Actor:
                 ),
                 source=executor.address,
             )
-        executor.frames_out += 1
         if frame.final:
             executor.saw_final = True
         if executor.saw_final and not executor.ready_frames and not executor.frames:

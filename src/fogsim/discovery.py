@@ -67,7 +67,6 @@ class Discovery:
         self.self_address = self_address
         self.config = config
         self._last_tick = float("-inf")
-        self._round = 0
         self._open_round: int | None = None
         self._replies: dict[Address, ProbeReply] = {}
         self.rounds_run = 0
@@ -97,9 +96,8 @@ class Discovery:
                     targets.append(addr)
         if not targets:
             return
-        self._round += 1
         self.rounds_run += 1
-        round_id = self._round
+        round_id = self.rounds_run
         self._open_round = round_id
         self._replies = {}
         worst_rtt = 0.0

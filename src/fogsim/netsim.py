@@ -204,7 +204,6 @@ class SimKernel:
     def send(self, envelope: MessageEnvelope):
         """Schedule delivery of one envelope, preserving per-pair FIFO order."""
 
-        envelope.sent_at = self.now
         pair = (envelope.source.host, envelope.destination.host)
         size = protocol.message_wire_bytes(envelope)
         traffic = self.traffic[type(envelope.payload)]

@@ -1,10 +1,11 @@
-"""Wire protocol: component identities, message payloads, and the frame codec.
+"""Wire protocol: addresses, message payloads, and the frame codec.
 
 Every byte that crosses a host boundary is a frame: a 4-byte big-endian length
 prefix followed by a canonical tagged text body (JSON with sorted keys and
-compact separators).  Equal envelopes always encode to identical bytes, which
-is what makes simulated runs byte-reproducible and lets the loopback TCP
-transport share one codec with the simulator.
+compact separators).  The body is one envelope: source address, destination
+address and payload, with no other header key.  Equal envelopes always encode
+to identical bytes, which is what makes simulated runs byte-reproducible and
+lets the loopback TCP transport share one codec with the simulator.
 
 The payload and record dataclasses are the wire schema: at import each
 field's annotation picks its codec from ``_CODECS`` (an annotation without
@@ -50,7 +51,6 @@ SENSOR_TASK = "__sensor__"
 class ComponentKind(Enum):
     Master = "Master"
     Actor = "Actor"
-    TaskExecutor = "TaskExecutor"
     User = "User"
     RemoteLogger = "RemoteLogger"
 
@@ -71,18 +71,6 @@ class Address:
             raise TypeError(f"address must be text, not {type(text).__name__}")
         host, _, port = text.rpartition(":")
         return cls(host, int(port))
-
-
-@dataclass(frozen=True, order=True)
-class ComponentId:
-    """Identity issued by a registering master: (kind, serial, issuing master)."""
-
-    kind: ComponentKind
-    serial: int
-    origin: Address
-
-    def __str__(self):
-        return f"{self.kind.value.lower()}#{self.serial}@{self.origin}"
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +241,11 @@ PAYLOAD_TYPES = typing.get_args(MessagePayload)
 
 @dataclass
 class MessageEnvelope:
-    """Addressed, timestamped carrier for exactly one payload."""
+    """Addressed carrier for exactly one payload."""
 
     source: Address
     destination: Address
     payload: MessagePayload
-    sent_at: float = 0.0
-    sender_id: ComponentId | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +332,7 @@ def _schema(cls) -> tuple:
 _SCHEMA = {cls: _schema(cls) for cls in PAYLOAD_TYPES + RECORD_TYPES}
 _BY_NAME = {cls.__name__: cls for cls in _SCHEMA}
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_struct_tree).encode
+_ENVELOPE_KEYS = frozenset({"source", "destination", "payload"})
 
 
 def _struct_from_tree(tree, offset):
@@ -372,14 +359,9 @@ def _struct_from_tree(tree, offset):
 def encode(envelope: MessageEnvelope) -> bytes:
     """Serialize one envelope to a length-prefixed frame."""
 
-    sender = envelope.sender_id
-    if sender is not None:
-        sender = {"kind": sender.kind.value, "origin": str(sender.origin), "serial": sender.serial}
     tree = {
         "source": str(envelope.source),
         "destination": str(envelope.destination),
-        "sender_id": sender,
-        "sent_at": envelope.sent_at,
         "payload": envelope.payload,
     }
     body = _dumps(tree).encode("utf-8")
@@ -417,28 +399,19 @@ def decode(buffer: bytes) -> MessageEnvelope:
         raise ProtocolError(f"body is not canonical text: {exc}", offset) from exc
     if not isinstance(tree, dict):
         raise ProtocolError("body is not an envelope object", LENGTH_PREFIX.size)
+    extras = set(tree) - _ENVELOPE_KEYS
+    if extras:
+        raise ProtocolError(f"bad envelope header: unknown keys {sorted(extras)}", LENGTH_PREFIX.size)
     try:
         source = Address.parse(tree["source"])
         destination = Address.parse(tree["destination"])
-        sent_at = float(_number(tree["sent_at"]))
-        sender_tree = tree["sender_id"]
         payload_tree = tree["payload"]
     except (KeyError, ValueError, TypeError) as exc:
         raise ProtocolError(f"bad envelope header: {exc}", LENGTH_PREFIX.size) from exc
-    sender = None
-    if sender_tree is not None:
-        try:
-            sender = ComponentId(
-                kind=ComponentKind(sender_tree["kind"]),
-                serial=int(sender_tree["serial"]),
-                origin=Address.parse(sender_tree["origin"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ProtocolError(f"bad sender id: {exc}", LENGTH_PREFIX.size) from exc
     payload = _struct_from_tree(payload_tree, LENGTH_PREFIX.size)
     if not isinstance(payload, PAYLOAD_TYPES):
         raise ProtocolError(f"{type(payload).__name__} is not a message payload", LENGTH_PREFIX.size)
-    return MessageEnvelope(source, destination, payload, sent_at, sender)
+    return MessageEnvelope(source, destination, payload)
 
 
 class FrameBuffer:
@@ -541,8 +514,7 @@ def _sizer(cls):
 
 
 _SIZERS = {cls: _sizer(cls) for cls in _SCHEMA}
-_ENVELOPE_SKELETON = _skeleton_len(["destination", "payload", "sender_id", "sent_at", "source"])
-_SENDER_SKELETON = _skeleton_len(["kind", "origin", "serial"])
+_ENVELOPE_SKELETON = _skeleton_len(_ENVELOPE_KEYS)
 
 
 def message_wire_bytes(envelope: MessageEnvelope) -> int:
@@ -558,14 +530,10 @@ def message_wire_bytes(envelope: MessageEnvelope) -> int:
     payload = envelope.payload
     if isinstance(payload, (Data, Result)):
         return int(payload.size_bytes)
-    sender = envelope.sender_id
     body = (
         _ENVELOPE_SKELETON
         + _tree_len(str(envelope.destination))
         + _tree_len(payload)
-        + (4 if sender is None else _SENDER_SKELETON + _tree_len(sender.kind.value)
-           + _tree_len(str(sender.origin)) + _tree_len(sender.serial))
-        + _tree_len(envelope.sent_at)
         + _tree_len(str(envelope.source))
     )
     if body > MAX_BODY_BYTES:

@@ -26,7 +26,6 @@ from .protocol import (
     MASTER_PORT,
     Address,
     AdvertiseMaster,
-    ComponentId,
     ComponentKind,
     Data,
     ExecutorReady,
@@ -120,7 +119,6 @@ class Master:
         self.seed = seed
         self.address = Address(spec.host, MASTER_PORT)
 
-        self.id = ComponentId(ComponentKind.Master, 0, self.address)
         self.actors: dict[Address, RegisteredActor] = {}
         self.requests: dict[str, PlacementState] = {}
         self.queue: deque = deque()
@@ -143,10 +141,10 @@ class Master:
 
         self.discovery = Discovery(kernel, kernel.topology, self.address, discovery_config or DiscoveryConfig())
 
-    # -- identity & plumbing ----------------------------------------------------
+    # -- plumbing ---------------------------------------------------------------------
 
-    def _send(self, dest: Address, payload, sender_id: ComponentId | None = None) -> None:
-        self.kernel.send(MessageEnvelope(self.address, dest, payload, sender_id=sender_id))
+    def _send(self, dest: Address, payload) -> None:
+        self.kernel.send(MessageEnvelope(self.address, dest, payload))
 
     def start(self) -> None:
         self.kernel.bind(self.address, self._on_message)
@@ -174,7 +172,7 @@ class Master:
         profile = sample_host(self.spec, self.compute, self.kernel.now, self.period)
         self.view.observe(profile)
         if self.logger is not None:
-            self._send(self.logger, LogUpload(records=[profile]), sender_id=self.id)
+            self._send(self.logger, LogUpload(records=[profile]))
         self.discovery.maybe_tick(self.kernel.now, self.actors, self._note_master)
         self._pump()
         self._report_load()

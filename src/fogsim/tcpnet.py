@@ -109,7 +109,6 @@ class RealtimeKernel:
     # -- sending ---------------------------------------------------------------
 
     def send(self, envelope: MessageEnvelope) -> None:
-        envelope.sent_at = self.now
         frame = protocol.encode(envelope)
         traffic = self.traffic[type(envelope.payload)]
         traffic.sent += 1

@@ -161,7 +161,11 @@ class TelemetryView:
 
 
 class RemoteLogger:
-    """Central log sink.  Masters that upload get the latest snapshot back."""
+    """Central log sink.  Masters that upload get the latest snapshot back.
+
+    A master is recognised by its source port: every master listens on
+    MASTER_PORT, the port discovery probes, and no other component does.
+    """
 
     def __init__(self, kernel, host: str, port: int = protocol.LOGGER_PORT):
         self.kernel = kernel
@@ -183,8 +187,7 @@ class RemoteLogger:
         elif isinstance(payload, LogUpload):
             _, rejected = self.store.ingest(payload.records)
             self.rejections.extend(rejected)
-            sender = envelope.sender_id
-            if sender is not None and sender.kind == ComponentKind.Master:
+            if envelope.source.port == protocol.MASTER_PORT:
                 self.kernel.send(
                     MessageEnvelope(
                         source=self.addr,

@@ -17,8 +17,6 @@ from fogsim.ga_policies import GaParams, ohnsga
 from fogsim.netsim import DEFAULT_LINK, LinkSpec, Topology, host_from_class
 from fogsim.protocol import (
     Address,
-    ComponentId,
-    ComponentKind,
     MessageEnvelope,
     Probe,
     decode,
@@ -283,19 +281,10 @@ def test_criterion_8_codec_and_report_determinism(tmp_path):
     rng = np.random.default_rng(808)
     for i in range(10000):
         payload = _randomize(SAMPLE_PAYLOADS[int(rng.integers(0, len(SAMPLE_PAYLOADS)))], rng)
-        sender = None
-        if rng.random() < 0.5:
-            sender = ComponentId(
-                kind=ComponentKind(str(rng.choice([k.value for k in ComponentKind]))),
-                serial=int(rng.integers(0, 1000)),
-                origin=Address(f"10.0.0.{int(rng.integers(1, 255))}", 5000),
-            )
         env = MessageEnvelope(
             source=Address(f"10.1.0.{int(rng.integers(1, 255))}", int(rng.integers(1, 65536))),
             destination=Address(f"10.2.0.{int(rng.integers(1, 255))}", int(rng.integers(1, 65536))),
             payload=payload,
-            sent_at=float(np.round(rng.uniform(0.0, 1e7), 6)),
-            sender_id=sender,
         )
         frame = encode(env)
         back = decode(frame)

@@ -230,7 +230,6 @@ def test_frame_flows_to_result_and_cooloff():
     assert all(p.size_bytes == 512 for _, p in results)
     executor = next(iter(h.actor.executors.values()))
     assert executor.phase is ExecutorPhase.CoolingOff
-    assert executor.frames_in == 2 and executor.frames_out == 2
     assert h.actor.by_request == {}
     assert len(h.actor.pool["solo"]) == 1
     # processing latency is cost over the host rate
@@ -244,15 +243,13 @@ def test_join_waits_for_every_parent_and_flags_duplicates():
     h.run(until=2000.0)
     h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True))
     h.run(until=h.kernel.now + 500.0)
-    executor = next(iter(h.actor.executors.values()))
-    assert executor.frames_in == 0 and h.master_payloads(Result) == []
+    assert h.master_payloads(Result) == []
     h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True))
     h.run(until=h.kernel.now + 500.0)
     assert h.actor.anomalies == 1  # duplicate (task, frame)
     h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="t", final=True))
     h.run(until=h.kernel.now + 500.0)
-    assert executor.frames_in == 1
-    assert len(h.master_payloads(Result)) == 1
+    assert [(p.frame_seq, p.task, p.final) for _, p in h.master_payloads(Result)] == [(0, "j", True)]
 
 
 def test_data_for_unknown_request_is_counted():

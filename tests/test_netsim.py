@@ -198,6 +198,18 @@ def test_traffic_is_counted_per_payload_type():
     assert vars(kernel.traffic[Probe]) == {"sent": 1, "bytes": message_wire_bytes(probe), "dropped": 1}
 
 
+def test_a_control_frame_costs_the_same_bytes_whenever_it_is_sent():
+    kernel = _kernel("a", "b")
+    kernel.bind(Address("b", 2), lambda env: None)
+    upload = LogUpload(records=[HostProfile("a", 4, 2.0, 4096.0, 0.5, 0.1, 8.0)])
+    kernel.send(_env("a", "b", upload))
+    early = kernel.traffic[LogUpload].bytes
+    kernel.schedule_at(1234.567891, lambda: kernel.send(_env("a", "b", upload)))
+    kernel.run()
+    assert kernel.now > 1234.567891
+    assert (kernel.traffic[LogUpload].sent, kernel.traffic[LogUpload].bytes) == (2, 2 * early)
+
+
 def test_double_bind_rejected_and_unbind_frees():
     kernel = _kernel("a")
     addr = Address("a", 1)

@@ -15,7 +15,6 @@ from fogsim.protocol import (
     MAX_BODY_BYTES,
     Address,
     AdvertiseMaster,
-    ComponentId,
     ComponentKind,
     Data,
     ExecutorReady,
@@ -73,8 +72,8 @@ SAMPLE_PAYLOADS = [
 ]
 
 
-def _envelope(payload, sender=None):
-    return MessageEnvelope(source=A1, destination=A2, payload=payload, sent_at=12.75, sender_id=sender)
+def _envelope(payload):
+    return MessageEnvelope(source=A1, destination=A2, payload=payload)
 
 
 def _record_tree(record) -> dict:
@@ -84,7 +83,7 @@ def _record_tree(record) -> dict:
 
 @pytest.mark.parametrize("payload", SAMPLE_PAYLOADS, ids=lambda p: type(p).__name__)
 def test_every_payload_round_trips(payload):
-    env = _envelope(payload, sender=ComponentId(ComponentKind.Master, 4, A1))
+    env = _envelope(payload)
     frame = encode(env)
     assert frame_length(frame) == len(frame)
     assert decode(frame) == env
@@ -135,7 +134,7 @@ def test_non_json_body_reports_offset():
 
 
 def _body(**overrides):
-    tree = {"source": "a:1", "destination": "b:2", "sender_id": None, "sent_at": 0.0, "payload": {"type": "Probe"}}
+    tree = {"source": "a:1", "destination": "b:2", "payload": {"type": "Probe"}}
     tree.update(overrides)
     return json.dumps(tree).encode()
 
@@ -203,16 +202,16 @@ def test_field_of_the_wrong_type_is_a_protocol_error(payload, mutate, where):
         decode(_payload_frame(payload, mutate))
 
 
-@pytest.mark.parametrize("sent_at", ["1.5", True, None, [0.0]])
-def test_header_sent_at_must_be_a_number(sent_at):
-    body = _body(sent_at=sent_at)
-    with pytest.raises(ProtocolError, match="bad envelope header"):
+@pytest.mark.parametrize(
+    "extra",
+    [{"bogus": 7}, {"sent_at": 0.0, "sender_id": None}],
+    ids=["bogus", "old-sent_at-and-sender_id"],
+)
+def test_header_with_a_key_besides_source_destination_and_payload_is_rejected(extra):
+    body = _body(**extra)
+    with pytest.raises(ProtocolError, match="bad envelope header") as err:
         decode(len(body).to_bytes(4, "big") + body)
-
-
-def test_header_sent_at_accepts_an_integer():
-    body = _body(sent_at=12)
-    assert decode(len(body).to_bytes(4, "big") + body).sent_at == 12.0
+    assert all(key in str(err.value) for key in extra)
 
 
 def test_annotation_without_a_wire_form_is_rejected():
@@ -236,8 +235,6 @@ def test_unknown_struct_tag_rejected():
         {
             "source": "a:1",
             "destination": "b:2",
-            "sender_id": None,
-            "sent_at": 0.0,
             "payload": {"type": "Bogus"},
         },
         sort_keys=True,
@@ -252,8 +249,6 @@ def test_missing_field_rejected():
         {
             "source": "a:1",
             "destination": "b:2",
-            "sender_id": None,
-            "sent_at": 0.0,
             "payload": {"type": "WarnNoResources"},
         },
         sort_keys=True,
@@ -268,8 +263,6 @@ def test_unknown_extra_field_rejected():
         {
             "source": "a:1",
             "destination": "b:2",
-            "sender_id": None,
-            "sent_at": 0.0,
             "payload": {"type": "Probe", "surprise": 1},
         },
         sort_keys=True,
@@ -284,8 +277,6 @@ def test_record_where_payload_expected_rejected():
         {
             "source": "a:1",
             "destination": "b:2",
-            "sender_id": None,
-            "sent_at": 0.0,
             "payload": {
                 "type": "ImageRecord",
                 "host": "h",
@@ -423,13 +414,7 @@ def _envelopes_with(floats):
         st.builds(WarnNoResources, request_id=_names),
         st.builds(LogUpload, records=st.lists(records, max_size=4)),
     )
-    senders = st.one_of(
-        st.none(),
-        st.builds(ComponentId, kind=st.sampled_from(ComponentKind), serial=st.integers(0, 2**31), origin=_addrs),
-    )
-    return st.builds(
-        MessageEnvelope, source=_addrs, destination=_addrs, payload=payloads, sent_at=floats, sender_id=senders
-    )
+    return st.builds(MessageEnvelope, source=_addrs, destination=_addrs, payload=payloads)
 
 
 _envelopes = _envelopes_with(_floats)
@@ -475,8 +460,6 @@ def _to_tree(value):
         return str(value)
     if isinstance(value, ComponentKind):
         return value.value
-    if isinstance(value, ComponentId):
-        return {"kind": value.kind.value, "origin": str(value.origin), "serial": value.serial}
     if isinstance(value, (list, tuple)):
         return [_to_tree(item) for item in value]
     if type(value) in _BY_NAME.values():
@@ -490,12 +473,9 @@ def _to_tree(value):
 def ladder_encode(envelope: MessageEnvelope) -> bytes:
     """Serialize one envelope to a length-prefixed frame."""
 
-    sender = None if envelope.sender_id is None else _to_tree(envelope.sender_id)
     tree = {
         "source": str(envelope.source),
         "destination": str(envelope.destination),
-        "sender_id": sender,
-        "sent_at": envelope.sent_at,
         "payload": _to_tree(envelope.payload),
     }
     body = json.dumps(tree, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -528,7 +508,6 @@ def _assert_same_bytes_as_the_ladder(env):
 @pytest.mark.parametrize("payload", SAMPLE_PAYLOADS, ids=lambda p: type(p).__name__)
 def test_encode_matches_the_type_ladder_oracle(payload):
     _assert_same_bytes_as_the_ladder(_envelope(payload))
-    _assert_same_bytes_as_the_ladder(_envelope(payload, sender=ComponentId(ComponentKind.Actor, 9, A2)))
     if isinstance(payload, LogUpload):
         for record in payload.records:
             _assert_same_bytes_as_the_ladder(_envelope(LogUpload(records=[record])))

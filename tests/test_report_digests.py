@@ -44,16 +44,16 @@ DIGESTS = {
     },
     "scalability": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",
-        "report.json": "ba0e2b17a9d32b075357f786ec636ca63f2d22243512e2ad87f68a48a321358c",
+        "report.json": "61a7fb9aa5ca7b808bc2994b81154ae922adab175a64288efd8a709b42a417b7",
         "response.csv": "51c8f21dde0bdc09cfab6177e46f381bb69d54ca8a4d80cf45daeed0600634ea",
         "rrt.csv": "cf46e1e87cba05c30cc62b6111b275422dae63bd4ae8d961198e1e28cc558471",
-        "sft.csv": "73a419361a605ad073645cc50aaccf36cb7e1447ef74b6a19f928dfca39b2fd4",
+        "sft.csv": "2f4d1b2902c8d45b8398832baca7b5ce2338cfa4ab956b3708be1b3ac898b303",
     },
     "smoke": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",
-        "report.json": "82f79aa3c45829fc0547ae4e7f691ea1924925a8c3cd62527ca1098d79b5a29b",
+        "report.json": "448e0fffb5f27b62f144cc5b7010aaa9ee1d32f7d801bc894066842574f8c818",
         "response.csv": "51c8f21dde0bdc09cfab6177e46f381bb69d54ca8a4d80cf45daeed0600634ea",
-        "rrt.csv": "661647f6fe95ec5f4ff7305901fbefc3b304df36f674e58a3443395f8b5efddc",
+        "rrt.csv": "f899bf2e719786ce91fb055575bd7ca8df0cfd5ba2e088c985ba940474e2a7b3",
         "sft.csv": "47b133b1d71bcd8649f53443c5d35dc07f8c05f4c2ae3aa1fb5a934367d75593",
     },
 }

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from fogsim.netsim import DEFAULT_LINK, LinkSpec, SimKernel, Topology, host_from_class
 from fogsim.protocol import (
+    ACTOR_PORT,
+    MASTER_PORT,
+    USER_PORT_BASE,
     Address,
-    ComponentId,
     ComponentKind,
     HostProfile,
     ImageRecord,
@@ -199,9 +201,8 @@ def logger_fixture():
     return kernel, logger, client, inbox
 
 
-def send(kernel, source, dest, payload, sender_id=None):
-    kernel.send(MessageEnvelope(source=source, destination=dest, payload=payload,
-                                sender_id=sender_id))
+def send(kernel, source, dest, payload):
+    kernel.send(MessageEnvelope(source=source, destination=dest, payload=payload))
 
 
 def test_logger_answers_probes_as_logger_kind():
@@ -215,19 +216,23 @@ def test_logger_answers_probes_as_logger_kind():
 
 
 def test_logger_snapshot_reply_only_for_masters():
-    kernel, logger, client, inbox = logger_fixture()
-    records = [profile("b", sampled_at=1.0)]
-    send(kernel, client, logger.addr, LogUpload(records=records))
+    kernel, logger, _, _ = logger_fixture()
+    inboxes = {port: [] for port in (ACTOR_PORT, USER_PORT_BASE, MASTER_PORT)}
+    for port, inbox in inboxes.items():
+        kernel.bind(Address("b", port), inbox.append)
+    records = [profile("b", sampled_at=1.0), profile("b", sampled_at=2.0)]
+    for port, record in zip((ACTOR_PORT, USER_PORT_BASE), records):
+        send(kernel, Address("b", port), logger.addr, LogUpload(records=[record]))
     kernel.run()
-    assert inbox == []  # anonymous upload: stored, no snapshot back
+    assert inboxes == {ACTOR_PORT: [], USER_PORT_BASE: [], MASTER_PORT: []}  # stored, no snapshot back
     assert logger.store.resources == records
 
-    master_id = ComponentId(kind=ComponentKind.Master, serial=0, origin=Address("a", 5000))
-    send(kernel, client, logger.addr, LogUpload(records=[profile("a", sampled_at=2.0)]),
-         sender_id=master_id)
+    send(kernel, Address("b", MASTER_PORT), logger.addr, LogUpload(records=[profile("a", sampled_at=3.0)]))
     kernel.run()
-    assert len(inbox) == 1
-    assert inbox[0].payload.records == logger.store.snapshot()
+    assert inboxes[ACTOR_PORT] == inboxes[USER_PORT_BASE] == []
+    (reply,) = inboxes[MASTER_PORT]
+    assert reply.source == logger.addr
+    assert reply.payload.records == logger.store.snapshot()
 
 
 def test_logger_keeps_rejection_log():
