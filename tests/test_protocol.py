@@ -214,6 +214,17 @@ def test_header_with_a_key_besides_source_destination_and_payload_is_rejected(ex
     assert all(key in str(err.value) for key in extra)
 
 
+@pytest.mark.parametrize("missing", ["source", "destination", "payload"])
+def test_header_without_source_destination_or_payload_is_rejected(missing):
+    tree = json.loads(_body())
+    del tree[missing]
+    body = json.dumps(tree).encode()
+    with pytest.raises(ProtocolError, match="bad envelope header") as err:
+        decode(len(body).to_bytes(4, "big") + body)
+    assert missing in str(err.value)
+    assert err.value.offset == 4
+
+
 def test_annotation_without_a_wire_form_is_rejected():
     @dataclass
     class Tally:
