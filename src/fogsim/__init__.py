@@ -24,7 +24,7 @@ from .errors import (
 )
 from .ga_policies import POLICIES, GaParams, HistoryStore, PolicyResult
 from .netsim import DEFAULT_LINK, HOST_CLASSES, HostCompute, HostSpec, LinkSpec, SimKernel, Topology, host_from_class
-from .protocol import Address, ComponentKind, FrameBuffer, MessageEnvelope
+from .protocol import Address, FrameBuffer, MessageEnvelope
 from .registry_master import Master, PlacementState, RegisteredActor
 from .report import emit_report
 from .runner import MetricsReport, Runtime, run_scenario
@@ -49,7 +49,6 @@ __all__ = [
     "ActorConfig",
     "Address",
     "AppSpec",
-    "ComponentKind",
     "ConfigError",
     "CyclicDependency",
     "DEFAULT_LINK",

@@ -26,7 +26,6 @@ from .protocol import (
     SENSOR_TASK,
     Address,
     AdvertiseMaster,
-    ComponentKind,
     Data,
     ExecutorReady,
     ImageRecord,
@@ -209,7 +208,7 @@ class Actor:
     def _on_message(self, env: MessageEnvelope) -> None:
         payload = env.payload
         if isinstance(payload, Probe):
-            self._send(env.source, ProbeReply(kind=ComponentKind.Actor, actors=[]))
+            self._send(env.source, ProbeReply())
         elif isinstance(payload, AdvertiseMaster):
             self._register_with(payload.master)
         elif isinstance(payload, (InitTaskExecutor, ReuseTaskExecutor)):
@@ -221,7 +220,7 @@ class Actor:
             else:
                 self._reuse_executor(payload, app, env.source)
         elif isinstance(payload, InitNewMaster):
-            self._init_master_here(payload)
+            self._init_master_here(env.source, payload)
         elif isinstance(payload, Data):
             self._route_data(payload)
         else:
@@ -421,12 +420,12 @@ class Actor:
 
     # -- master initiation ---------------------------------------------------------
 
-    def _init_master_here(self, msg: InitNewMaster) -> None:
+    def _init_master_here(self, requester: Address, msg: InitNewMaster) -> None:
         master_addr = Address(self.spec.host, MASTER_PORT)
         if self.kernel.is_bound(master_addr):
-            self._send(msg.requester, AdvertiseMaster(master=master_addr))
+            self._send(requester, AdvertiseMaster(master=master_addr))
             return
-        self._master_requesters.append(msg.requester)
+        self._master_requesters.append(requester)
         for addr in msg.actors:
             if addr not in self._master_seed_actors:
                 self._master_seed_actors.append(addr)

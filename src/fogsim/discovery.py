@@ -3,7 +3,9 @@
 A master periodically sweeps its subnet, probing the conventional
 master and actor ports of every neighbouring address. Replies collected
 within a bounded window tell it which masters exist (and which actors
-those masters know) and which actors are reachable directly. Any actor
+those masters know) and which actors are reachable directly: a reply's
+source port says whether a master or an actor answered, and a reply
+from any other port is ignored. Any actor
 the master has not yet registered gets an AdvertiseMaster nudge, which
 makes the actor register here as well; actors may register with any
 number of masters and never de-register.
@@ -19,7 +21,6 @@ from .protocol import (
     MASTER_PORT,
     Address,
     AdvertiseMaster,
-    ComponentKind,
     MessageEnvelope,
     Probe,
     ProbeReply,
@@ -124,13 +125,13 @@ class Discovery:
         actor_addrs: list[Address] = []
         seen: set[Address] = set()
         for source, reply in replies.items():
-            if reply.kind == ComponentKind.Master:
+            if source.port == MASTER_PORT:
                 on_master(source)
                 for addr in reply.actors:
                     if addr not in seen:
                         seen.add(addr)
                         actor_addrs.append(addr)
-            elif reply.kind == ComponentKind.Actor:
+            elif source.port == ACTOR_PORT:
                 if source not in seen:
                     seen.add(source)
                     actor_addrs.append(source)

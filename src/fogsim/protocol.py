@@ -24,9 +24,7 @@ import json
 import struct
 import typing
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 
 from .errors import EncodingOverflow, NeedMoreBytes, ProtocolError
 
@@ -37,7 +35,8 @@ LENGTH_PREFIX = struct.Struct(">I")
 MAX_BODY_BYTES = 64 * 2**20
 
 # Conventional listening ports.  Discovery probes subnet hosts at the master
-# and actor ports; everything else learns addresses from message traffic.
+# and actor ports and tells the two apart by a reply's source port;
+# everything else learns addresses from message traffic.
 MASTER_PORT = 5000
 ACTOR_PORT = 5001
 LOGGER_PORT = 5002
@@ -46,13 +45,6 @@ EXECUTOR_PORT_BASE = 5200
 
 # Pseudo producer task for frames that originate at a user device.
 SENSOR_TASK = "__sensor__"
-
-
-class ComponentKind(Enum):
-    Master = "Master"
-    Actor = "Actor"
-    User = "User"
-    RemoteLogger = "RemoteLogger"
 
 
 @dataclass(frozen=True, order=True)
@@ -114,20 +106,13 @@ RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 # ---------------------------------------------------------------------------
 # Message payloads.  This is the complete vocabulary: every payload used
-# anywhere in the system is one of these seventeen variants.
+# anywhere in the system is one of these sixteen variants.
 
 
 @dataclass
 class RegisterActor:
     profile: HostProfile
     images: list[str] = field(default_factory=list)  # task names, "*" = any
-
-
-@dataclass
-class RegisterUser:
-    app: str
-    entry: Address
-    frame_size_bytes: int = 65536
 
 
 @dataclass
@@ -192,7 +177,6 @@ class Probe:
 
 @dataclass
 class ProbeReply:
-    kind: ComponentKind
     actors: list[Address] = field(default_factory=list)  # masters only
 
 
@@ -203,7 +187,6 @@ class AdvertiseMaster:
 
 @dataclass
 class InitNewMaster:
-    requester: Address
     actors: list[Address] = field(default_factory=list)  # parent's registered actors
 
 
@@ -231,7 +214,7 @@ class LogUpload:
 
 
 MessagePayload = (
-    RegisterActor | RegisterUser | PlacementRequest | InitTaskExecutor
+    RegisterActor | PlacementRequest | InitTaskExecutor
     | ReuseTaskExecutor | ExecutorReady | ResourcesReady | Data | Result
     | Probe | ProbeReply | AdvertiseMaster | InitNewMaster | ForwardToMaster
     | MasterLoad | WarnNoResources | LogUpload
@@ -299,7 +282,6 @@ _CODECS = {
     bool: (None, _is(bool)),
     list[str]: (None, _each(_text)),
     Address: (str, Address.parse),
-    ComponentKind: (attrgetter("value"), ComponentKind),
     HostProfile: (None, _nested(_is(HostProfile))),
     list[Address]: (lambda value: [str(addr) for addr in value], _each(Address.parse)),
     list[tuple[str, Address]]: (lambda value: [[task, str(addr)] for task, addr in value], _each(_dependency)),

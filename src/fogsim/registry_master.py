@@ -26,7 +26,6 @@ from .protocol import (
     MASTER_PORT,
     Address,
     AdvertiseMaster,
-    ComponentKind,
     Data,
     ExecutorReady,
     ForwardToMaster,
@@ -39,7 +38,6 @@ from .protocol import (
     Probe,
     ProbeReply,
     RegisterActor,
-    RegisterUser,
     ResourcesReady,
     Result,
     ReuseTaskExecutor,
@@ -210,13 +208,9 @@ class Master:
             entry.last_seen = self.kernel.now
         self.view.observe(msg.profile)
 
-    def _register_user(self, source: Address, msg: RegisterUser) -> None:
-        seq = sum(1 for state in self.requests.values() if state.user_addr == source)
-        request_id = f"{source.host}:{source.port}#{seq}"
-        self._enqueue(request_id, msg.app, source, msg.frame_size_bytes)
-
-    def _enqueue(self, request_id: str, app: str, user_addr: Address, frame_size: int) -> None:
-        state = self.requests.get(request_id)
+    def _enqueue(self, user_addr: Address, msg: PlacementRequest) -> None:
+        """Queues a request under the id its user gave it, which a forward keeps."""
+        state = self.requests.get(msg.request_id)
         if state is not None:
             # A request we forwarded away may bounce back when every master
             # is saturated; it re-enters the queue with its original clock.
@@ -226,12 +220,12 @@ class Master:
                 self._pump()
             return
         state = PlacementState(
-            request_id=request_id,
-            app=app,
+            request_id=msg.request_id,
+            app=msg.app,
             user_addr=user_addr,
-            frame_size_bytes=frame_size,
+            frame_size_bytes=msg.frame_size_bytes,
         )
-        self.requests[request_id] = state
+        self.requests[msg.request_id] = state
         self.queue.append(state)
         self._pump()
 
@@ -371,10 +365,7 @@ class Master:
         )
         self.pending_scale = True
         self.scales_requested += 1
-        self._send(
-            choice.address,
-            InitNewMaster(requester=self.address, actors=[entry.addr for entry in live]),
-        )
+        self._send(choice.address, InitNewMaster(actors=[entry.addr for entry in live]))
 
     def _note_master(self, addr: Address) -> None:
         if addr != self.address and addr not in self.known_masters:
@@ -431,10 +422,8 @@ class Master:
         payload = env.payload
         if isinstance(payload, RegisterActor):
             self._register_actor(env.source, payload)
-        elif isinstance(payload, RegisterUser):
-            self._register_user(env.source, payload)
         elif isinstance(payload, PlacementRequest):
-            self._enqueue(payload.request_id, payload.app, env.source, payload.frame_size_bytes)
+            self._enqueue(env.source, payload)
         elif isinstance(payload, ExecutorReady):
             self._on_executor_ready(payload)
         elif isinstance(payload, Data):
@@ -442,9 +431,7 @@ class Master:
         elif isinstance(payload, Result):
             self._relay_result(payload)
         elif isinstance(payload, Probe):
-            self._send(
-                env.source, ProbeReply(kind=ComponentKind.Master, actors=list(self.actors))
-            )
+            self._send(env.source, ProbeReply(actors=list(self.actors)))
         elif isinstance(payload, ProbeReply):
             self.discovery.on_probe_reply(env.source, payload)
         elif isinstance(payload, AdvertiseMaster):

@@ -15,13 +15,10 @@ from operator import attrgetter
 from . import protocol
 from .protocol import (
     Address,
-    ComponentKind,
     HostProfile,
     ImageRecord,
     LogUpload,
     MessageEnvelope,
-    Probe,
-    ProbeReply,
     RECORD_TYPES,
 )
 
@@ -163,30 +160,24 @@ class TelemetryView:
 class RemoteLogger:
     """Central log sink.  Masters that upload get the latest snapshot back.
 
-    A master is recognised by its source port: every master listens on
-    MASTER_PORT, the port discovery probes, and no other component does.
+    It takes LogUpload only and ignores any other payload; no component
+    probes the logger's port.  It counts the records it rejects.  A master
+    is recognised by its source port: every master listens on MASTER_PORT,
+    the port discovery probes, and no other component does.
     """
 
     def __init__(self, kernel, host: str, port: int = protocol.LOGGER_PORT):
         self.kernel = kernel
         self.addr = Address(host, port)
         self.store = LogStore()
-        self.rejections: list = []
+        self.rejected = 0
         kernel.bind(self.addr, self.on_message)
 
     def on_message(self, envelope: MessageEnvelope):
         payload = envelope.payload
-        if isinstance(payload, Probe):
-            self.kernel.send(
-                MessageEnvelope(
-                    source=self.addr,
-                    destination=envelope.source,
-                    payload=ProbeReply(kind=ComponentKind.RemoteLogger, actors=[]),
-                )
-            )
-        elif isinstance(payload, LogUpload):
+        if isinstance(payload, LogUpload):
             _, rejected = self.store.ingest(payload.records)
-            self.rejections.extend(rejected)
+            self.rejected += len(rejected)
             if envelope.source.port == protocol.MASTER_PORT:
                 self.kernel.send(
                     MessageEnvelope(

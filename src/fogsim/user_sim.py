@@ -1,9 +1,9 @@
 """The User component: workload driver and metrics probe.
 
-A user registers one placement request with a master, follows forwards
-to sub-masters (the clocks never reset), and once resources are ready
-streams data frames at a fixed interval, recording the response time of
-every frame.
+A user sends one placement request to a master, under an id made from
+its own address, and follows forwards to sub-masters with the same id
+(the clocks never reset). Once resources are ready it streams data
+frames at a fixed interval, recording the response time of every frame.
 """
 from __future__ import annotations
 
@@ -13,14 +13,10 @@ from .netsim import SimKernel
 from .protocol import (
     SENSOR_TASK,
     Address,
-    ComponentKind,
     Data,
     ForwardToMaster,
     MessageEnvelope,
     PlacementRequest,
-    Probe,
-    ProbeReply,
-    RegisterUser,
     ResourcesReady,
     Result,
     WarnNoResources,
@@ -101,16 +97,19 @@ class User:
         self.started = True
         self.kernel.bind(self.address, self._on_message)
         self.t0 = self.kernel.now
-        self._send(
-            self.current_master,
-            RegisterUser(
-                app=self.config.app, entry=self.address, frame_size_bytes=self.config.frame_size_bytes
-            ),
-        )
+        self._request_placement()
         self._timeout_event = self.kernel.schedule(self.config.timeout_ms, self._on_timeout)
 
     def _send(self, dest: Address, payload) -> None:
         self.kernel.send(MessageEnvelope(self.address, dest, payload))
+
+    def _request_placement(self) -> None:
+        self._send(
+            self.current_master,
+            PlacementRequest(
+                request_id=self.request_id, app=self.config.app, frame_size_bytes=self.config.frame_size_bytes
+            ),
+        )
 
     def _finish(self) -> None:
         if self.done:
@@ -132,16 +131,11 @@ class User:
     def _on_message(self, env: MessageEnvelope) -> None:
         payload = env.payload
         if isinstance(payload, ForwardToMaster):
-            self.forwards += 1
-            self.current_master = payload.sub_master
-            self._send(
-                self.current_master,
-                PlacementRequest(
-                    request_id=self.request_id,
-                    app=self.config.app,
-                    frame_size_bytes=self.config.frame_size_bytes,
-                ),
-            )
+            # Only the master holding the request may hand it on, and only before it is placed.
+            if env.source == self.current_master and self.ready_at is None:
+                self.forwards += 1
+                self.current_master = payload.sub_master
+                self._request_placement()
         elif isinstance(payload, WarnNoResources):
             if payload.request_id == self.request_id:
                 self.warned = True
@@ -152,8 +146,6 @@ class User:
                 self._stream_frames()
         elif isinstance(payload, Result):
             self._on_result(payload)
-        elif isinstance(payload, Probe):
-            self._send(env.source, ProbeReply(kind=ComponentKind.User, actors=[]))
 
     def _stream_frames(self) -> None:
         base = self.kernel.now

@@ -8,7 +8,6 @@ import filecmp
 import itertools
 import sys
 import time
-from enum import Enum
 
 import numpy as np
 
@@ -264,8 +263,6 @@ def _randomize(payload, rng):
     kwargs = {}
     for f in dataclasses.fields(payload):
         value = getattr(payload, f.name)
-        if isinstance(value, Enum):
-            continue
         if isinstance(value, bool):
             kwargs[f.name] = bool(rng.integers(0, 2))
         elif isinstance(value, int):

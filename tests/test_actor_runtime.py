@@ -11,7 +11,6 @@ from fogsim.protocol import (
     SENSOR_TASK,
     Address,
     AdvertiseMaster,
-    ComponentKind,
     Data,
     ExecutorReady,
     HostProfile,
@@ -71,8 +70,7 @@ class Harness:
 
     def _peer(self, env):
         if isinstance(env.payload, Probe):
-            self.kernel.send(MessageEnvelope(PEER, env.source,
-                                             ProbeReply(kind=ComponentKind.Actor)))
+            self.kernel.send(MessageEnvelope(PEER, env.source, ProbeReply()))
 
     def tell(self, payload, source=MASTER):
         self.kernel.send(MessageEnvelope(source, self.actor.address, payload))
@@ -117,12 +115,13 @@ def self_uploads(h):
             for r in e.payload.records if isinstance(r, HostProfile)]
 
 
-def test_probe_answered_with_actor_kind():
+def test_probe_answered_from_the_actor_port_with_no_actor_list():
     h = Harness()
     h.tell(Probe())
     h.run(until=50.0)
-    replies = h.master_payloads(ProbeReply)
-    assert len(replies) == 1 and replies[0][1].kind == ComponentKind.Actor
+    replies = [e for _, e in h.master_inbox if isinstance(e.payload, ProbeReply)]
+    assert len(replies) == 1
+    assert replies[0].source == h.actor.address and replies[0].payload.actors == []
 
 
 def test_advertise_master_registers_once():
@@ -330,8 +329,8 @@ def test_init_new_master_boots_once_and_merges_context():
     h = Harness(spawn_master=spawn, master_startup_ms=500.0, scale_grace_ms=25.0)
     r1, r2 = Address("m", MASTER_PORT), Address("p", MASTER_PORT)
     a1, a2 = Address("w", ACTOR_PORT), Address("p", ACTOR_PORT)
-    h.tell(InitNewMaster(requester=r1, actors=[a1, a2]), source=r1)
-    h.tell(InitNewMaster(requester=r2, actors=[a1]), source=r2)
+    h.tell(InitNewMaster(actors=[a1, a2]), source=r1)
+    h.tell(InitNewMaster(actors=[a1]), source=r2)
     h.run(until=2000.0)
     assert len(calls) == 1
     seeds, requesters, grace = calls[0]
@@ -343,14 +342,16 @@ def test_init_new_master_when_one_exists_advertises_back():
     h = Harness(spawn_master=lambda host: None)
     local_master = Address("w", MASTER_PORT)
     h.kernel.bind(local_master, lambda env: None)
-    h.tell(InitNewMaster(requester=MASTER, actors=[]))
+    requester, inbox = Address("p", MASTER_PORT), []
+    h.kernel.bind(requester, inbox.append)
+    h.tell(InitNewMaster(actors=[]), source=requester)
     h.run(until=500.0)
-    ads = h.master_payloads(AdvertiseMaster)
-    assert len(ads) == 1 and ads[0][1].master == local_master
+    assert [env.payload for env in inbox] == [AdvertiseMaster(master=local_master)]
+    assert h.master_payloads(AdvertiseMaster) == []
 
 
 def test_init_new_master_without_factory_raises():
     h = Harness(spawn_master=None)
-    h.tell(InitNewMaster(requester=MASTER, actors=[]))
+    h.tell(InitNewMaster(actors=[]))
     with pytest.raises(ProtocolError, match="no factory"):
         h.run(until=1000.0)

@@ -3,7 +3,9 @@ import pytest
 
 from fogsim.discovery import Discovery, DiscoveryConfig
 from fogsim.netsim import LinkSpec, SimKernel, Topology, host_from_class
-from fogsim.protocol import ACTOR_PORT, MASTER_PORT, Address, AdvertiseMaster, ComponentKind, Probe, ProbeReply
+from fogsim.protocol import ACTOR_PORT, LOGGER_PORT, MASTER_PORT, USER_PORT_BASE, Address, AdvertiseMaster, Probe, ProbeReply
+from fogsim.runner import run_scenario
+from fogsim.scenario import load_scenario
 
 
 def topology():
@@ -92,8 +94,8 @@ def test_round_collects_replies_then_advertises_unknown_actors():
     known = Address("10.0.0.2", ACTOR_PORT)
     stranger = Address("10.0.0.3", ACTOR_PORT)
     h.registered.add(known)
-    h.discovery.on_probe_reply(known, ProbeReply(kind=ComponentKind.Actor))
-    h.discovery.on_probe_reply(stranger, ProbeReply(kind=ComponentKind.Actor))
+    h.discovery.on_probe_reply(known, ProbeReply())
+    h.discovery.on_probe_reply(stranger, ProbeReply())
     h.kernel.run()
     assert h.advertised == [stranger]
     assert h.masters == []
@@ -104,8 +106,8 @@ def test_master_reply_is_noted_and_its_actors_are_merged_deduped():
     h.tick(0.0)
     peer = Address("10.0.0.2", MASTER_PORT)
     shared = Address("10.0.0.3", ACTOR_PORT)
-    h.discovery.on_probe_reply(peer, ProbeReply(kind=ComponentKind.Master, actors=[shared]))
-    h.discovery.on_probe_reply(shared, ProbeReply(kind=ComponentKind.Actor))
+    h.discovery.on_probe_reply(peer, ProbeReply(actors=[shared]))
+    h.discovery.on_probe_reply(shared, ProbeReply())
     h.kernel.run()
     assert h.masters == [peer]
     assert h.advertised == [shared]  # listed by the master and probed directly: once
@@ -115,9 +117,9 @@ def test_duplicate_replies_from_one_source_keep_the_first():
     h = Harness()
     h.tick(0.0)
     src = Address("10.0.0.2", MASTER_PORT)
-    h.discovery.on_probe_reply(src, ProbeReply(kind=ComponentKind.Master, actors=[]))
+    h.discovery.on_probe_reply(src, ProbeReply(actors=[]))
     h.discovery.on_probe_reply(
-        src, ProbeReply(kind=ComponentKind.Master, actors=[Address("10.0.0.3", ACTOR_PORT)]))
+        src, ProbeReply(actors=[Address("10.0.0.3", ACTOR_PORT)]))
     h.kernel.run()
     assert h.masters == [src]
     assert h.advertised == []
@@ -128,16 +130,17 @@ def test_replies_after_the_window_are_dropped():
     h.tick(0.0)
     h.kernel.run()  # window closes with zero replies
     h.discovery.on_probe_reply(Address("10.0.0.2", ACTOR_PORT),
-                               ProbeReply(kind=ComponentKind.Actor))
+                               ProbeReply())
     h.kernel.run()
     assert h.advertised == [] and h.masters == []
 
 
-def test_logger_replies_are_ignored():
+@pytest.mark.parametrize("port", [LOGGER_PORT, USER_PORT_BASE], ids=["logger", "user"])
+def test_replies_from_other_than_the_master_and_actor_ports_are_ignored(port):
+    # A reply's source port says who answered; a master's list from any other port is not read.
     h = Harness()
     h.tick(0.0)
-    h.discovery.on_probe_reply(Address("10.0.0.2", ACTOR_PORT),
-                               ProbeReply(kind=ComponentKind.RemoteLogger))
+    h.discovery.on_probe_reply(Address("10.0.0.2", port), ProbeReply(actors=[Address("10.0.0.3", ACTOR_PORT)]))
     h.kernel.run()
     assert h.advertised == [] and h.masters == []
 
@@ -148,7 +151,25 @@ def test_window_scales_with_the_slowest_link_round_trip():
     fired = []
     h.kernel.schedule(2 * 5.0 + 50.0 - 0.001, lambda: fired.append(h.advertised.copy()))
     h.discovery.on_probe_reply(Address("10.0.0.2", ACTOR_PORT),
-                               ProbeReply(kind=ComponentKind.Actor))
+                               ProbeReply())
     h.kernel.run()
     assert fired == [[]]  # just before the deadline nothing was advertised yet
     assert h.advertised == [Address("10.0.0.2", ACTOR_PORT)]
+
+
+@pytest.mark.parametrize("preset", ["discovery", "smoke"])
+def test_every_probe_reply_in_a_preset_comes_from_a_master_or_actor_port(preset, monkeypatch):
+    # The sweep reads who answered from the reply's port; this is the premise.
+    ports = set()
+    send = SimKernel.send
+
+    def recording_send(kernel, envelope):
+        if isinstance(envelope.payload, ProbeReply):
+            ports.add(envelope.source.port)
+        return send(kernel, envelope)
+
+    monkeypatch.setattr(SimKernel, "send", recording_send)
+    run_scenario(load_scenario(preset))
+    assert ports <= {MASTER_PORT, ACTOR_PORT}
+    if preset == "discovery":
+        assert ports == {MASTER_PORT, ACTOR_PORT}

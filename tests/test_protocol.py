@@ -15,7 +15,6 @@ from fogsim.protocol import (
     MAX_BODY_BYTES,
     Address,
     AdvertiseMaster,
-    ComponentKind,
     Data,
     ExecutorReady,
     ForwardToMaster,
@@ -31,7 +30,6 @@ from fogsim.protocol import (
     Probe,
     ProbeReply,
     RegisterActor,
-    RegisterUser,
     ResourcesReady,
     Result,
     ReuseTaskExecutor,
@@ -48,7 +46,6 @@ PROFILE = HostProfile("10.0.0.2", 8, 3.6, 16384.0, 0.25, 0.1, 1000.0)
 
 SAMPLE_PAYLOADS = [
     RegisterActor(profile=PROFILE, images=["ocr", "*"]),
-    RegisterUser(app="VOCR", entry=Address("10.0.0.9", 5100), frame_size_bytes=1024),
     PlacementRequest(request_id="10.0.0.9:5100#0", app="VOCR", frame_size_bytes=2048),
     InitTaskExecutor(request_id="r", app="VOCR", task="ocr", dependencies=[("grab", A2)]),
     ReuseTaskExecutor(request_id="r", app="VOCR", task="ocr", dependencies=[]),
@@ -57,9 +54,9 @@ SAMPLE_PAYLOADS = [
     Data(request_id="r", frame_seq=3, size_bytes=65536, task="grab", final=True, payload="x"),
     Result(request_id="r", frame_seq=3, task="ocr", size_bytes=12, final=False),
     Probe(),
-    ProbeReply(kind=ComponentKind.Master, actors=[A2, Address("10.0.0.3", 5001)]),
+    ProbeReply(actors=[A2, Address("10.0.0.3", 5001)]),
     AdvertiseMaster(master=A1),
-    InitNewMaster(requester=A1, actors=[A2]),
+    InitNewMaster(actors=[A2]),
     ForwardToMaster(sub_master=Address("10.0.0.4", 5000)),
     MasterLoad(queued=3, in_flight=2),
     WarnNoResources(request_id="r"),
@@ -190,7 +187,7 @@ _WRONG_TYPES = [
         lambda p: p["dependencies"][0].__setitem__(0, 5),
         "InitTaskExecutor.dependencies",
     ),
-    (InitNewMaster(requester=A1, actors=[]), lambda p: p.update(actors={"a": 1}), "InitNewMaster.actors"),
+    (InitNewMaster(actors=[]), lambda p: p.update(actors={"a": 1}), "InitNewMaster.actors"),
     (MasterLoad(queued=0, in_flight=1), lambda p: p.update(queued=1.0), "MasterLoad.queued"),
     (MasterLoad(queued=0, in_flight=1), lambda p: p.update(in_flight=True), "MasterLoad.in_flight"),
 ]
@@ -393,7 +390,6 @@ def _envelopes_with(floats):
 
     payloads = st.one_of(
         st.builds(RegisterActor, profile=profiles, images=st.lists(_names, max_size=4)),
-        st.builds(RegisterUser, app=_names, entry=_addrs, frame_size_bytes=_sizes),
         st.builds(PlacementRequest, request_id=_names, app=_names, frame_size_bytes=_sizes),
         st.builds(InitTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=deps),
         st.builds(ReuseTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=deps),
@@ -417,9 +413,9 @@ def _envelopes_with(floats):
             final=st.booleans(),
         ),
         st.builds(Probe),
-        st.builds(ProbeReply, kind=st.sampled_from(ComponentKind), actors=st.lists(_addrs, max_size=4)),
+        st.builds(ProbeReply, actors=st.lists(_addrs, max_size=4)),
         st.builds(AdvertiseMaster, master=_addrs),
-        st.builds(InitNewMaster, requester=_addrs, actors=st.lists(_addrs, max_size=4)),
+        st.builds(InitNewMaster, actors=st.lists(_addrs, max_size=4)),
         st.builds(ForwardToMaster, sub_master=_addrs),
         st.builds(MasterLoad, queued=st.integers(0, 2**31), in_flight=st.integers(0, 2**31)),
         st.builds(WarnNoResources, request_id=_names),
@@ -469,8 +465,6 @@ def _to_tree(value):
         return value
     if isinstance(value, Address):
         return str(value)
-    if isinstance(value, ComponentKind):
-        return value.value
     if isinstance(value, (list, tuple)):
         return [_to_tree(item) for item in value]
     if type(value) in _BY_NAME.values():

@@ -44,10 +44,10 @@ DIGESTS = {
     },
     "scalability": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",
-        "report.json": "61a7fb9aa5ca7b808bc2994b81154ae922adab175a64288efd8a709b42a417b7",
+        "report.json": "5e236e976e3f699ff2112cf71926a0a0191db7d901f79212eba1cf54f928c4c7",
         "response.csv": "51c8f21dde0bdc09cfab6177e46f381bb69d54ca8a4d80cf45daeed0600634ea",
         "rrt.csv": "cf46e1e87cba05c30cc62b6111b275422dae63bd4ae8d961198e1e28cc558471",
-        "sft.csv": "2f4d1b2902c8d45b8398832baca7b5ce2338cfa4ab956b3708be1b3ac898b303",
+        "sft.csv": "a34187d9ab4de8fb40dd4d40d14042fb7905bb1c5808e6f11fa2a2cb4b8f6f1e",
     },
     "smoke": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",

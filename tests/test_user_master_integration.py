@@ -12,10 +12,9 @@ from fogsim.protocol import (
     USER_PORT_BASE,
     Address,
     AdvertiseMaster,
+    ForwardToMaster,
     MasterLoad,
     MessageEnvelope,
-    PlacementRequest,
-    RegisterUser,
 )
 from fogsim.registry_master import Master
 from fogsim.runner import Runtime
@@ -145,24 +144,6 @@ def test_sequential_requests_reuse_warm_executors():
     assert second.metrics().rrt_ms < first.metrics().rrt_ms - 4000.0
 
 
-def test_request_ids_count_each_users_earlier_requests_however_they_arrived():
-    cluster = Cluster({})
-    master = cluster.master()
-    first, second = Address("u", USER_PORT_BASE), Address("u", USER_PORT_BASE + 1)
-
-    def send(source, payload):
-        cluster.kernel.send(MessageEnvelope(source, master.address, payload))
-
-    # A forwarded request keeps the id its first master gave it, and still counts here.
-    send(first, PlacementRequest(request_id=f"u:{USER_PORT_BASE}#0", app="VOCR"))
-    send(first, RegisterUser(app="VOCR", entry=first))
-    send(second, RegisterUser(app="VOCR", entry=second))
-    send(first, RegisterUser(app="VOCR", entry=first))
-    cluster.run(until=1000.0)
-    assert list(master.requests) == [
-        f"u:{USER_PORT_BASE}#0", f"u:{USER_PORT_BASE}#1", f"u:{USER_PORT_BASE + 1}#0", f"u:{USER_PORT_BASE}#2"]
-
-
 def test_no_actors_means_warn():
     cluster = Cluster({}, policy="random")
     user = cluster.add_user()
@@ -202,7 +183,28 @@ def test_saturated_master_forwards_to_a_known_submaster():
     assert second.metrics().outcome == "Forwarded" and second.forwards == 1
     assert primary.forwards == 1
     assert primary.completed == 1 and secondary.completed == 1
+    # Both masters key the request by the id the user made, which the forward kept.
+    assert list(primary.requests) == [first.request_id, second.request_id]
+    assert primary.requests[second.request_id].status == "forwarded"
+    assert list(secondary.requests) == [second.request_id]
     assert secondary.requests[second.request_id].status == "completed"
+
+
+@pytest.mark.parametrize("sender,at_ms", [("logger", 100.0), ("logger", 3000.0), ("logger", 5000.0),
+                                          ("master", 5000.0)])
+def test_a_user_follows_a_forward_only_from_its_master_before_its_resources_are_ready(sender, at_ms):
+    # Smoke's one user is ready at 4863 ms; following either stray forward
+    # sent its frames to an unbound master and wedged the run.
+    runtime = Runtime(load_scenario("smoke"))
+    (user,) = runtime.users
+    source = runtime.loggers[0].addr if sender == "logger" else user.config.master
+    unbound = Address("10.9.9.9", MASTER_PORT)
+    stray = MessageEnvelope(source, user.address, ForwardToMaster(sub_master=unbound))
+    runtime.kernel.schedule_at(at_ms, lambda: runtime.kernel.send(stray))
+    runtime.run()
+    assert user.metrics().outcome == "Completed" and user.forwards == 0
+    assert user.current_master == user.config.master
+    assert user.completed_at == pytest.approx(5802.3, abs=0.05)
 
 
 def test_saturated_master_with_no_scale_target_schedules_the_held_request_once_its_slot_frees():
@@ -231,6 +233,9 @@ def test_saturated_master_schedules_the_held_request_before_the_master_it_scaled
     # m asks for the scale as the second request arrives, after the user
     # started, and the new master boots a startup after that.
     assert master.requests[second.request_id].decided_at < second.t0 + ActorConfig().master_startup_ms
+    # The actor hands the new master the asking master's address, the InitNewMaster's source.
+    assert not master.pending_scale and master.known_masters == [cluster.masters["a"].address]
+    assert cluster.masters["a"].known_masters == [master.address]
 
 
 def _saturated_pair_with_a_peer_report(queued, in_flight):
