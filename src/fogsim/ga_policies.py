@@ -28,14 +28,18 @@ only for the genes its mask hits.  It then scores the rounds in order; when
 the refill ends before the block does, it restores the state noted after the
 last round used, so the rounds not used take no draws and no fitness calls.
 A generation's first block is as long as the previous generation's refill; a
-top-up block is only as long as the refill must still run.  Once every
-assignment has been scored the search stops, since the best can no longer
-change.  A seed yields the same placements, series, fitness calls and
-evaluation counts as a loop over individuals.
+top-up block is only as long as the refill must still run.  A space with no
+more assignments than the search budget is scored whole, in itertools.product
+order, before the first population.  Once every assignment is scored, the
+search stops when its best is the space's least fitness, since the best can
+no longer change; a search that never reaches it runs every generation.  A
+seed yields the same placements and series as a loop over individuals, and
+above the budget the same fitness calls and evaluation counts too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +77,11 @@ class GaParams:
 
     def max_hist_individuals(self) -> int:
         return math.ceil(self.pop_size / self.hist_ratio)
+
+    def search_budget(self) -> int:
+        """Evaluations a GA search is charged: its first population and every generation's offspring."""
+
+        return self.pop_size + self.max_iteration_num * self.n_offsprings
 
 
 @dataclass(slots=True)
@@ -247,6 +256,11 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
     def score(rows: np.ndarray, pool: list, seen: set | None):
         _score(rows, _keys(rows, index_counts, dtype), dtype, fitness, cache, pool, seen)
 
+    if space <= params.search_budget():
+        grid = list(itertools.product(*map(range, index_counts.tolist())))
+        for key, assignment in zip(_keys(np.array(grid, dtype=float), index_counts, dtype), grid):
+            cache[key] = (fitness(assignment), assignment)
+
     pop: list[Individual] = []
     seen = set() if dedup else None
     seeds = np.array(seed_genes, dtype=float).reshape(len(seed_genes), width)
@@ -257,10 +271,13 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
 
     series = []
     block = -(-pop_size // per_round)
+    optimum = None
     while len(series) < params.max_iteration_num:
-        if len(cache) == space:
-            # Every assignment is scored, so best can no longer change: the
-            # stable sort keeps the incumbent first among equal fitness.
+        if optimum is None and len(cache) == space:
+            optimum = min(scored[0] for scored in cache.values())
+        if best.fitness == optimum:
+            # best is the optimum, so it can no longer change: the stable
+            # sort keeps the incumbent first among equal fitness.
             series += [best.fitness] * (params.max_iteration_num - len(series))
             break
         pop_genes = np.array([ind.genes for ind in pop])

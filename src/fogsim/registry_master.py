@@ -218,6 +218,8 @@ class Master:
                 state.status = "queued"
                 self.queue.append(state)
                 self._pump()
+            else:
+                self.protocol_anomalies += 1  # a second request under an id this master holds
             return
         state = PlacementState(
             request_id=msg.request_id,

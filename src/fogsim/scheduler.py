@@ -50,7 +50,7 @@ def nominal_evals(policy_name: str, params: GaParams) -> int:
 
     if policy_name == "random":
         return params.max_iteration_num
-    return params.pop_size + params.max_iteration_num * params.n_offsprings
+    return params.search_budget()
 
 
 def scheduling_work_units(policy_name: str, params: GaParams, config: SchedulerConfig) -> float:

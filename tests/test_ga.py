@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fogsim.ga_policies import (
@@ -450,44 +450,92 @@ def test_batched_loop_matches_sequential_reference(
             history.record("app", np.array(genes), data.draw(st.floats(0.0, 100.0)))
     levels = data.draw(st.sampled_from([3, 1000]))
 
-    _assert_matches_reference(name, counts, params, seed, history, levels)
+    whole = _assert_matches_reference(name, counts, params, seed, history, levels)
+    event("scored whole" if whole else "searched")
 
 
-def _assert_matches_reference(name, counts, params, seed, history, levels):
+def _assert_matches_reference(name, counts, params, seed, history, levels, rng=None):
+    """Run the policy and its reference from one seed; return whether the GA scored the space whole.
+
+    rng, given, is the generator handed to the policy in place of a fresh
+    one from seed; the reference always gets a fresh one.
+    """
     outcomes = []
-    for solve in (POLICIES[name], _REFERENCE[name]):
+    runs = ((POLICIES[name], rng or np.random.default_rng(seed)), (_REFERENCE[name], np.random.default_rng(seed)))
+    for solve, gen in runs:
         fitness, calls = _hashed_fitness(seed, levels)
         hist = copy.deepcopy(history)
-        rng = np.random.default_rng(seed)
-        result = solve(counts, fitness, params, rng, history=hist, app="app")
-        after = rng.random()
+        result = solve(counts, fitness, params, gen, history=hist, app="app")
+        after = gen.random()
         kept = None if hist is None else [g.tobytes() for g in hist.best_first("app")]
         outcomes.append((result, calls, after, kept))
     (got, got_calls, got_after, got_kept), (want, want_calls, want_after, want_kept) = outcomes
     assert got.series == want.series
     assert got.fitness == want.fitness
-    assert got.evals == want.evals
     assert got.assignment == want.assignment
     assert got.genes.tobytes() == want.genes.tobytes()
+    assert got_kept == want_kept
+    space = math.prod(counts)
+    whole = name != "random" and space <= params.search_budget()
+    if whole:
+        # A space within the budget is scored up front, once per assignment
+        # in product order; the search then runs only until its best is the
+        # optimum, so its draws after that do not count.
+        assert got.evals == space
+        assert got_calls == list(itertools.product(*map(range, counts)))
+        return True
+    assert got.evals == want.evals
     assert got_calls == want_calls
-    if got.evals < math.prod(counts):
+    if got.evals < space:
         # The generator advanced by exactly as many draws.  Once every
         # assignment is scored the batched loop stops drawing; every caller
         # discards its generator after the search, so those draws never count.
         assert got_after == want_after
-    assert got_kept == want_kept
+    return False
 
 
-# Spaces smaller than pop_size stall most generations, so generations use a
-# varying number of refill rounds: the batched loop draws rounds it must
-# un-draw, and tops blocks up.  History seeds that all decode to one cell,
-# with a low mutation rate, keep ohnsga from scoring the whole space early.
+class _CountingBitGenerator:
+    """A bit generator's state, counting each time it is restored."""
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self.restores = 0
+
+    @property
+    def state(self):
+        return self._bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.restores += 1
+        self._bit_generator.state = value
+
+
+class _CountingRng:
+    """np.random.default_rng(seed), whose bit_generator counts state restores."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = _CountingBitGenerator(self._rng.bit_generator)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
+
+
+# Spaces larger than the search budget (at most 210 evaluations here) but
+# whose history seeds all decode to one cell, with a low mutation rate,
+# breed mostly duplicates: ohnsga's refills stall, so generations use a
+# varying number of rounds, and the batched loop draws rounds it must
+# un-draw and tops blocks up.
 _STALL_HEAVY = [
-    ([2, 2], dict(pop_size=12, n_parents=4, n_offsprings=6, mutation_prob=0.05), [0.5, 0.5]),
-    ([2, 2, 2], dict(pop_size=12, n_parents=4, n_offsprings=6, mutation_prob=0.02), [0.5, 0.5, 0.5]),
-    ([2, 2, 2, 2], dict(pop_size=20, n_parents=3, n_offsprings=4), None),
-    ([2, 3, 2], dict(pop_size=16, n_parents=2, n_offsprings=3, mutation_prob=0.1), None),
-    ([3, 3, 3], dict(pop_size=30, n_parents=4, n_offsprings=6), None),
+    ([2] * 9, dict(pop_size=12, n_parents=4, n_offsprings=6, mutation_prob=0.05), [0.5] * 9),
+    ([2] * 10, dict(pop_size=12, n_parents=4, n_offsprings=6, mutation_prob=0.02), [0.5] * 10),
+    ([2] * 9, dict(pop_size=20, n_parents=3, n_offsprings=4, mutation_prob=0.02), [1.5] * 9),
+    ([3] * 6, dict(pop_size=16, n_parents=2, n_offsprings=3, mutation_prob=0.05), [0.5] * 6),
+    ([3] * 6, dict(pop_size=30, n_parents=4, n_offsprings=6, mutation_prob=0.02), [2.5] * 6),
 ]
 
 
@@ -495,13 +543,55 @@ _STALL_HEAVY = [
 @pytest.mark.parametrize("counts, knobs, seed_genes", _STALL_HEAVY)
 def test_stalled_refills_match_sequential_reference(name, counts, knobs, seed_genes):
     params = GaParams(max_iteration_num=30, hist_ratio=1.0, **knobs)
-    history = None
-    if seed_genes is not None:
-        history = HistoryStore()
-        for _ in range(params.pop_size):
-            history.record("app", np.array(seed_genes), 1.0)
+    assert math.prod(counts) > params.search_budget()
+    history = HistoryStore()
+    for _ in range(params.pop_size):
+        history.record("app", np.array(seed_genes), 1.0)
+    restores = 0
     for seed in range(4):
-        _assert_matches_reference(name, counts, params, seed, history, 1000)
+        rng = _CountingRng(seed)
+        assert not _assert_matches_reference(name, counts, params, seed, history, 1000, rng)
+        restores += rng.bit_generator.restores
+    if name == "ohnsga":
+        assert restores >= 1
+
+
+@pytest.mark.parametrize("name", ["ohnsga", "nsga2"])
+def test_a_space_within_the_budget_is_scored_once_per_assignment_and_an_optimal_first_population_ends_the_draws(name):
+    counts, seed = [3, 3, 3], 4
+    first = np.random.default_rng(seed).random((SMALL.pop_size, len(counts))) * counts
+    optimum = decode(first[5:6], np.array(counts))[0]
+    calls = []
+
+    def fitness(assignment):
+        calls.append(assignment)
+        return 0.0 if assignment == optimum else 1.0 + sum(assignment)
+
+    rng = np.random.default_rng(seed)
+    result = POLICIES[name](counts, fitness, SMALL, rng)
+    assert calls == list(itertools.product(*map(range, counts))) and result.evals == 27
+    assert result.assignment == optimum and result.series == [0.0] * SMALL.max_iteration_num
+    drawn_first = np.random.default_rng(seed)
+    drawn_first.random((SMALL.pop_size, len(counts)))
+    assert rng.random() == drawn_first.random()  # nothing drawn after the first population
+
+
+@pytest.mark.parametrize("name", ["ohnsga", "nsga2"])
+def test_a_search_that_never_reaches_the_optimum_returns_its_own_best(name):
+    # One individual breeds only itself: identical parents reproduce
+    # themselves and nothing mutates, so the search keeps its first pick.
+    counts, seed = [3, 3], 0
+    params = GaParams(pop_size=1, max_iteration_num=10, n_parents=1, n_offsprings=1, mutation_prob=0.0)
+    assert math.prod(counts) <= params.search_budget()
+    start = decode(np.random.default_rng(seed).random((1, 2)) * counts, np.array(counts))[0]
+    outcomes = []
+    for solve in (POLICIES[name], _REFERENCE[name]):
+        result = solve(counts, lambda a: 1.0 if a == start else 0.0, params, np.random.default_rng(seed))
+        outcomes.append(result)
+    got, want = outcomes
+    assert got.assignment == start and got.fitness == 1.0 and got.evals == 9
+    assert got.series == want.series == [1.0] * 10
+    assert got.genes.tobytes() == want.genes.tobytes()
 
 
 @pytest.mark.parametrize("name", ["ohnsga", "nsga2"])

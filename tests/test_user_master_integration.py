@@ -15,6 +15,7 @@ from fogsim.protocol import (
     ForwardToMaster,
     MasterLoad,
     MessageEnvelope,
+    PlacementRequest,
 )
 from fogsim.registry_master import Master
 from fogsim.runner import Runtime
@@ -205,6 +206,18 @@ def test_a_user_follows_a_forward_only_from_its_master_before_its_resources_are_
     assert user.metrics().outcome == "Completed" and user.forwards == 0
     assert user.current_master == user.config.master
     assert user.completed_at == pytest.approx(5802.3, abs=0.05)
+
+
+def test_a_second_request_under_an_id_the_master_holds_is_counted_as_an_anomaly():
+    cluster = Cluster({"a": {"*"}})
+    user = cluster.add_user(frames=1)
+    early = MessageEnvelope(Address("u", 7777), cluster.master().address,
+                            PlacementRequest(request_id=user.request_id, app="VOCR"))
+    cluster.kernel.schedule_at(50.0, lambda: cluster.kernel.send(early))
+    cluster.run()
+    master = cluster.master()
+    assert list(master.requests) == [user.request_id]
+    assert master.protocol_anomalies == 1
 
 
 def test_saturated_master_with_no_scale_target_schedules_the_held_request_once_its_slot_frees():
