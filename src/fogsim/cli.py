@@ -15,7 +15,7 @@ from dataclasses import replace
 from .errors import ConfigError, DeadlockDetected
 from .ga_policies import POLICIES
 from .report import emit_report
-from .runner import run_scenario
+from .runner import EXPERIMENTS, run_scenario
 from .scenario import load_scenario, preset_names
 
 __all__ = ["main"]
@@ -51,7 +51,12 @@ def main(argv=None) -> int:
             overrides["policy"] = args.policy
         if args.no_scaling:
             overrides["scaling_enabled"] = False
-        report = run_scenario(replace(load_scenario(args.scenario), **overrides))
+        config = load_scenario(args.scenario)
+        kind = config.experiment["kind"]
+        for name in EXPERIMENTS[kind].sets:
+            if name in overrides:
+                raise ConfigError(name, f"every {kind} cell sets its own value, so the override would be discarded")
+        report = run_scenario(replace(config, **overrides))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

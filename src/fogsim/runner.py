@@ -1,18 +1,22 @@
-"""Scenario runner: builds a deployment from config and drives experiments.
+"""Scenario runner: builds a deployment from config and runs experiments.
 
 ``Runtime`` wires one deployment (loggers, masters, actors, users) onto a
 kernel built from the scenario's topology and runs it until its last user
 finishes; a deployment without users runs to its time limit. The kernel is
 ``SimKernel`` unless the caller passes another with the same surface, such
-as ``RealtimeKernel`` over loopback TCP. ``run_scenario``
-dispatches on the experiment kind, running one or many deployments and
-assembling a MetricsReport with stable row schemas for the CSV writers.
+as ``RealtimeKernel`` over loopback TCP. ``EXPERIMENTS`` maps each experiment
+kind to its cells and its fold: ``cells(config)`` lists ``(label, job)`` pairs
+in run order, each job returns plain data (a deployment's metrics and
+counters, or a GA re-solve's series), ``run_scenario`` runs the jobs in one
+loop, and ``fold(config, report, labels, results)`` builds the report.
 """
 from __future__ import annotations
 
 import copy
 import statistics
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .scheduler import ResponseModel, build_task_actors_map
 from .telemetry import RemoteLogger, TelemetryView
 from .user_sim import RequestMetrics, User
 
-__all__ = ["Runtime", "MetricsReport", "run_scenario"]
+__all__ = ["Runtime", "MetricsReport", "EXPERIMENTS", "run_scenario"]
 
 
 @dataclass
@@ -198,8 +202,9 @@ class Runtime:
         for user in self.users:
             metrics = user.metrics()
             state, _ = self.serving_state(user.request_id)
-            if state is not None and user.t0 is not None:
-                metrics.sft_ms = state.decided_at - user.t0
+            if state is not None:
+                metrics.estimate_ms = state.estimate
+                metrics.sft_ms = None if user.t0 is None else state.decided_at - user.t0
             out.append(metrics)
         return out
 
@@ -224,8 +229,11 @@ class Runtime:
         return {"masters": masters, "actors": actors}
 
 
+def _mean(values) -> float | None:
+    return statistics.fmean(values) if values else None
+
+
 def _request_row(metrics: RequestMetrics) -> dict:
-    mean = statistics.fmean(metrics.response_ms) if metrics.response_ms else None
     return {
         "request_id": metrics.request_id,
         "app": metrics.app,
@@ -233,7 +241,7 @@ def _request_row(metrics: RequestMetrics) -> dict:
         "outcome": metrics.outcome,
         "sft_ms": metrics.sft_ms,
         "rrt_ms": metrics.rrt_ms,
-        "mean_response_ms": mean,
+        "mean_response_ms": _mean(metrics.response_ms),
         "frames": len(metrics.response_ms),
         "forwards": metrics.forwards,
     }
@@ -251,249 +259,239 @@ def _sft_row(metrics: RequestMetrics, count: int, scaling: bool) -> dict:
     }
 
 
-def _mix_seed(base: int, salt: int) -> int:
-    return (base * 1_000_003 + salt) % (2**31)
+# -- experiments: cells and their folds -----------------------------------------
 
 
-# -- experiment drivers ---------------------------------------------------------
-
-
-def _run_single(config: ScenarioConfig, report: MetricsReport) -> None:
+def _deploy(config: ScenarioConfig) -> dict:
+    """Run one deployment and keep only plain data from it."""
     runtime = Runtime(config)
     runtime.run()
-    all_metrics = runtime.request_metrics()
-    report.requests = [_request_row(m) for m in all_metrics]
-    for row in report.requests:
-        if row["rrt_ms"] is not None:
-            report.rrt.append(
-                {"app": row["app"], "run": "single", "rrt_ms": row["rrt_ms"], "response_ms": row["mean_response_ms"]}
-            )
-    report.sft = [_sft_row(m, len(config.users), config.scaling_enabled) for m in all_metrics if m.sft_ms is not None]
-    completed = [m for m in all_metrics if m.response_ms]
-    report.summary = {
-        "outcomes": {m.request_id: m.outcome for m in all_metrics},
-        "mean_response_ms": (
-            statistics.fmean(x for m in completed for x in m.response_ms) if completed else None
-        ),
+    return {
+        "metrics": runtime.request_metrics(),
         "counters": runtime.counters(),
-        "known_actors_per_master": {str(m.address): len(m.actors) for m in runtime.masters},
-        "known_masters_per_master": {str(m.address): len(m.known_masters) for m in runtime.masters},
+        "masters": {
+            str(m.address): {"known_actors": len(m.actors), "known_masters": len(m.known_masters),
+                             "rounds_run": m.discovery.rounds_run}
+            for m in runtime.masters
+        },
     }
 
 
-def _run_convergence(config: ScenarioConfig, report: MetricsReport) -> None:
+def _one_deployment(config: ScenarioConfig) -> list:
+    return [(config.name, partial(_deploy, config))]
+
+
+def _fold_single(config: ScenarioConfig, report: MetricsReport, _labels, results) -> None:
+    (deployment,) = results
+    all_metrics = deployment["metrics"]
+    report.requests = [_request_row(m) for m in all_metrics]
+    report.rrt = [
+        {"app": row["app"], "run": "single", "rrt_ms": row["rrt_ms"], "response_ms": row["mean_response_ms"]}
+        for row in report.requests if row["rrt_ms"] is not None
+    ]
+    report.sft = [_sft_row(m, len(config.users), config.scaling_enabled) for m in all_metrics if m.sft_ms is not None]
+    masters = deployment["masters"]
+    report.summary = {
+        "outcomes": {m.request_id: m.outcome for m in all_metrics},
+        "mean_response_ms": _mean([x for m in all_metrics for x in m.response_ms]),
+        "counters": deployment["counters"],
+        "known_actors_per_master": {addr: m["known_actors"] for addr, m in masters.items()},
+        "known_masters_per_master": {addr: m["known_masters"] for addr, m in masters.items()},
+    }
+
+
+def _convergence_cells(config: ScenarioConfig) -> list:
     # One live warm-up request populates the scheduling history, then each
     # policy re-solves the same placement problem offline, seed by seed,
     # recording best fitness per iteration. The re-solves read idle
     # ground-truth telemetry: the view every master starts from, which is
     # also what the serving master's view settles to once its hosts go idle.
-    warmup = replace(config, policy="ohnsga")
-    runtime = Runtime(warmup)
+    # Only the model and the history outlive the warm-up; its facts ride in the first cell.
+    runtime = Runtime(replace(config, policy="ohnsga"))
     runtime.run()
     user = runtime.users[0]
     state, master = runtime.serving_state(user.request_id)
     if state is None:
         raise DeadlockDetected("warm-up request was never scheduled", dump=runtime.dump())
-
     app = config.apps[user.config.app]
-    candidates = build_task_actors_map(app, master.actors.values())
     model = ResponseModel(
         app,
-        candidates,
+        build_task_actors_map(app, master.actors.values()),
         user_host=user.config.host,
         master_host=master.spec.host,
         view=TelemetryView(config.topology),
         frame_size_bytes=user.config.frame_size_bytes,
     )
-    policies = config.experiment["policies"]
-    seeds = config.experiment["seeds"]
+    warmup = {"app": app.name, "request_id": user.request_id,
+              "history_entries": len(master.history.best_first(app.name))}
+    return [("warm-up", partial(dict, warmup))] + [
+        ((name, s), partial(_solve, name, model, config.ga, [config.seed, p_index, s], master.history, app.name))
+        for p_index, name in enumerate(config.experiment["policies"])
+        for s in range(config.experiment["seeds"])
+    ]
+
+
+def _solve(policy: str, model: ResponseModel, ga, entropy: list, history, app: str) -> list:
+    """One offline re-solve on its own copy of the history; its best fitness per iteration."""
+    rng = np.random.default_rng(entropy)
+    return POLICIES[policy](model.counts, model.estimate, ga, rng, history=copy.deepcopy(history), app=app).series
+
+
+def _fold_convergence(config: ScenarioConfig, report: MetricsReport, labels, results) -> None:
+    warmup, *solves = results
     at_iter = config.experiment["compare_iteration"]
-    final = {name: [] for name in policies}
-    probe = {name: [] for name in policies}
-    for p_index, name in enumerate(policies):
-        solve = POLICIES[name]
-        for s in range(seeds):
-            rng = np.random.default_rng([config.seed, p_index, s])
-            history = copy.deepcopy(master.history)
-            result = solve(model.counts, model.estimate, config.ga, rng, history=history, app=app.name)
-            for iteration, best in enumerate(result.series, start=1):
-                report.convergence.append(
-                    {
-                        "app": app.name,
-                        "policy": name,
-                        "seed": s,
-                        "iteration": iteration,
-                        "best_fitness": best,
-                    }
-                )
-            final[name].append(result.series[-1])
-            index = min(at_iter, len(result.series)) - 1
-            probe[name].append(result.series[index])
+    final = {name: [] for name in config.experiment["policies"]}
+    probe = {name: [] for name in config.experiment["policies"]}
+    for (name, s), series in zip(labels[1:], solves):
+        report.convergence += [
+            {"app": warmup["app"], "policy": name, "seed": s, "iteration": iteration, "best_fitness": best}
+            for iteration, best in enumerate(series, start=1)
+        ]
+        final[name].append(series[-1])
+        probe[name].append(series[min(at_iter, len(series)) - 1])
     report.summary = {
-        "app": app.name,
-        "seeds": seeds,
+        "app": warmup["app"],
+        "seeds": config.experiment["seeds"],
         "compare_iteration": at_iter,
-        "warmup_request": user.request_id,
-        "warmup_history_entries": len(master.history.best_first(app.name)),
+        "warmup_request": warmup["request_id"],
+        "warmup_history_entries": warmup["history_entries"],
         "median_at_compare": {name: statistics.median(vals) for name, vals in probe.items()},
         "median_final": {name: statistics.median(vals) for name, vals in final.items()},
     }
 
 
-def _run_scalability(config: ScenarioConfig, report: MetricsReport) -> None:
-    counts = config.experiment["counts"]
+def _scalability_cells(config: ScenarioConfig) -> list:
+    return [
+        ((count, scaling), partial(_deploy, replace(
+            config, name=f"{config.name}[n={count},scaling={'on' if scaling else 'off'}]",
+            scaling_enabled=scaling, users=config.users[:count],
+        )))
+        for count in config.experiment["counts"]
+        for scaling in (True, False)
+    ]
+
+
+def _fold_scalability(config: ScenarioConfig, report: MetricsReport, labels, results) -> None:
     cells = {}
-    for count in counts:
-        for scaling in (True, False):
-            sub = replace(
-                config,
-                name=f"{config.name}[n={count},scaling={'on' if scaling else 'off'}]",
-                scaling_enabled=scaling,
-                users=config.users[:count],
-            )
-            runtime = Runtime(sub)
-            runtime.run()
-            sft_values = []
-            for metrics in runtime.request_metrics():
-                report.sft.append(_sft_row(metrics, count, scaling))
-                if metrics.sft_ms is not None:
-                    sft_values.append(metrics.sft_ms)
-            cells[(count, scaling)] = {
-                "mean_sft_ms": statistics.fmean(sft_values) if sft_values else None,
-                "scheduled": len(sft_values),
-                "counters": runtime.counters(),
-            }
+    for (count, scaling), deployment in zip(labels, results):
+        report.sft += [_sft_row(m, count, scaling) for m in deployment["metrics"]]
+        sft = [m.sft_ms for m in deployment["metrics"] if m.sft_ms is not None]
+        cells[count, scaling] = (_mean(sft), len(sft), deployment["counters"]["masters"]["count"])
     rows = {}
-    for count in counts:
-        on = cells[(count, True)]["mean_sft_ms"]
-        off = cells[(count, False)]["mean_sft_ms"]
+    for count in config.experiment["counts"]:
+        (on, on_scheduled, masters), (off, off_scheduled, _) = cells[count, True], cells[count, False]
         rows[str(count)] = {
             "mean_sft_scaling_ms": on,
             "mean_sft_no_scaling_ms": off,
             "ratio_no_scaling_over_scaling": (off / on) if on and off else None,
-            "scheduled_scaling": cells[(count, True)]["scheduled"],
-            "scheduled_no_scaling": cells[(count, False)]["scheduled"],
-            "masters_scaling": cells[(count, True)]["counters"]["masters"]["count"],
+            "scheduled_scaling": on_scheduled,
+            "scheduled_no_scaling": off_scheduled,
+            "masters_scaling": masters,
         }
     report.summary = {"counts": rows}
 
 
-def _run_reuse(config: ScenarioConfig, report: MetricsReport) -> None:
-    apps = config.experiment["apps"]
+def _reuse_cells(config: ScenarioConfig) -> list:
+    return [
+        (app, partial(_deploy, replace(
+            config, name=f"{config.name}[{app}]", users=tuple(replace(u, app=app) for u in config.users)
+        )))
+        for app in config.experiment["apps"]
+    ]
+
+
+def _fold_reuse(config: ScenarioConfig, report: MetricsReport, labels, results) -> None:
     ratios = {}
-    for app in apps:
-        sub = replace(
-            config,
-            name=f"{config.name}[{app}]",
-            users=tuple(replace(u, app=app) for u in config.users),
-        )
-        runtime = Runtime(sub)
-        runtime.run()
-        all_metrics = runtime.request_metrics()
-        runs = ["cold", "warm"]
-        for label, metrics in zip(runs, all_metrics):
-            mean = statistics.fmean(metrics.response_ms) if metrics.response_ms else None
-            report.rrt.append(
-                {"app": app, "run": label, "rrt_ms": metrics.rrt_ms, "response_ms": mean}
-            )
-        cold, warm = all_metrics[0].rrt_ms, all_metrics[1].rrt_ms
+    for app, deployment in zip(labels, results):
+        cold, warm = deployment["metrics"][:2]
+        for run, metrics in (("cold", cold), ("warm", warm)):
+            mean = _mean(metrics.response_ms)
+            report.rrt.append({"app": app, "run": run, "rrt_ms": metrics.rrt_ms, "response_ms": mean})
+        actors = deployment["counters"]["actors"]
         ratios[app] = {
-            "cold_rrt_ms": cold,
-            "warm_rrt_ms": warm,
-            "ratio": (warm / cold) if cold and warm is not None else None,
-            "warm_reuses": runtime.counters()["actors"]["warm_reuses"],
-            "cold_starts": runtime.counters()["actors"]["cold_starts"],
+            "cold_rrt_ms": cold.rrt_ms,
+            "warm_rrt_ms": warm.rrt_ms,
+            "ratio": (warm.rrt_ms / cold.rrt_ms) if cold.rrt_ms and warm.rrt_ms is not None else None,
+            "warm_reuses": actors["warm_reuses"],
+            "cold_starts": actors["cold_starts"],
         }
     report.summary = {"apps": ratios}
 
 
-def _run_response(config: ScenarioConfig, report: MetricsReport) -> None:
+def _response_cells(config: ScenarioConfig) -> list:
+    return [
+        ((name, s), partial(_deploy, replace(
+            config, name=f"{config.name}[{name},s={s}]", policy=name, seed=(config.seed * 1_000_003 + s) % (2**31)
+        )))
+        for name in config.experiment["policies"]
+        for s in range(config.experiment["seeds"])
+    ]
+
+
+def _fold_response(config: ScenarioConfig, report: MetricsReport, labels, results) -> None:
     policies = config.experiment["policies"]
     seeds = config.experiment["seeds"]
-    measured_index = len(config.users) - 1
     measured: dict[str, list] = {name: [] for name in policies}
     max_err = {name: 0.0 for name in policies}
-    for name in policies:
-        for s in range(seeds):
-            sub = replace(
-                config,
-                name=f"{config.name}[{name},s={s}]",
-                policy=name,
-                seed=_mix_seed(config.seed, s),
-            )
-            runtime = Runtime(sub)
-            runtime.run()
-            user = runtime.users[measured_index]
-            state, _ = runtime.serving_state(user.request_id)
-            metrics = user.metrics()
-            mean = statistics.fmean(metrics.response_ms) if metrics.response_ms else None
-            estimate = state.estimate if state is not None else None
-            err = None
-            if mean is not None and estimate:
-                err = abs(mean - estimate) / estimate * 100.0
-                max_err[name] = max(max_err[name], err)
-            measured[name].append(mean)
-            report.response.append(
-                {
-                    "policy": name,
-                    "seed": s,
-                    "estimate_ms": estimate,
-                    "measured_ms": mean,
-                    "err_pct": err,
-                }
-            )
+    for (name, s), deployment in zip(labels, results):
+        metrics = deployment["metrics"][-1]  # the last user's request is the measured one
+        mean, estimate = _mean(metrics.response_ms), metrics.estimate_ms
+        err = abs(mean - estimate) / estimate * 100.0 if mean is not None and estimate else None
+        if err is not None:
+            max_err[name] = max(max_err[name], err)
+        measured[name].append(mean)
+        report.response.append(
+            {"policy": name, "seed": s, "estimate_ms": estimate, "measured_ms": mean, "err_pct": err}
+        )
     baselines = [name for name in policies if name != "ohnsga"]
     wins = None
     if "ohnsga" in policies and baselines:
-        wins = 0
-        for s in range(seeds):
-            ours = measured["ohnsga"][s]
-            rivals = [measured[b][s] for b in baselines]
-            if ours is not None and all(r is not None and ours <= r for r in rivals):
-                wins += 1
+        wins = sum(
+            ours is not None and all(r is not None and ours <= r for r in rivals)
+            for ours, *rivals in zip(measured["ohnsga"], *(measured[b] for b in baselines))
+        )
     report.summary = {
         "seeds": seeds,
         "max_err_pct": max_err,
-        "mean_measured_ms": {
-            name: (statistics.fmean(v for v in vals if v is not None) if any(v is not None for v in vals) else None)
-            for name, vals in measured.items()
-        },
+        "mean_measured_ms": {name: _mean([v for v in vals if v is not None]) for name, vals in measured.items()},
         "ohnsga_wins": wins,
         "win_fraction": (wins / seeds) if wins is not None and seeds else None,
     }
 
 
-def _run_discovery(config: ScenarioConfig, report: MetricsReport) -> None:
-    runtime = Runtime(config)
-    runtime.run()
-    per_master = {}
-    for master in runtime.masters:
-        per_master[str(master.address)] = {
-            "known_actors": len(master.actors),
-            "known_masters": len(master.known_masters),
-            "rounds_run": master.discovery.rounds_run,
-        }
+def _fold_discovery(config: ScenarioConfig, report: MetricsReport, _labels, results) -> None:
+    (deployment,) = results
+    masters = deployment["masters"]
     report.summary = {
-        "actor_count": len(runtime.actors),
-        "masters": per_master,
-        "all_converged": all(
-            entry["known_actors"] == len(runtime.actors) for entry in per_master.values()
-        ),
+        "actor_count": len(config.actors),
+        "masters": masters,
+        "all_converged": all(entry["known_actors"] == len(config.actors) for entry in masters.values()),
     }
 
 
-_DRIVERS = {
-    "single": _run_single,
-    "convergence": _run_convergence,
-    "scalability": _run_scalability,
-    "reuse": _run_reuse,
-    "response": _run_response,
-    "discovery": _run_discovery,
+class Experiment(NamedTuple):
+    """An experiment kind: its cells, their fold, and the config fields every cell sets itself."""
+
+    cells: Callable[[ScenarioConfig], list]
+    fold: Callable[..., None]
+    sets: tuple = ()
+
+
+EXPERIMENTS = {
+    "single": Experiment(_one_deployment, _fold_single),
+    "convergence": Experiment(_convergence_cells, _fold_convergence, sets=("policy",)),
+    "scalability": Experiment(_scalability_cells, _fold_scalability, sets=("scaling_enabled",)),
+    "reuse": Experiment(_reuse_cells, _fold_reuse),
+    "response": Experiment(_response_cells, _fold_response, sets=("policy",)),
+    "discovery": Experiment(_one_deployment, _fold_discovery),
 }
 
 
 def run_scenario(config: ScenarioConfig) -> MetricsReport:
     kind = config.experiment["kind"]
+    experiment = EXPERIMENTS[kind]
     report = MetricsReport(name=config.name, kind=kind, policy=config.policy, seed=config.seed)
-    _DRIVERS[kind](config, report)
+    cells = experiment.cells(config)
+    results = [job() for _label, job in cells]
+    experiment.fold(config, report, [label for label, _job in cells], results)
     return report

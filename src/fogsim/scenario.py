@@ -39,7 +39,7 @@ ROOT_KEYS = (
     "name", "seed", "experiment", "policy", "scaling_enabled", "time_limit_ms", "topology", "apps",
     "components", "users", "ga", "scheduler", "discovery", "actor_runtime", "profile_period_ms",
 )
-# Experiment kind -> the keys its driver reads besides "kind".
+# Experiment kind -> the keys its cells and fold read besides "kind".
 EXPERIMENT_KEYS = {
     "single": (), "convergence": ("seeds", "policies", "compare_iteration"), "scalability": ("counts",),
     "reuse": ("apps",), "response": ("seeds", "policies"), "discovery": (),
@@ -215,7 +215,7 @@ def _parse_users(tree_list: list, path: str, apps: dict, specs: dict, masters: t
 
 
 def _parse_experiment(tree: dict, n_users: int, apps: dict) -> dict:
-    """The experiment section with every key its kind's driver reads, defaults filled in."""
+    """The experiment section with every key its kind's cells and fold read, defaults filled in."""
     kind = _opt(tree, "kind", "single", "experiment", str)
     if kind not in EXPERIMENT_KEYS:
         raise ConfigError("experiment.kind", f"unknown kind {kind!r}; choices: {tuple(EXPERIMENT_KEYS)}")

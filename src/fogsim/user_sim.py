@@ -58,6 +58,7 @@ class RequestMetrics:
     user_host: str
     outcome: str
     sft_ms: float | None = None
+    estimate_ms: float | None = None
     rrt_ms: float | None = None
     response_ms: list = field(default_factory=list)
     forwards: int = 0

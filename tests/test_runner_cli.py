@@ -1,8 +1,9 @@
-"""Scenario loading, run drivers, report emission, and the CLI surface."""
+"""Scenario loading, experiment cells, report emission, and the CLI surface."""
 import csv
 import dataclasses
 import filecmp
 import json
+import pickle
 import typing
 
 import pytest
@@ -16,7 +17,7 @@ from fogsim.errors import ConfigError
 from fogsim.ga_policies import GaParams
 from fogsim.netsim import HostSpec, LinkSpec
 from fogsim.report import CSV_SCHEMAS, emit_report
-from fogsim.runner import run_scenario
+from fogsim.runner import EXPERIMENTS, MetricsReport, run_scenario
 from fogsim.scenario import ScenarioConfig, load_scenario, parse_scenario, preset_names, preset_tree
 from fogsim.scheduler import SchedulerConfig
 from fogsim.user_sim import UserConfig
@@ -380,6 +381,30 @@ def test_different_seeds_change_the_run(tmp_path):
     assert r1.summary["mean_response_ms"] > 0 and r2.summary["mean_response_ms"] > 0
 
 
+def _fewer_cells(preset):
+    tree = preset_tree(preset)
+    experiment = tree["experiment"]
+    if experiment["kind"] in ("convergence", "response"):
+        experiment["seeds"] = 2
+    elif experiment["kind"] == "scalability":
+        experiment["counts"] = [1, 4]
+    return parse_scenario(tree)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_cells_run_in_any_order_and_return_plain_data(preset):
+    # The jobs run last to first; folded in cell order, their results make run_scenario's report.
+    config = _fewer_cells(preset)
+    experiment = EXPERIMENTS[config.experiment["kind"]]
+    cells = experiment.cells(config)
+    results = [job() for _label, job in reversed(cells)][::-1]
+    for result in results:
+        pickle.dumps(result)
+    report = MetricsReport(name=config.name, kind=config.experiment["kind"], policy=config.policy, seed=config.seed)
+    experiment.fold(config, report, [label for label, _job in cells], results)
+    assert report.to_tree() == run_scenario(config).to_tree()
+
+
 # -- cli ---------------------------------------------------------------------------
 
 
@@ -396,6 +421,17 @@ def test_cli_overrides(tmp_path, capsys):
     assert code == 0
     tree = json.loads((tmp_path / "out" / "report.json").read_text())
     assert tree["seed"] == 21 and tree["policy"] == "random"
+
+
+@pytest.mark.parametrize("preset,flags,field", [
+    ("response", ["--policy", "random"], "policy"),
+    ("convergence", ["--policy", "nsga2"], "policy"),
+    ("scalability", ["--no-scaling"], "scaling_enabled"),
+])
+def test_cli_rejects_an_override_that_every_cell_replaces(preset, flags, field, tmp_path, capsys):
+    assert main(["run", preset, *flags, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_error_exits_2(tmp_path, capsys):

@@ -16,7 +16,7 @@ from fogsim.errors import DeadlockDetected
 from fogsim.ga_policies import POLICIES
 from fogsim.netsim import SimKernel
 from fogsim.protocol import Data, Result
-from fogsim.runner import Runtime, run_scenario
+from fogsim.runner import EXPERIMENTS, Runtime, run_scenario
 from fogsim.scenario import load_scenario, parse_scenario, preset_names, preset_tree
 from fogsim.scheduler import ResponseModel, build_task_actors_map
 from fogsim.tcpnet import RealtimeKernel
@@ -77,21 +77,6 @@ def test_user_unfinished_at_the_time_limit_raises_and_the_cli_exits_3(tmp_path, 
     assert f"user {user.request_id}" in capsys.readouterr().err
 
 
-def _first_cell(config):
-    """The config of the first deployment its experiment's driver builds (response's seed mix aside)."""
-    kind = config.experiment["kind"]
-    if kind == "convergence":
-        return replace(config, policy="ohnsga")
-    if kind == "scalability":
-        return replace(config, scaling_enabled=True, users=config.users[: config.experiment["counts"][0]])
-    if kind == "reuse":
-        app = config.experiment["apps"][0]
-        return replace(config, users=tuple(replace(u, app=app) for u in config.users))
-    if kind == "response":
-        return replace(config, policy=config.experiment["policies"][0])
-    return config
-
-
 def _of_fogsim(obj):
     if isinstance(obj, types.MethodType):
         obj = obj.__func__
@@ -99,19 +84,28 @@ def _of_fogsim(obj):
     return (module or "").split(".")[0] == "fogsim"
 
 
+def _live_runtimes():
+    return sum(isinstance(obj, Runtime) for obj in gc.get_objects())
+
+
 @pytest.mark.parametrize("preset", preset_names())
 def test_a_finished_deployment_is_freed_by_reference_counting(preset):
     # With the collector off, every object of a dropped Runtime that is still
     # allocated is in a reference cycle; DEBUG_SAVEALL keeps what collect() finds.
-    config = _first_cell(load_scenario(preset))
+    # Building convergence's cells runs its warm-up deployment, which must be
+    # gone by the time they are built, not held until the cells are.
+    config = load_scenario(preset)
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        runtime = Runtime(config)
-        runtime.run()
-        del runtime
+        runtimes = _live_runtimes()
+        cells = EXPERIMENTS[config.experiment["kind"]].cells(config)
+        assert _live_runtimes() == runtimes
+        _label, job = cells[0]
+        job()
+        del cells, job
         gc.collect()
         leaked = Counter(type(obj).__name__ for obj in gc.garbage if _of_fogsim(obj))
     finally:
@@ -190,9 +184,9 @@ def _convergence_tree(seed=None, base_cpu_util=None, discovery=False):
 ], ids=["seed11", "seed1", "seed2", "seed3", "base-util-0.15", "discovery"])
 def test_convergence_resolves_see_at_the_horizon_what_the_idle_ground_truth_gives(tree):
     # Oracle: the warm-up run on to its time limit, with the re-solves' model
-    # built from the serving master's view there. The convergence driver stops
-    # at the last user and builds it from the idle ground-truth view; both
-    # must give the same estimates, and the driver the same report rows.
+    # built from the serving master's view there. The convergence cells stop
+    # the warm-up at the last user and build it from the idle ground-truth
+    # view; both must give the same estimates, and the run the same report rows.
     # run() closes its kernel, so the horizon is reached by a second
     # deployment of the same config, driven by hand past the stop.
     config = replace(parse_scenario(tree), policy="ohnsga")
