@@ -1,8 +1,8 @@
 """The Actor component and the task-executor lifecycle.
 
 An actor owns one host: it profiles the host, launches task executors
-on request, pools finished executors for reuse during their cool-off
-window, and can bootstrap a brand-new master on its host when a
+on request, pools finished executors during their cool-off window and
+serves an init request from that pool when it holds one, and can bootstrap a brand-new master on its host when a
 saturated master asks for one.
 
 Executors are in-process state machines, not containers. The cost of a
@@ -36,7 +36,6 @@ from .protocol import (
     Probe,
     ProbeReply,
     RegisterActor,
-    ReuseTaskExecutor,
     Result,
 )
 from .taskgraph import AppSpec
@@ -165,7 +164,6 @@ class Actor:
 
         self.cold_starts = 0
         self.warm_reuses = 0
-        self.reuse_races = 0
         self.unknown_inputs = 0
         self.anomalies = 0
         self.terminated = 0
@@ -211,14 +209,14 @@ class Actor:
             self._send(env.source, ProbeReply())
         elif isinstance(payload, AdvertiseMaster):
             self._register_with(payload.master)
-        elif isinstance(payload, (InitTaskExecutor, ReuseTaskExecutor)):
+        elif isinstance(payload, InitTaskExecutor):
             app = self._servable(payload)
             if app is None:
                 self.anomalies += 1
-            elif isinstance(payload, InitTaskExecutor):
-                self._init_executor(payload, app, env.source)
-            else:
+            elif self.pool.get(payload.task):
                 self._reuse_executor(payload, app, env.source)
+            else:
+                self._init_executor(payload, app, env.source)
         elif isinstance(payload, InitNewMaster):
             self._init_master_here(env.source, payload)
         elif isinstance(payload, Data):
@@ -240,8 +238,8 @@ class Actor:
 
     # -- executor lifecycle -------------------------------------------------------
 
-    def _servable(self, msg: InitTaskExecutor | ReuseTaskExecutor) -> AppSpec | None:
-        """The app of a launch or reuse request, or None if this actor cannot run the request as sent."""
+    def _servable(self, msg: InitTaskExecutor) -> AppSpec | None:
+        """The app of an init request, or None if this actor cannot run the request as sent."""
         app = self.apps.get(msg.app)
         if app is None or msg.task not in app.tasks or (msg.task not in self.images and "*" not in self.images):
             return None
@@ -291,20 +289,9 @@ class Actor:
         executor._move(ExecutorPhase.Ready)
         self._send(executor.master, ExecutorReady(request_id=executor.request_id, task=executor.task_name))
 
-    def _reuse_executor(self, msg: ReuseTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
-        pool = self.pool.get(msg.task)
-        if not pool:
-            # The cool-off expired between the master's view and our state:
-            # documented race, served by a fresh cold start instead.
-            self.reuse_races += 1
-            return self._init_executor(
-                InitTaskExecutor(
-                    request_id=msg.request_id, app=msg.app, task=msg.task, dependencies=msg.dependencies
-                ),
-                app,
-                master,
-            )
-        executor: TaskExecutor = pool.popleft()
+    def _reuse_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
+        """Serves an init request from this task's warm pool, skipping the cold start."""
+        executor: TaskExecutor = self.pool[msg.task].popleft()
         if executor.cool_timer is not None:
             executor.cool_timer.cancel()
             executor.cool_timer = None

@@ -106,7 +106,7 @@ RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 # ---------------------------------------------------------------------------
 # Message payloads.  This is the complete vocabulary: every payload used
-# anywhere in the system is one of these sixteen variants.
+# anywhere in the system is one of these fifteen variants.
 
 
 @dataclass
@@ -128,14 +128,6 @@ class InitTaskExecutor:
     app: str
     task: str
     dependencies: list[tuple[str, Address]] = field(default_factory=list)  # (task name, actor)
-
-
-@dataclass
-class ReuseTaskExecutor:
-    request_id: str
-    app: str
-    task: str
-    dependencies: list[tuple[str, Address]] = field(default_factory=list)
 
 
 @dataclass
@@ -215,7 +207,7 @@ class LogUpload:
 
 MessagePayload = (
     RegisterActor | PlacementRequest | InitTaskExecutor
-    | ReuseTaskExecutor | ExecutorReady | ResourcesReady | Data | Result
+    | ExecutorReady | ResourcesReady | Data | Result
     | Probe | ProbeReply | AdvertiseMaster | InitNewMaster | ForwardToMaster
     | MasterLoad | WarnNoResources | LogUpload
 )

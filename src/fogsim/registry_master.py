@@ -2,14 +2,14 @@
 
 One master owns a registry of actors, takes placement
 requests in FIFO order, prices its own scheduling work on the host it
-runs on, and dispatches executor init/reuse messages. Each profile tick
+runs on, and sends each placed task's actor an executor init request (the
+actor serves it from its warm pool when it can). Each profile tick
 it tells the masters it knows its load (queued plus in flight) when that
 changed. When saturated it forwards a user to a known master that
 reported a lower load, or else keeps the request at the head of its one
 queue; knowing no master, it also asks an actor to start one. It also
 relays the data path: user frames fan out to entry actors, exit results flow back to the user, and the final
-result of every exit task marks the request complete (which is what
-feeds the reuse pool view).
+result of every exit task marks the request complete.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .protocol import (
     RegisterActor,
     ResourcesReady,
     Result,
-    ReuseTaskExecutor,
     WarnNoResources,
 )
 from .scaler import ScaleCandidate, select_scale_target
@@ -97,7 +96,6 @@ class Master:
         sched_config: SchedulerConfig | None = None,
         discovery_config: DiscoveryConfig | None = None,
         scaling_enabled: bool = True,
-        cool_off_ms: float = 30000.0,
         profile_period_ms: float = PROFILE_PERIOD_MS,
         seed: int = 0,
     ):
@@ -112,7 +110,6 @@ class Master:
         self.ga_params = ga_params or GaParams()
         self.sched_config = sched_config or SchedulerConfig()
         self.scaling_enabled = scaling_enabled
-        self.cool_off_ms = cool_off_ms
         self.period = profile_period_ms
         self.seed = seed
         self.address = Address(spec.host, MASTER_PORT)
@@ -128,12 +125,10 @@ class Master:
         self.pending_scale = False
         self.history = HistoryStore()
         self.view = TelemetryView(kernel.topology)
-        self.pool_view: dict[tuple, deque] = {}
 
         self.warns = 0
         self.forwards = 0
         self.scales_requested = 0
-        self.reuses_dispatched = 0
         self.completed = 0
         self.protocol_anomalies = 0
 
@@ -295,20 +290,10 @@ class Master:
         state.assignment = actor_by_task
         state.status = "waiting_ready"
         deps = dependency_lists(app, actor_by_task)
-        now = self.kernel.now
         for task in names:
-            addr = actor_by_task[task]
-            idle = self.pool_view.get((addr, task))
-            while idle and idle[0] <= now:
-                idle.popleft()
-            message_type = InitTaskExecutor
-            if idle:
-                idle.popleft()
-                self.reuses_dispatched += 1
-                message_type = ReuseTaskExecutor
             self._send(
-                addr,
-                message_type(request_id=state.request_id, app=state.app, task=task, dependencies=deps[task]),
+                actor_by_task[task],
+                InitTaskExecutor(request_id=state.request_id, app=state.app, task=task, dependencies=deps[task]),
             )
         self._pump()
 
@@ -402,9 +387,6 @@ class Master:
         if state.status == "streaming" and state.final_exits >= set(app.exit_tasks):
             state.status = "completed"
             self.completed += 1
-            deadline = self.kernel.now + self.cool_off_ms
-            for task, addr in state.assignment.items():
-                self.pool_view.setdefault((addr, task), deque()).append(deadline)
 
     def _on_executor_ready(self, msg: ExecutorReady) -> None:
         state = self.requests.get(msg.request_id)

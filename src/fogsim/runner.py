@@ -81,7 +81,6 @@ class Runtime:
                 sched_config=config.scheduler,
                 discovery_config=config.discovery,
                 scaling_enabled=config.scaling_enabled,
-                cool_off_ms=config.actor_runtime.cool_off_ms,
                 profile_period_ms=config.profile_period_ms,
                 seed=config.seed,
             )
@@ -213,7 +212,6 @@ class Runtime:
             "warns": sum(m.warns for m in self.masters),
             "forwards": sum(m.forwards for m in self.masters),
             "scales_requested": sum(m.scales_requested for m in self.masters),
-            "reuses_dispatched": sum(m.reuses_dispatched for m in self.masters),
             "completed": sum(m.completed for m in self.masters),
             "protocol_anomalies": sum(m.protocol_anomalies for m in self.masters),
             "count": len(self.masters),
@@ -221,7 +219,6 @@ class Runtime:
         actors = {
             "cold_starts": sum(a.cold_starts for a in self.actors),
             "warm_reuses": sum(a.warm_reuses for a in self.actors),
-            "reuse_races": sum(a.reuse_races for a in self.actors),
             "unknown_inputs": sum(a.unknown_inputs for a in self.actors),
             "anomalies": sum(a.anomalies for a in self.actors),
             "terminated": sum(a.terminated for a in self.actors),

@@ -23,7 +23,6 @@ from fogsim.protocol import (
     ProbeReply,
     RegisterActor,
     Result,
-    ReuseTaskExecutor,
 )
 from fogsim.taskgraph import AppSpec, TaskSpec
 
@@ -168,9 +167,9 @@ def test_reuse_of_an_unknown_app_keeps_the_pool():
     h = Harness(executor_startup_ms=100.0, cool_off_ms=30000.0)
     run_solo_request(h, "r1")
     executor = h.actor.pool["solo"][0]
-    h.tell(ReuseTaskExecutor(request_id="r2", app="Mystery", task="solo", dependencies=[]))
+    h.tell(init_msg("r2", app="Mystery"))
     h.run(until=h.kernel.now + 3000.0)
-    assert h.actor.anomalies == 1 and h.actor.warm_reuses == 0 and h.actor.reuse_races == 0
+    assert h.actor.anomalies == 1 and h.actor.warm_reuses == 0 and h.actor.cold_starts == 1
     assert list(h.actor.pool["solo"]) == [executor]
     assert executor.phase is ExecutorPhase.CoolingOff and executor.request_id is None
     assert len(h.master_payloads(ExecutorReady)) == 1  # r1's only
@@ -289,7 +288,7 @@ def test_warm_reuse_pops_the_pool_and_cancels_termination():
     run_solo_request(h, "r1")
     executor = next(iter(h.actor.executors.values()))
     t_reuse = h.kernel.now
-    h.tell(ReuseTaskExecutor(request_id="r2", app="Solo", task="solo", dependencies=[]))
+    h.tell(init_msg("r2"))
     h.run(until=t_reuse + 3000.0)
     assert h.actor.warm_reuses == 1 and h.actor.cold_starts == 1
     ready = h.master_payloads(ExecutorReady)
@@ -302,15 +301,29 @@ def test_warm_reuse_pops_the_pool_and_cancels_termination():
     assert h.actor.terminated == 0
 
 
-def test_reuse_race_falls_back_to_cold_start():
+def test_a_request_after_the_cool_off_gets_a_cold_start():
     h = Harness(executor_startup_ms=100.0, cool_off_ms=500.0)
     run_solo_request(h, "r1")
     h.run(until=h.kernel.now + 1000.0)  # cool-off expires, pool drains
-    h.tell(ReuseTaskExecutor(request_id="r2", app="Solo", task="solo", dependencies=[]))
+    h.tell(init_msg("r2"))
     h.run(until=h.kernel.now + 2000.0)
-    assert h.actor.reuse_races == 1
     assert h.actor.cold_starts == 2 and h.actor.warm_reuses == 0
     assert len(h.master_payloads(ExecutorReady)) == 2
+
+
+def test_a_warm_executor_is_reused_for_another_master():
+    h = Harness(executor_startup_ms=1500.0, cool_off_ms=30000.0)
+    other = Address("p", MASTER_PORT)
+    other_inbox = []
+    h.kernel.bind(other, lambda env: other_inbox.append(env.payload))
+    run_solo_request(h, "r1")
+    executor = h.actor.pool["solo"][0]
+    h.tell(init_msg("r2"), source=other)
+    h.run(until=h.kernel.now + 3000.0)
+    assert h.actor.warm_reuses == 1 and h.actor.cold_starts == 1
+    assert executor.master == other and executor.request_id == "r2"
+    assert [p.request_id for p in other_inbox if isinstance(p, ExecutorReady)] == ["r2"]
+    assert [p.request_id for _, p in h.master_payloads(ExecutorReady)] == ["r1"]
 
 
 def test_init_new_master_boots_once_and_merges_context():

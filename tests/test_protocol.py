@@ -32,7 +32,6 @@ from fogsim.protocol import (
     RegisterActor,
     ResourcesReady,
     Result,
-    ReuseTaskExecutor,
     WarnNoResources,
     decode,
     encode,
@@ -48,7 +47,6 @@ SAMPLE_PAYLOADS = [
     RegisterActor(profile=PROFILE, images=["ocr", "*"]),
     PlacementRequest(request_id="10.0.0.9:5100#0", app="VOCR", frame_size_bytes=2048),
     InitTaskExecutor(request_id="r", app="VOCR", task="ocr", dependencies=[("grab", A2)]),
-    ReuseTaskExecutor(request_id="r", app="VOCR", task="ocr", dependencies=[]),
     ExecutorReady(request_id="r", task="ocr"),
     ResourcesReady(request_id="r"),
     Data(request_id="r", frame_seq=3, size_bytes=65536, task="grab", final=True, payload="x"),
@@ -67,6 +65,12 @@ SAMPLE_PAYLOADS = [
         ]
     ),
 ]
+
+
+def test_samples_hold_one_of_each_payload_type():
+    assert sorted(type(p).__name__ for p in SAMPLE_PAYLOADS) == sorted(
+        cls.__name__ for cls in protocol.PAYLOAD_TYPES
+    )
 
 
 def _envelope(payload):
@@ -392,7 +396,6 @@ def _envelopes_with(floats):
         st.builds(RegisterActor, profile=profiles, images=st.lists(_names, max_size=4)),
         st.builds(PlacementRequest, request_id=_names, app=_names, frame_size_bytes=_sizes),
         st.builds(InitTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=deps),
-        st.builds(ReuseTaskExecutor, request_id=_names, app=_names, task=_names, dependencies=deps),
         st.builds(ExecutorReady, request_id=_names, task=_names),
         st.builds(ResourcesReady, request_id=_names),
         st.builds(

@@ -51,7 +51,7 @@ DIGESTS = {
     },
     "smoke": {
         "convergence.csv": "450940f4aa68b8b7de6532e205a96a95b6500908bea2ffc41456a6c5f78eb801",
-        "report.json": "448e0fffb5f27b62f144cc5b7010aaa9ee1d32f7d801bc894066842574f8c818",
+        "report.json": "b5c6d59c1eca874e52c0b2edc823bf34c5963d783e92ed381e336568621c25ec",
         "response.csv": "51c8f21dde0bdc09cfab6177e46f381bb69d54ca8a4d80cf45daeed0600634ea",
         "rrt.csv": "f899bf2e719786ce91fb055575bd7ca8df0cfd5ba2e088c985ba940474e2a7b3",
         "sft.csv": "47b133b1d71bcd8649f53443c5d35dc07f8c05f4c2ae3aa1fb5a934367d75593",

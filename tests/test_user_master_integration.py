@@ -140,7 +140,6 @@ def test_sequential_requests_reuse_warm_executors():
     assert first.metrics().outcome == second.metrics().outcome == "Completed"
     actor = cluster.actors["a"]
     assert actor.cold_starts == 3 and actor.warm_reuses == 3
-    assert cluster.master().reuses_dispatched == 3
     # cold path serializes three container startups; the warm path skips them
     assert second.metrics().rrt_ms < first.metrics().rrt_ms - 4000.0
 
