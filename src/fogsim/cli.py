@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, DeadlockDetected
 from .ga_policies import POLICIES
 from .report import emit_report
-from .runner import EXPERIMENTS, run_scenario
-from .scenario import load_scenario, preset_names
+from .runner import run_scenario
+from .scenario import parse_scenario, preset_names, read_scenario
 
 __all__ = ["main"]
 
@@ -44,19 +43,14 @@ def _summarize(report, paths: dict[str, str]) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        overrides = {}
+        tree = read_scenario(args.scenario)
         if args.seed is not None:
-            overrides["seed"] = args.seed
+            tree["seed"] = args.seed
         if args.policy is not None:
-            overrides["policy"] = args.policy
+            tree["policy"] = args.policy
         if args.no_scaling:
-            overrides["scaling_enabled"] = False
-        config = load_scenario(args.scenario)
-        kind = config.experiment["kind"]
-        for name in EXPERIMENTS[kind].sets:
-            if name in overrides:
-                raise ConfigError(name, f"every {kind} cell sets its own value, so the override would be discarded")
-        report = run_scenario(replace(config, **overrides))
+            tree["scaling_enabled"] = False
+        report = run_scenario(parse_scenario(tree))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -467,19 +467,18 @@ def _fold_discovery(config: ScenarioConfig, report: MetricsReport, _labels, resu
 
 
 class Experiment(NamedTuple):
-    """An experiment kind: its cells, their fold, and the config fields every cell sets itself."""
+    """An experiment kind: its cells and their fold."""
 
     cells: Callable[[ScenarioConfig], list]
     fold: Callable[..., None]
-    sets: tuple = ()
 
 
 EXPERIMENTS = {
     "single": Experiment(_one_deployment, _fold_single),
-    "convergence": Experiment(_convergence_cells, _fold_convergence, sets=("policy",)),
-    "scalability": Experiment(_scalability_cells, _fold_scalability, sets=("scaling_enabled",)),
+    "convergence": Experiment(_convergence_cells, _fold_convergence),
+    "scalability": Experiment(_scalability_cells, _fold_scalability),
     "reuse": Experiment(_reuse_cells, _fold_reuse),
-    "response": Experiment(_response_cells, _fold_response, sets=("policy",)),
+    "response": Experiment(_response_cells, _fold_response),
     "discovery": Experiment(_one_deployment, _fold_discovery),
 }
 

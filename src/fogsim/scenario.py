@@ -33,7 +33,7 @@ from .taskgraph import AppSpec, TaskSpec, builtin_apps
 from .telemetry import PROFILE_PERIOD_MS
 from .user_sim import UserConfig
 
-__all__ = ["ScenarioConfig", "parse_scenario", "load_scenario", "preset_names", "preset_tree"]
+__all__ = ["ScenarioConfig", "parse_scenario", "read_scenario", "load_scenario", "preset_names", "preset_tree"]
 
 ROOT_KEYS = (
     "name", "seed", "experiment", "policy", "scaling_enabled", "time_limit_ms", "topology", "apps",
@@ -44,6 +44,8 @@ EXPERIMENT_KEYS = {
     "single": (), "convergence": ("seeds", "policies", "compare_iteration"), "scalability": ("counts",),
     "reuse": ("apps",), "response": ("seeds", "policies"), "discovery": (),
 }
+# Experiment kind -> the root keys every one of its cells sets itself, so a scenario may not.
+CELL_KEYS = {"convergence": ("policy",), "scalability": ("scaling_enabled",), "response": ("policy",)}
 # Root scalar -> its default; each is checked against ScenarioConfig's annotation.
 ROOT_SCALARS = {
     "name": "scenario", "seed": 0, "policy": "ohnsga", "scaling_enabled": True,
@@ -165,6 +167,10 @@ def _parse_topology(tree: dict, path: str) -> Topology:
         for end in (a, b):
             if end not in specs:
                 raise ConfigError(lpath, f"unknown host {end!r}")
+        if a == b:
+            raise ConfigError(lpath, f"link from host {a!r} to itself")
+        if (a, b) in links or (b, a) in links:
+            raise ConfigError(lpath, f"second link between {a!r} and {b!r}")
         links[(a, b)] = link
     return Topology(list(specs.values()), links=links, default_link=default)
 
@@ -308,6 +314,10 @@ def parse_scenario(tree: dict) -> ScenarioConfig:
 
     users = _parse_users(_opt(tree, "users", [], "", list), "users", apps, specs, masters)
     experiment = _parse_experiment(_opt(tree, "experiment", {}, "", dict), len(users), apps)
+    kind = experiment["kind"]
+    for key in CELL_KEYS.get(kind, ()):
+        if key in tree:
+            raise ConfigError(key, f"every {kind} cell sets its own value, so this one would be discarded")
     discovery = _build(DiscoveryConfig, tree.get("discovery", {}), "discovery")
     if discovery.enabled:
         for i, host in enumerate(specs):
@@ -341,8 +351,8 @@ def preset_tree(name: str) -> dict:
     return json.loads((_PRESETS / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def load_scenario(ref: str) -> ScenarioConfig:
-    """Load a scenario from a JSON file path or a built-in preset name; a file takes precedence."""
+def read_scenario(ref: str) -> dict:
+    """The tree of a scenario from a JSON file path or a built-in preset name; a file takes precedence."""
     if os.path.isfile(ref):
         source = pathlib.Path(ref)
     elif ref in preset_names():
@@ -353,4 +363,11 @@ def load_scenario(ref: str) -> ScenarioConfig:
         tree = json.loads(source.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(ref, f"not valid JSON: {exc}") from exc
-    return parse_scenario(tree)
+    if not isinstance(tree, dict):
+        raise ConfigError(ref, "scenario root must be an object")
+    return tree
+
+
+def load_scenario(ref: str) -> ScenarioConfig:
+    """The parsed scenario of a JSON file path or a built-in preset name."""
+    return parse_scenario(read_scenario(ref))

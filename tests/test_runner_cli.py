@@ -64,6 +64,9 @@ def test_unknown_reference_and_bad_json_are_config_errors(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_scenario(str(path))
+    path.write_text("[1]")
+    with pytest.raises(ConfigError, match="scenario root must be an object"):
+        load_scenario(str(path))
 
 
 def reject(mutate, match):
@@ -87,6 +90,23 @@ def reject(mutate, match):
     (lambda t: t["topology"].__setitem__(
         "links", [{"a": "10.0.0.1", "b": "ghost", "latency_ms": 1.0, "data_rate_bps": 1e6}]),
      "unknown host"),
+    (lambda t: t["topology"].__setitem__(
+        "links", [{"a": "10.0.0.2", "b": "10.0.0.2", "latency_ms": 1.0, "data_rate_bps": 1e6}]),
+     r"^topology\.links\[0\]: link from host '10\.0\.0\.2' to itself"),
+    (lambda t: t["topology"].__setitem__(
+        "links", [{"a": "10.0.0.1", "b": "10.0.0.2", "latency_ms": 35.0, "data_rate_bps": 1e6},
+                  {"a": "10.0.0.1", "b": "10.0.0.2", "latency_ms": 99.0, "data_rate_bps": 1e6}]),
+     r"^topology\.links\[1\]: second link between '10\.0\.0\.1' and '10\.0\.0\.2'"),
+    (lambda t: t["topology"].__setitem__(
+        "links", [{"a": "10.0.0.1", "b": "10.0.0.2", "latency_ms": 35.0, "data_rate_bps": 1e6},
+                  {"a": "10.0.0.2", "b": "10.0.0.1", "latency_ms": 99.0, "data_rate_bps": 1e6}]),
+     r"^topology\.links\[1\]: second link between '10\.0\.0\.2' and '10\.0\.0\.1'"),
+    (lambda t: t.update(policy="ohnsga", experiment={"kind": "response"}),
+     r"^policy: every response cell sets its own value"),
+    (lambda t: t.update(policy="nsga2", experiment={"kind": "convergence"}),
+     r"^policy: every convergence cell sets its own value"),
+    (lambda t: t.update(scaling_enabled=True, experiment={"kind": "scalability"}),
+     r"^scaling_enabled: every scalability cell sets its own value"),
     (lambda t: t["components"].__setitem__("remote_loggers", []), "at least one remote logger"),
     (lambda t: t["components"].__setitem__("masters", []), "at least one master"),
     (lambda t: t["components"].__setitem__("masters", ["10.0.0.9"]), "unknown host"),
@@ -251,6 +271,7 @@ DRIVER_KEYS = {
 def two_user_tree():
     tree = smoke_tree()
     tree["users"] = tree["users"] * 2  # reuse needs a cold and a warm user
+    del tree["policy"]  # convergence and response cells each set their own
     return tree
 
 
