@@ -2,8 +2,9 @@
 
 An actor owns one host: it profiles the host, launches task executors
 on request, pools finished executors during their cool-off window and
-serves an init request from that pool when it holds one, and can bootstrap a brand-new master on its host when a
-saturated master asks for one.
+serves an init request from that pool when it holds one, and can
+bootstrap a brand-new master on its host when a saturated master asks
+for one.
 
 Executors are in-process state machines, not containers. The cost of a
 container cold start is modeled by a startup delay; cold startups on
