@@ -247,7 +247,7 @@ class Actor:
         wired = {task for task, _ in msg.dependencies}
         return app if wired.issuperset(app.children(msg.task)) else None
 
-    def _init_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
+    def _init_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> None:
         addr = Address(self.spec.host, self._next_port)
         self._next_port += 1
         executor = TaskExecutor(addr, msg.app, msg.task, msg.request_id, master)
@@ -258,7 +258,6 @@ class Actor:
         self.cold_starts += 1
         self._lane.append(executor)
         self._pump_lane()
-        return executor
 
     def _pump_lane(self) -> None:
         if self._lane_busy or not self._lane:
@@ -290,7 +289,7 @@ class Actor:
         executor._move(ExecutorPhase.Ready)
         self._send(executor.master, ExecutorReady(request_id=executor.request_id, task=executor.task_name))
 
-    def _reuse_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> TaskExecutor:
+    def _reuse_executor(self, msg: InitTaskExecutor, app: AppSpec, master: Address) -> None:
         """Serves an init request from this task's warm pool, skipping the cold start."""
         executor: TaskExecutor = self.pool[msg.task].popleft()
         if executor.cool_timer is not None:
@@ -306,7 +305,6 @@ class Actor:
         self.by_request.setdefault(msg.request_id, []).append(executor)
         self.warm_reuses += 1
         self._begin_connecting(executor)
-        return executor
 
     def _route_data(self, msg: Data) -> None:
         takers = [
