@@ -33,13 +33,7 @@ from .scenario import ScenarioConfig, load_scenario, parse_scenario, preset_name
 from .scheduler import ResponseModel, SchedulerConfig, build_task_actors_map
 from .taskgraph import AppSpec, TaskSpec, builtin_apps
 from .tcpnet import RealtimeKernel
-from .telemetry import (
-    HostProfile,
-    ImageRecord,
-    LogStore,
-    RemoteLogger,
-    TelemetryView,
-)
+from .telemetry import HostProfile, LogStore, RemoteLogger, TelemetryView
 from .user_sim import RequestMetrics, User, UserConfig
 
 __version__ = "0.1.0"
@@ -65,7 +59,6 @@ __all__ = [
     "HostCompute",
     "HostProfile",
     "HostSpec",
-    "ImageRecord",
     "LinkSpec",
     "LogStore",
     "Master",

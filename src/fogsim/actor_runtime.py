@@ -29,7 +29,6 @@ from .protocol import (
     AdvertiseMaster,
     Data,
     ExecutorReady,
-    ImageRecord,
     InitNewMaster,
     InitTaskExecutor,
     LogUpload,
@@ -175,17 +174,10 @@ class Actor:
         self.kernel.bind(self.address, self._on_message)
         for master in self.initial_masters:
             self._register_with(master)
-        if self.logger is not None:
-            images = [ImageRecord(self.spec.host, task, True, self.kernel.now) for task in sorted(self.images)]
-            self._upload(self.logger, images)
         self.kernel.schedule(self.period, self._profile_tick)
 
     def _send(self, dest: Address, payload, source: Address | None = None) -> None:
         self.kernel.send(MessageEnvelope(source or self.address, dest, payload))
-
-    def _upload(self, dest: Address, records: list) -> None:
-        if records:
-            self._send(dest, LogUpload(records=records))
 
     def _register_with(self, master: Address) -> None:
         if master in self.registered_masters:
@@ -197,9 +189,9 @@ class Actor:
     def _profile_tick(self) -> None:
         profile = sample_host(self.spec, self.compute, self.kernel.now, self.period)
         if self.logger is not None:
-            self._upload(self.logger, [profile])
+            self._send(self.logger, LogUpload(records=[profile]))
         for master in self.registered_masters:
-            self._upload(master, [profile])
+            self._send(master, LogUpload(records=[profile]))
         self.kernel.schedule(self.period, self._profile_tick)
 
     # -- message handling -------------------------------------------------------

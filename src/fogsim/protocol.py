@@ -7,15 +7,15 @@ address and payload, with no other header key.  Equal envelopes always encode
 to identical bytes, which is what makes simulated runs byte-reproducible and
 lets the loopback TCP transport share one codec with the simulator.
 
-The payload and record dataclasses are the wire schema: at import each
+The payload dataclasses and HostProfile are the wire schema: at import each
 field's annotation picks its codec from ``_CODECS`` (an annotation without
 one fails the import), and encode and decode of frames walk the per-class
 field tables built from them.
 
 ``message_wire_bytes`` walks the same field tables to add up the exact length
-of the frame ``encode`` would write, without building it.  Telemetry records
-are frozen, so each keeps its own length, in a slot outside its dataclass
-fields, once it has been sized.
+of the frame ``encode`` would write, without building it.  Host profiles are
+frozen, so each keeps its own length, in a slot outside its dataclass fields,
+once it has been sized.
 """
 
 from __future__ import annotations
@@ -66,13 +66,13 @@ class Address:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry records.  They live here because they cross the wire inside
-# RegisterActor and LogUpload; the telemetry module re-exports them.
+# The one telemetry record.  It lives here because it crosses the wire inside
+# RegisterActor and LogUpload; the telemetry module re-exports it.
 
 
 class _Record:
-    """Base of the frozen records: one slot, outside the dataclass fields,
-    where message_wire_bytes keeps the record's encoded length once sized."""
+    """Base of HostProfile: one slot, outside the dataclass fields, where
+    message_wire_bytes keeps the record's encoded length once sized."""
 
     __slots__ = ("_wire_len",)
 
@@ -88,20 +88,6 @@ class HostProfile(_Record):
     cpu_util: float
     mem_util: float
     sampled_at: float
-
-
-@dataclass(frozen=True, slots=True)
-class ImageRecord(_Record):
-    """One task image known (or known missing) on a host."""
-
-    host: str
-    task: str
-    available: bool
-    sampled_at: float
-
-
-TelemetryRecord = HostProfile | ImageRecord
-RECORD_TYPES = typing.get_args(TelemetryRecord)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +188,7 @@ class WarnNoResources:
 
 @dataclass
 class LogUpload:
-    records: list[TelemetryRecord] = field(default_factory=list)
+    records: list[HostProfile] = field(default_factory=list)
 
 
 MessagePayload = (
@@ -277,7 +263,7 @@ _CODECS = {
     HostProfile: (None, _nested(_is(HostProfile))),
     list[Address]: (lambda value: [str(addr) for addr in value], _each(Address.parse)),
     list[tuple[str, Address]]: (lambda value: [[task, str(addr)] for task, addr in value], _each(_dependency)),
-    list[TelemetryRecord]: (None, _each(_nested(_is(*RECORD_TYPES)))),
+    list[HostProfile]: (None, _each(_nested(_is(HostProfile)))),
 }
 
 
@@ -303,7 +289,7 @@ def _schema(cls) -> tuple:
     return tuple((f.name, _CODECS[hints[f.name]]) for f in fields(cls))
 
 
-_SCHEMA = {cls: _schema(cls) for cls in PAYLOAD_TYPES + RECORD_TYPES}
+_SCHEMA = {cls: _schema(cls) for cls in (*PAYLOAD_TYPES, HostProfile)}
 _BY_NAME = {cls.__name__: cls for cls in _SCHEMA}
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_struct_tree).encode
 _ENVELOPE_KEYS = frozenset({"source", "destination", "payload"})
@@ -471,7 +457,7 @@ def _sizer(cls):
             n += _tree_len(raw if to_tree is None else to_tree(raw))
         return n
 
-    if cls not in RECORD_TYPES:
+    if cls is not HostProfile:
         return size
 
     def size_record(record) -> int:
@@ -497,8 +483,8 @@ def message_wire_bytes(envelope: MessageEnvelope) -> int:
     Data and Result frames are charged at their declared logical size (the
     synthetic payload stands in for real content); control traffic is charged
     at its encoded size, len(encode(envelope)) exactly, walked over the field
-    tables without building the frame.  A telemetry record keeps its own
-    length after it is first sized, so a record sent again costs one lookup.
+    tables without building the frame.  A host profile keeps its own length
+    after it is first sized, so a profile sent again costs one lookup.
     """
 
     payload = envelope.payload

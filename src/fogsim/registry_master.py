@@ -8,8 +8,9 @@ it tells the masters it knows its load (queued plus in flight) when that
 changed. When saturated it forwards a user to a known master that
 reported a lower load, or else keeps the request at the head of its one
 queue; knowing no master, it also asks an actor to start one. It also
-relays the data path: user frames fan out to entry actors, exit results flow back to the user, and the final
-result of every exit task marks the request complete.
+relays the data path once all of a request's executors are ready: user
+frames fan out to entry actors, exit results flow back to the user, and
+the final result of every exit task marks the request complete.
 """
 from __future__ import annotations
 
@@ -363,7 +364,7 @@ class Master:
 
     def _relay_data(self, msg: Data) -> None:
         state = self.requests.get(msg.request_id)
-        if state is None or state.status not in ("streaming", "waiting_ready"):
+        if state is None or state.status != "streaming":
             self.protocol_anomalies += 1
             return
         app = self.apps[state.app]

@@ -51,14 +51,8 @@ def emit_report(report: MetricsReport, out_dir: str) -> dict[str, str]:
         fh.write(json.dumps(report.to_tree(), indent=2, sort_keys=True) + "\n")
     written["report.json"] = json_path
 
-    tables = {
-        "convergence.csv": report.convergence,
-        "sft.csv": report.sft,
-        "rrt.csv": report.rrt,
-        "response.csv": report.response,
-    }
-    for name, rows in tables.items():
+    for name, columns in CSV_SCHEMAS.items():
         path = os.path.join(out_dir, name)
-        _write_csv(path, CSV_SCHEMAS[name], rows)
+        _write_csv(path, columns, getattr(report, name.removesuffix(".csv")))
         written[name] = path
     return written

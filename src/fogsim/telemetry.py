@@ -1,26 +1,19 @@
-"""Telemetry: append-only log stores, profile views, and the remote logger.
+"""Telemetry: the append-only profile log, profile views, and the remote logger.
 
-Two databases mirror what the orchestration components record about the
-system: task images present on hosts and host resource profiles.  Ingestion
-validates each record individually and reports a reason per rejected
-record; accepted records are append-only.  The freshest view of any host is
-the record with the largest sampled_at, later insertion winning ties.
+One database mirrors what the orchestration components record about the
+system: host resource profiles.  Ingestion validates each record
+individually and reports a reason per rejected record; accepted records are
+append-only.  The freshest view of any host is the record with the largest
+sampled_at, later insertion winning ties.  Which task images a host holds is
+not telemetry: actors declare it once, in RegisterActor.
 """
 
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 from . import protocol
-from .protocol import (
-    Address,
-    HostProfile,
-    ImageRecord,
-    LogUpload,
-    MessageEnvelope,
-    RECORD_TYPES,
-)
+from .protocol import Address, HostProfile, LogUpload, MessageEnvelope
 
 PROFILE_PERIOD_MS = 1000.0
 STALE_PERIODS = 3
@@ -29,38 +22,35 @@ STALE_PERIODS = 3
 def validate_record(record) -> str | None:
     """Reason the record is unacceptable, or None if it is fine."""
 
-    if not isinstance(record, RECORD_TYPES):
+    if not isinstance(record, HostProfile):
         return f"not a telemetry record: {type(record).__name__}"
     if record.sampled_at < 0 or not math.isfinite(record.sampled_at):
         return "sampled_at must be a finite non-negative time"
-    if isinstance(record, HostProfile):
-        if record.cpu_cores <= 0:
-            return "cpu_cores must be positive"
-        if record.cpu_freq_ghz <= 0 or not math.isfinite(record.cpu_freq_ghz):
-            return "cpu_freq_ghz must be positive and finite"
-        if record.mem_capacity_mb <= 0:
-            return "mem_capacity_mb must be positive"
-        if not 0.0 <= record.cpu_util <= 1.0:
-            return "cpu_util must lie in [0, 1]"
-        if not 0.0 <= record.mem_util <= 1.0:
-            return "mem_util must lie in [0, 1]"
-    elif isinstance(record, ImageRecord):
-        if not record.task:
-            return "task name must be non-empty"
+    if record.cpu_cores <= 0:
+        return "cpu_cores must be positive"
+    if record.cpu_freq_ghz <= 0 or not math.isfinite(record.cpu_freq_ghz):
+        return "cpu_freq_ghz must be positive and finite"
+    if record.mem_capacity_mb <= 0:
+        return "mem_capacity_mb must be positive"
+    if not 0.0 <= record.cpu_util <= 1.0:
+        return "cpu_util must lie in [0, 1]"
+    if not 0.0 <= record.mem_util <= 1.0:
+        return "mem_util must lie in [0, 1]"
     return None
 
 
 class LogStore:
-    """Append-only record databases with validating ingestion.
+    """Append-only profile database with validating ingestion.
 
-    `latest` indexes the freshest accepted record per key as it arrives, so
-    a snapshot costs the number of keys, not the length of the history.
+    `latest` indexes the freshest accepted profile per host as it arrives,
+    so a snapshot costs the number of hosts, not the length of the history.
     """
 
     def __init__(self):
-        self.images: list[ImageRecord] = []
         self.resources: list[HostProfile] = []
-        self.perf: list = []  # always empty; read only by bench/tracing.py's store_records count
+        # Always empty; read only by bench/tracing.py's store_records count.
+        self.images: list = []
+        self.perf: list = []
         self.latest = TelemetryView()
 
     def ingest(self, records) -> tuple[int, list]:
@@ -73,21 +63,16 @@ class LogStore:
             if reason is not None:
                 rejected.append((record, reason))
                 continue
-            if isinstance(record, ImageRecord):
-                self.images.append(record)
-            else:
-                self.resources.append(record)
+            self.resources.append(record)
             self.latest.observe(record)
             accepted += 1
         return accepted, rejected
 
-    def snapshot(self) -> list:
-        """Latest record per key, deterministically ordered; feeds master syncs."""
+    def snapshot(self) -> list[HostProfile]:
+        """Latest profile per host, ordered by host; feeds master syncs."""
 
-        out = []
-        for table in (self.latest.host_profiles, self.latest.images):
-            out.extend(table[key] for key in sorted(table))
-        return out
+        profiles = self.latest.host_profiles
+        return [profiles[host] for host in sorted(profiles)]
 
 
 def rate_from_profile(profile: HostProfile) -> float:
@@ -111,7 +96,7 @@ def sample_host(spec, compute, now: float, period_ms: float = PROFILE_PERIOD_MS)
 
 
 class TelemetryView:
-    """One component's current knowledge of hosts and images.
+    """One component's current knowledge of hosts.
 
     Masters are constructed with the topology as ground truth (the desk-scale
     stand-in for an initial profiling pass) and then fold in uploaded records,
@@ -122,26 +107,18 @@ class TelemetryView:
     def __init__(self, topology=None):
         self.topology = topology
         self.host_profiles: dict[str, HostProfile] = {}
-        self.images: dict[tuple[str, str], ImageRecord] = {}
-        self._tables = {
-            HostProfile: (self.host_profiles, attrgetter("host")),
-            ImageRecord: (self.images, attrgetter("host", "task")),
-        }
         if topology is not None:
             for spec in topology.hosts.values():
                 self.observe(sample_host(spec, None, 0.0))
 
     def observe(self, record):
-        """Keeps the freshest record per key: larger sampled_at wins, later insertion breaks ties."""
+        """Keeps the freshest profile per host: larger sampled_at wins, later insertion breaks ties."""
 
-        entry = self._tables.get(type(record))
-        if entry is None:
+        if type(record) is not HostProfile:
             return
-        table, key_of = entry
-        key = key_of(record)
-        held = table.get(key)
+        held = self.host_profiles.get(record.host)
         if held is None or record.sampled_at >= held.sampled_at:
-            table[key] = record
+            self.host_profiles[record.host] = record
 
     def observe_all(self, records):
         for record in records:

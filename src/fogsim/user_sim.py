@@ -2,8 +2,9 @@
 
 A user sends one placement request to a master, under an id made from
 its own address, and follows forwards to sub-masters with the same id
-(the clocks never reset). Once resources are ready it streams data
-frames at a fixed interval, recording the response time of every frame.
+(the clocks never reset). It takes messages only from the master that
+holds its request now. Once resources are ready it streams data frames
+at a fixed interval, recording the response time of every frame.
 """
 from __future__ import annotations
 
@@ -130,10 +131,13 @@ class User:
     # -- protocol ------------------------------------------------------------------
 
     def _on_message(self, env: MessageEnvelope) -> None:
+        # Only the master holding the request speaks for it; every other source is ignored.
+        if env.source != self.current_master:
+            return
         payload = env.payload
         if isinstance(payload, ForwardToMaster):
-            # Only the master holding the request may hand it on, and only before it is placed.
-            if env.source == self.current_master and self.ready_at is None:
+            # It may hand the request on only before it is placed.
+            if self.ready_at is None:
                 self.forwards += 1
                 self.current_master = payload.sub_master
                 self._request_placement()

@@ -14,7 +14,6 @@ from fogsim.protocol import (
     Data,
     ExecutorReady,
     HostProfile,
-    ImageRecord,
     InitNewMaster,
     InitTaskExecutor,
     LogUpload,
@@ -87,16 +86,17 @@ def test_config_validation():
         ActorConfig(cool_off_ms=-1.0).validate()
 
 
-def test_start_registers_and_uploads_images():
+def test_start_registers_images_and_uploads_only_profiles():
     h = Harness(images=("OCR", "KeyFrameFilter"), logger=True)
-    h.run(until=50.0)
+    h.run(until=1500.0)
     regs = h.master_payloads(RegisterActor)
     assert len(regs) == 1
     assert regs[0][1].images == ["KeyFrameFilter", "OCR"]
     assert regs[0][1].profile.host == "w"
-    uploads = [p for _, e in h.logger_inbox for p in [e.payload] if isinstance(p, LogUpload)]
-    images = [r for u in uploads for r in u.records if isinstance(r, ImageRecord)]
-    assert [(r.task, r.available) for r in images] == [("KeyFrameFilter", True), ("OCR", True)]
+    # The images travel in RegisterActor only; the logger hears one profile per period, from the first tick.
+    uploads = [(t, e.payload) for t, e in h.logger_inbox]
+    assert [t for t, _ in uploads] == [pytest.approx(1000.0, abs=50.0)]
+    assert all(isinstance(u, LogUpload) and [type(r) for r in u.records] == [HostProfile] for _, u in uploads)
 
 
 def test_profile_tick_feeds_logger_and_masters():

@@ -20,7 +20,6 @@ from fogsim.protocol import (
     ForwardToMaster,
     FrameBuffer,
     HostProfile,
-    ImageRecord,
     InitNewMaster,
     InitTaskExecutor,
     LogUpload,
@@ -58,12 +57,7 @@ SAMPLE_PAYLOADS = [
     ForwardToMaster(sub_master=Address("10.0.0.4", 5000)),
     MasterLoad(queued=3, in_flight=2),
     WarnNoResources(request_id="r"),
-    LogUpload(
-        records=[
-            PROFILE,
-            ImageRecord("10.0.0.2", "ocr", True, 5.0),
-        ]
-    ),
+    LogUpload(records=[PROFILE, HostProfile("10.0.0.3", 4, 2.4, 8192.0, 0.5, 0.2, 2000.0)]),
 ]
 
 
@@ -172,7 +166,7 @@ _WRONG_TYPES = [
     (RegisterActor(profile=PROFILE), lambda p: p["profile"].update(cpu_util=True), "HostProfile.cpu_util"),
     (
         RegisterActor(profile=PROFILE),
-        lambda p: p.update(profile=_record_tree(ImageRecord("h", "t", True, 1.0))),
+        lambda p: p.update(profile={"type": "MasterLoad", "queued": 1, "in_flight": 0}),
         "RegisterActor.profile",
     ),
     (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(request_id=7), "Data.request_id"),
@@ -180,11 +174,7 @@ _WRONG_TYPES = [
     (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(size_bytes=None), "Data.size_bytes"),
     (Data(request_id="r", frame_seq=0, size_bytes=1), lambda p: p.update(final=1), "Data.final"),
     (Result(request_id="r", frame_seq=0), lambda p: p.update(frame_seq=True), "Result.frame_seq"),
-    (
-        LogUpload(records=[ImageRecord("h", "t", True, 1.0)]),
-        lambda p: p["records"][0].update(available=1),
-        "ImageRecord.available",
-    ),
+    (LogUpload(records=[PROFILE]), lambda p: p["records"][0].update(mem_util="x"), "HostProfile.mem_util"),
     (LogUpload(records=[]), lambda p: p.update(records=[{"type": "Probe"}]), "LogUpload.records"),
     (
         InitTaskExecutor(request_id="r", app="VOCR", task="ocr", dependencies=[("grab", A2)]),
@@ -286,17 +276,7 @@ def test_unknown_extra_field_rejected():
 
 def test_record_where_payload_expected_rejected():
     body = json.dumps(
-        {
-            "source": "a:1",
-            "destination": "b:2",
-            "payload": {
-                "type": "ImageRecord",
-                "host": "h",
-                "task": "t",
-                "available": True,
-                "sampled_at": 0.0,
-            },
-        },
+        {"source": "a:1", "destination": "b:2", "payload": _record_tree(PROFILE)},
         sort_keys=True,
         separators=(",", ":"),
     ).encode()
@@ -326,10 +306,12 @@ def test_equal_records_keep_their_own_encoded_length(freqs):
 
 
 def test_a_sized_record_is_the_same_value():
-    record = ImageRecord("10.0.0.2", "ocr", True, 5.0)
+    record = HostProfile("10.0.0.2", 8, 3.6, 16384.0, 0.25, 0.1, 1000.0)
     message_wire_bytes(_envelope(LogUpload(records=[record])))
-    twin = ImageRecord("10.0.0.2", "ocr", True, 5.0)
-    assert [f.name for f in fields(record)] == ["host", "task", "available", "sampled_at"]
+    twin = HostProfile("10.0.0.2", 8, 3.6, 16384.0, 0.25, 0.1, 1000.0)
+    assert [f.name for f in fields(record)] == [
+        "host", "cpu_cores", "cpu_freq_ghz", "mem_capacity_mb", "cpu_util", "mem_util", "sampled_at"
+    ]
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
     assert pickle.loads(pickle.dumps(record)) == record
     assert encode(_envelope(LogUpload(records=[record]))) == encode(_envelope(LogUpload(records=[twin])))
@@ -345,10 +327,9 @@ def test_wire_bytes_charges_data_at_logical_size():
 
 
 def test_record_round_trips_inside_a_log_upload():
-    for record in (PROFILE, ImageRecord("h", "t", False, 1.0)):
-        frame = encode(_envelope(LogUpload(records=[record])))
-        assert b"\n" not in frame[4:]
-        assert decode(frame).payload.records == [record]
+    frame = encode(_envelope(LogUpload(records=[PROFILE])))
+    assert b"\n" not in frame[4:]
+    assert decode(frame).payload.records == [PROFILE]
 
 
 def test_log_upload_rejects_unknown_tags_and_payload_types_as_records():
@@ -357,6 +338,15 @@ def test_log_upload_rejects_unknown_tags_and_payload_types_as_records():
         decode(_payload_frame(upload, lambda p: p["records"][0].update(type="HostProfileX")))
     with pytest.raises(ProtocolError, match="LogUpload.records"):
         decode(_payload_frame(upload, lambda p: p.update(records=[{"type": "Probe"}])))
+
+
+def test_log_upload_carrying_an_image_record_is_rejected():
+    # Host profiles are the only telemetry record; the image record that once
+    # rode in LogUpload is an unknown tag now.
+    image = {"type": "ImageRecord", "host": "h", "task": "t", "available": True, "sampled_at": 1.0}
+    frame = _payload_frame(LogUpload(records=[PROFILE]), lambda p: p["records"].append(image))
+    with pytest.raises(ProtocolError, match="unknown struct tag 'ImageRecord'"):
+        decode(frame)
 
 
 def test_address_parse_round_trip():
@@ -385,10 +375,6 @@ def _envelopes_with(floats):
         cpu_util=floats,
         mem_util=floats,
         sampled_at=floats,
-    )
-    records = st.one_of(
-        profiles,
-        st.builds(ImageRecord, host=_hosts, task=_names, available=st.booleans(), sampled_at=floats),
     )
     deps = st.lists(st.tuples(_names, _addrs), max_size=4)
 
@@ -422,7 +408,7 @@ def _envelopes_with(floats):
         st.builds(ForwardToMaster, sub_master=_addrs),
         st.builds(MasterLoad, queued=st.integers(0, 2**31), in_flight=st.integers(0, 2**31)),
         st.builds(WarnNoResources, request_id=_names),
-        st.builds(LogUpload, records=st.lists(records, max_size=4)),
+        st.builds(LogUpload, records=st.lists(profiles, max_size=4)),
     )
     return st.builds(MessageEnvelope, source=_addrs, destination=_addrs, payload=payloads)
 
@@ -460,7 +446,7 @@ def test_frame_buffer_reassembles_any_chunking(envs, chunk):
 # The type-ladder codec that the annotation-driven field table replaced, kept
 # verbatim (only the two public names are prefixed) as the wire-bytes oracle.
 
-_BY_NAME = {cls.__name__: cls for cls in protocol.PAYLOAD_TYPES + protocol.RECORD_TYPES}
+_BY_NAME = {cls.__name__: cls for cls in (*protocol.PAYLOAD_TYPES, HostProfile)}
 
 
 def _to_tree(value):

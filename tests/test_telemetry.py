@@ -13,11 +13,9 @@ from fogsim.protocol import (
     USER_PORT_BASE,
     Address,
     HostProfile,
-    ImageRecord,
     LogUpload,
     MessageEnvelope,
     Probe,
-    RECORD_TYPES,
 )
 from fogsim.telemetry import (
     LogStore,
@@ -41,31 +39,32 @@ def test_validate_catches_each_bad_field():
     assert "cpu_util" in validate_record(profile("h", util=1.5))
     assert "finite" in validate_record(profile("h", ghz=float("inf")))
     assert "sampled_at" in validate_record(profile("h", sampled_at=-1.0))
-    assert "task" in validate_record(ImageRecord(host="h", task="", available=True, sampled_at=0.0))
     assert "not a telemetry record" in validate_record("hello")
 
 
 def test_ingest_accepts_good_rejects_bad_with_reasons():
     store = LogStore()
-    good = [profile("a"), ImageRecord(host="a", task="t", available=True, sampled_at=1.0)]
+    good = [profile("b", sampled_at=3.0), profile("a", sampled_at=1.0)]
     bad = profile("c", util=2.0)
-    accepted, rejected = store.ingest(good + [bad])
+    accepted, rejected = store.ingest([good[0], bad, good[1]])
     assert accepted == 2
     assert len(rejected) == 1 and rejected[0][0] is bad and "cpu_util" in rejected[0][1]
-    assert len(store.resources) == 1 and len(store.images) == 1
+    assert store.resources == good and store.images == []
 
 
 _PLAIN = {str: "h", int: 1, float: 1.0, bool: True}
 
 
-@pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "cls", typing.get_args(typing.get_type_hints(LogUpload)["records"]), ids=lambda cls: cls.__name__
+)
 def test_the_view_keeps_every_record_type(cls):
     """A record type the view drops would be uploaded and stored but never read."""
     hints = typing.get_type_hints(cls)
     record = cls(**{f.name: _PLAIN[hints[f.name]] for f in fields(cls)})
     view = TelemetryView()
     view.observe(record)
-    assert [*view.host_profiles.values(), *view.images.values()] == [record]
+    assert list(view.host_profiles.values()) == [record]
 
 
 def test_view_freshest_wins_insertion_breaks_ties():
@@ -77,9 +76,6 @@ def test_view_freshest_wins_insertion_breaks_ties():
     assert view.host_profiles == {"h": fresh}
     view.observe(tied)
     assert view.host_profiles == {"h": tied}
-    fresh_image = ImageRecord(host="h", task="t", available=False, sampled_at=2.0)
-    view.observe_all([fresh_image, ImageRecord(host="h", task="t", available=True, sampled_at=1.0)])
-    assert view.images == {("h", "t"): fresh_image}
 
 
 def test_snapshot_is_latest_per_key_in_sorted_order():
@@ -88,55 +84,31 @@ def test_snapshot_is_latest_per_key_in_sorted_order():
         profile("b", sampled_at=1.0),
         profile("a", sampled_at=1.0),
         profile("a", sampled_at=5.0, util=0.4),
-        ImageRecord(host="b", task="t2", available=True, sampled_at=0.0),
-        ImageRecord(host="a", task="t1", available=True, sampled_at=0.0),
     ])
     snap = store.snapshot()
-    assert [r.host for r in snap[:2]] == ["a", "b"]
+    assert [r.host for r in snap] == ["a", "b"]
     assert snap[0].cpu_util == 0.4
-    assert [(r.host, r.task) for r in snap[2:]] == [("a", "t1"), ("b", "t2")]
     assert store.snapshot() == snap
-
-
-def stored(store):
-    """Every record the store accepted, table by table, each in arrival order."""
-    return store.images + store.resources
-
-
-def test_ingest_files_each_record_in_its_table():
-    store = LogStore()
-    records = [profile("a", sampled_at=3.0),
-               ImageRecord(host="a", task="t", available=False, sampled_at=1.0),
-               profile("b", sampled_at=2.0)]
-    assert store.ingest(records) == (3, [])
-    assert store.images == [records[1]]
-    assert store.resources == [records[0], records[2]]
 
 
 _hosts = st.sampled_from(["a", "b", "c"])
 _times = st.sampled_from([0.0, 1.0, 2.5, 4.0, -1.0, float("nan")])  # the last two are invalid
 _records = st.one_of(
     st.builds(profile, _hosts, sampled_at=_times, util=st.sampled_from([0.0, 0.5, 1.5])),
-    st.builds(ImageRecord, host=_hosts, task=st.sampled_from(["t1", "t2", ""]),
-              available=st.booleans(), sampled_at=_times),
     st.just("not a record"),
 )
 
 
-def brute_force_snapshot(records):
-    """Per key, the last-inserted of the records with the largest sampled_at."""
+def brute_force_snapshot(profiles):
+    """Per host, in host order, the last-inserted of its profiles with the largest sampled_at."""
 
-    groups = ({}, {})
-    for r in records:
-        if isinstance(r, HostProfile):
-            groups[0].setdefault(r.host, []).append(r)
-        elif isinstance(r, ImageRecord):
-            groups[1].setdefault((r.host, r.task), []).append(r)
+    by_host = {}
+    for r in profiles:
+        by_host.setdefault(r.host, []).append(r)
     out = []
-    for by_key in groups:
-        for key in sorted(by_key):
-            top = max(r.sampled_at for r in by_key[key])
-            out.append([r for r in by_key[key] if r.sampled_at == top][-1])
+    for host in sorted(by_host):
+        top = max(r.sampled_at for r in by_host[host])
+        out.append([r for r in by_host[host] if r.sampled_at == top][-1])
     return out
 
 
@@ -144,11 +116,13 @@ def brute_force_snapshot(records):
 @given(batches=st.lists(st.lists(_records, max_size=12), max_size=6))
 def test_incremental_ingest_snapshot_matches_brute_force(batches):
     store = LogStore()
-    accepted = 0
+    history = []  # every profile the store should accept, in arrival order
     for batch in batches:
-        accepted += store.ingest(batch)[0]
-        assert store.snapshot() == brute_force_snapshot(stored(store))
-    assert accepted == len(stored(store))
+        # Of the drawn values only a profile with a non-negative time and util <= 1 is valid (NaN fails >=).
+        kept = [r for r in batch if isinstance(r, HostProfile) and r.sampled_at >= 0 and r.cpu_util <= 1.0]
+        assert store.ingest(batch)[0] == len(kept)
+        history.extend(kept)
+        assert store.snapshot() == brute_force_snapshot(history)
 
 
 def test_rate_from_profile_discounts_load():
@@ -207,7 +181,7 @@ def test_logger_ignores_payloads_other_than_log_upload():
     kernel, logger, client, inbox = logger_fixture()
     send(kernel, client, logger.addr, Probe())
     kernel.run()
-    assert inbox == [] and logger.rejected == 0 and stored(logger.store) == []
+    assert inbox == [] and logger.rejected == 0 and logger.store.snapshot() == []
 
 
 def test_logger_snapshot_reply_only_for_masters():
@@ -235,4 +209,4 @@ def test_logger_keeps_rejection_log():
     send(kernel, client, logger.addr, LogUpload(records=[profile("b", util=9.0)]))
     kernel.run()
     assert logger.rejected == 1
-    assert stored(logger.store) == []
+    assert logger.store.snapshot() == []

@@ -2,20 +2,27 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim.actor_runtime import Actor, ActorConfig
 from fogsim.discovery import DiscoveryConfig
 from fogsim.ga_policies import GaParams
 from fogsim.netsim import DEFAULT_LINK, HostCompute, LinkSpec, SimKernel, Topology, host_from_class
 from fogsim.protocol import (
+    EXECUTOR_PORT_BASE,
     MASTER_PORT,
     USER_PORT_BASE,
     Address,
     AdvertiseMaster,
+    Data,
     ForwardToMaster,
     MasterLoad,
     MessageEnvelope,
     PlacementRequest,
+    ResourcesReady,
+    Result,
+    WarnNoResources,
 )
 from fogsim.registry_master import Master
 from fogsim.runner import Runtime
@@ -205,6 +212,59 @@ def test_a_user_follows_a_forward_only_from_its_master_before_its_resources_are_
     assert user.metrics().outcome == "Completed" and user.forwards == 0
     assert user.current_master == user.config.master
     assert user.completed_at == pytest.approx(5802.3, abs=0.05)
+
+
+_SPOOFS = st.one_of(
+    st.builds(ResourcesReady, request_id=st.just("")),
+    st.builds(WarnNoResources, request_id=st.just("")),
+    st.builds(Result, request_id=st.just(""), frame_seq=st.integers(0, 1),
+              task=st.sampled_from(sorted(builtin_apps()["VOCR"].tasks)), final=st.booleans()),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spoof=_SPOOFS, sender=st.sampled_from(["logger", "actor", "executor"]), at_ms=st.floats(0.0, 20000.0))
+def test_a_user_takes_readiness_warnings_and_results_only_from_its_master(spoof, sender, at_ms):
+    # A ResourcesReady from the logger's port once started smoke's stream
+    # before its executors were ready and wedged the run; a stray warning
+    # ended the request Warned.
+    runtime = Runtime(load_scenario("smoke"))
+    (user,), (actor,) = runtime.users, runtime.actors
+    source = {
+        "logger": runtime.loggers[0].addr,
+        "actor": actor.address,
+        "executor": Address(actor.address.host, EXECUTOR_PORT_BASE),
+    }[sender]
+    assert source != user.config.master
+    stray = MessageEnvelope(source, user.address, replace(spoof, request_id=user.request_id))
+    runtime.kernel.schedule_at(at_ms, lambda: runtime.kernel.send(stray))
+    runtime.run()  # a wedge raises DeadlockDetected
+    assert user.metrics().outcome == "Completed"
+
+
+def test_data_for_a_request_still_waiting_for_its_executors_is_counted_and_not_relayed():
+    runtime = Runtime(load_scenario("smoke"))
+    (master,), (user,) = runtime.masters, runtime.users
+    send, relayed, status = runtime.kernel.send, [], []
+
+    def tap(envelope):
+        if envelope.source == master.address and isinstance(envelope.payload, Data):
+            relayed.append(envelope.payload)
+        send(envelope)
+
+    early = Data(request_id=user.request_id, frame_seq=0, size_bytes=64)
+
+    def inject():
+        status.append(master.requests[user.request_id].status)
+        send(MessageEnvelope(user.address, master.address, early))
+
+    runtime.kernel.send = tap
+    runtime.kernel.schedule_at(3000.0, inject)
+    runtime.run()
+    assert status == ["waiting_ready"]
+    assert master.protocol_anomalies == 1
+    assert early not in relayed and len(relayed) == user.config.frame_count
+    assert user.metrics().outcome == "Completed"
 
 
 def test_a_second_request_under_an_id_the_master_holds_is_counted_as_an_anomaly():
