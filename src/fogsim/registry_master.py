@@ -389,9 +389,10 @@ class Master:
             state.status = "completed"
             self.completed += 1
 
-    def _on_executor_ready(self, msg: ExecutorReady) -> None:
+    def _on_executor_ready(self, source: Address, msg: ExecutorReady) -> None:
+        """Marks a task's executor ready; only the actor this master sent the task's init to may say so."""
         state = self.requests.get(msg.request_id)
-        if state is None or msg.task not in state.assignment:
+        if state is None or state.assignment.get(msg.task) != source:
             self.protocol_anomalies += 1
             return
         if msg.task in state.ready:
@@ -410,7 +411,7 @@ class Master:
         elif isinstance(payload, PlacementRequest):
             self._enqueue(env.source, payload)
         elif isinstance(payload, ExecutorReady):
-            self._on_executor_ready(payload)
+            self._on_executor_ready(env.source, payload)
         elif isinstance(payload, Data):
             self._relay_data(payload)
         elif isinstance(payload, Result):

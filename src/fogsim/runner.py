@@ -7,16 +7,22 @@ finishes; a deployment without users runs to its time limit. The kernel is
 as ``RealtimeKernel`` over loopback TCP. ``EXPERIMENTS`` maps each experiment
 kind to its cells and its fold: ``cells(config)`` lists ``(label, job)`` pairs
 in run order, each job returns plain data (a deployment's metrics and
-counters, or a GA re-solve's series), ``run_scenario`` runs the jobs in one
-loop, and ``fold(config, report, labels, results)`` builds the report.
+counters, or a GA re-solve's series), ``run_scenario`` runs the jobs, and
+``fold(config, report, labels, results)`` builds the report from their
+results in cell order. Convergence's offline re-solves run across forked
+children, one share per CPU this process may use, when more than one is
+available, and serially otherwise; every other kind runs its cells one after
+another in this process.
 """
 from __future__ import annotations
 
 import copy
+import os
+import pickle
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -467,15 +473,18 @@ def _fold_discovery(config: ScenarioConfig, report: MetricsReport, _labels, resu
 
 
 class Experiment(NamedTuple):
-    """An experiment kind: its cells and their fold."""
+    """An experiment kind: its cells, their fold, and whether its jobs run in forked children."""
 
     cells: Callable[[ScenarioConfig], list]
     fold: Callable[..., None]
+    # Deployment cells stay in this process until the benchmark counts requests
+    # from cell results (ROADMAP item 6): its probe sees only the Runtimes built here.
+    forks: bool = False
 
 
 EXPERIMENTS = {
     "single": Experiment(_one_deployment, _fold_single),
-    "convergence": Experiment(_convergence_cells, _fold_convergence),
+    "convergence": Experiment(_convergence_cells, _fold_convergence, forks=True),
     "scalability": Experiment(_scalability_cells, _fold_scalability),
     "reuse": Experiment(_reuse_cells, _fold_reuse),
     "response": Experiment(_response_cells, _fold_response),
@@ -488,6 +497,70 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     experiment = EXPERIMENTS[kind]
     report = MetricsReport(name=config.name, kind=kind, policy=config.policy, seed=config.seed)
     cells = experiment.cells(config)
-    results = [job() for _label, job in cells]
+    jobs = [job for _label, job in cells]
+    results = _run_forked(jobs) if experiment.forks else [job() for job in jobs]
     experiment.fold(config, report, [label for label, _job in cells], results)
     return report
+
+
+def _run_forked(jobs: list) -> list:
+    """The jobs' results in job order, with jobs[w::n] run in forked child w for 0 < w < n.
+
+    n is the number of CPUs this process may use, at most one per job; this
+    process runs jobs[0::n] itself, so with one CPU the jobs run serially and
+    nothing forks. A child inherits its jobs, so they need not pickle; their
+    results, or the error a job raised, come back pickled over a pipe. Every
+    child is reaped before this returns or raises.
+    """
+    n = min(len(os.sched_getaffinity(0)), len(jobs))
+    results = [None] * len(jobs)
+    pipes, pids = [], []
+    try:
+        for w in range(1, n):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(jobs[w::n], write_end, pipes)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results[0::n] = [job() for job in jobs[0::n]]
+        for w, (pid, pipe) in enumerate(zip(pids, pipes), start=1):
+            data = pipe.read()
+            if not data:
+                raise ChildProcessError(f"forked child {pid} ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[w::n] = value
+    finally:
+        # A child still writing meets a closed pipe and exits, so every wait ends.
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return results
+
+
+def _run_child(jobs: list, write_end: int, read_ends: list) -> NoReturn:
+    """A forked child's share: it writes its pickled results, or its job's error, and leaves through os._exit."""
+    status = 1
+    try:
+        # Holding no read end, a child writing to a pipe whose reader went away fails instead of waiting.
+        for pipe in read_ends:
+            pipe.close()
+        try:
+            data = pickle.dumps((True, [job() for job in jobs]))
+        except Exception as exc:
+            try:  # an error may pickle and still not rebuild, when its __init__ takes other arguments
+                data = pickle.dumps((False, exc))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(f"{type(exc).__qualname__} in a forked child: {exc}")))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)

@@ -3,17 +3,22 @@ import csv
 import dataclasses
 import filecmp
 import json
+import os
 import pickle
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
 import conftest
-from fogsim import protocol, scenario
+import fogsim
+from fogsim import protocol, runner, scenario
 from fogsim.actor_runtime import ActorConfig
 from fogsim.cli import main
 from fogsim.discovery import DiscoveryConfig
-from fogsim.errors import ConfigError
+from fogsim.errors import ConfigError, DeadlockDetected
 from fogsim.ga_policies import GaParams
 from fogsim.netsim import HostSpec, LinkSpec
 from fogsim.report import CSV_SCHEMAS, emit_report
@@ -424,6 +429,110 @@ def test_cells_run_in_any_order_and_return_plain_data(preset):
     report = MetricsReport(name=config.name, kind=config.experiment["kind"], policy=config.policy, seed=config.seed)
     experiment.fold(config, report, [label for label, _job in cells], results)
     assert report.to_tree() == run_scenario(config).to_tree()
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(count)))
+
+
+def _counting_forks(monkeypatch) -> list:
+    """The pids os.fork returns in this process from now on."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [None, 7, 11])
+def test_forked_convergence_matches_the_serial_run(seed, monkeypatch, tmp_path):
+    config = load_scenario("convergence")
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    _cpus(monkeypatch, 2)
+    forked = _counting_forks(monkeypatch)
+    report = run_scenario(config)
+    assert len(forked) == 1
+    _assert_no_child_left()
+    _cpus(monkeypatch, 1)
+    serial = run_scenario(config)
+    assert len(forked) == 1
+    assert report.to_tree() == serial.to_tree()
+    a, b = emit_report(report, str(tmp_path / "forked")), emit_report(serial, str(tmp_path / "serial"))
+    for name in a:
+        assert filecmp.cmp(a[name], b[name], shallow=False), name
+
+
+def test_forked_jobs_come_back_in_job_order_with_more_cpus_than_jobs(monkeypatch):
+    forked = _counting_forks(monkeypatch)
+    _cpus(monkeypatch, 8)
+    results = runner._run_forked([lambda i=i: (i, os.getpid()) for i in range(3)])
+    assert results == [(0, os.getpid()), (1, forked[0]), (2, forked[1])]
+    _assert_no_child_left()
+    # Three CPUs, seven jobs: this process runs jobs 0, 3 and 6, and child w the jobs w::3.
+    _cpus(monkeypatch, 3)
+    results = runner._run_forked([lambda i=i: (i, os.getpid()) for i in range(7)])
+    assert [i for i, _pid in results] == list(range(7))
+    assert [{pid for _i, pid in results[w::3]} for w in range(3)] == [{os.getpid()}, {forked[2]}, {forked[3]}]
+    _assert_no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not today")
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("exc,expected,match", [
+    (ValueError("bad seed 3"), ValueError, "^bad seed 3$"),
+    (DeadlockDetected("1 of 1 user(s) unfinished"), DeadlockDetected, r"^1 of 1 user\(s\) unfinished$"),
+    (_Unpicklable("boom"), RuntimeError, "^_Unpicklable in a forked child: boom$"),
+    # Pickles, but its two-argument __init__ cannot rebuild it from its message.
+    (ConfigError("ga.pop_size", "too small"), RuntimeError, "^ConfigError in a forked child: ga.pop_size: too small$"),
+])
+def test_a_job_that_raises_in_a_child_raises_in_the_parent_and_leaves_no_child(exc, expected, match, monkeypatch):
+    _cpus(monkeypatch, 2)
+    forked = _counting_forks(monkeypatch)
+    with pytest.raises(expected, match=match):
+        runner._run_forked([lambda: 0, lambda: _raise(exc), lambda: 2])
+    assert len(forked) == 1
+    _assert_no_child_left()
+
+
+def test_a_job_that_raises_in_the_parent_leaves_no_child(monkeypatch):
+    _cpus(monkeypatch, 3)
+    forked = _counting_forks(monkeypatch)
+    big = list(range(100_000))  # more than a pipe holds, so the child is still writing
+    with pytest.raises(KeyError):
+        runner._run_forked([lambda: _raise(KeyError("mine")), lambda: big, lambda: big])
+    assert len(forked) == 2
+    _assert_no_child_left()
+    assert runner._run_forked([lambda: 0, lambda: big, lambda: big])[1:] == [big, big]
+    _assert_no_child_left()
+
+
+def test_importing_fogsim_loads_no_process_pool_and_starts_no_thread():
+    code = (
+        "import sys, threading, fogsim; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))); "
+        "print(threading.active_count())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fogsim.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["[]", "1"]
 
 
 # -- cli ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from fogsim.protocol import (
     Address,
     AdvertiseMaster,
     Data,
+    ExecutorReady,
     ForwardToMaster,
+    InitTaskExecutor,
     MasterLoad,
     MessageEnvelope,
     PlacementRequest,
@@ -264,6 +266,44 @@ def test_data_for_a_request_still_waiting_for_its_executors_is_counted_and_not_r
     assert status == ["waiting_ready"]
     assert master.protocol_anomalies == 1
     assert early not in relayed and len(relayed) == user.config.frame_count
+    assert user.metrics().outcome == "Completed"
+
+
+@pytest.mark.parametrize("sender", ["logger", "master", "other actor"])
+def test_an_executor_ready_from_any_but_the_assigned_actor_is_counted_and_starts_no_stream(sender):
+    # One spoofed ExecutorReady per task once started smoke's stream before
+    # its executors were ready and wedged the run.
+    cluster = Cluster({"a": {"*"}, "b": {"*"}})
+    user = cluster.add_user(frames=2)
+    master = cluster.master()
+    send, ready_at, started_at, spoofed = cluster.kernel.send, [], [], []
+
+    def spoof():
+        state = master.requests[user.request_id]
+        for task, actor in state.assignment.items():
+            source = {
+                "logger": cluster.logger.addr,
+                "master": master.address,
+                "other actor": next(a.address for a in cluster.actors.values() if a.address != actor),
+            }[sender]
+            spoofed.append(source)
+            send(MessageEnvelope(source, master.address, ExecutorReady(request_id=user.request_id, task=task)))
+
+    def tap(envelope):
+        payload = envelope.payload
+        if isinstance(payload, InitTaskExecutor) and not spoofed:
+            spoof()
+        elif isinstance(payload, ExecutorReady):
+            ready_at.append(cluster.kernel.now)
+        elif isinstance(payload, ResourcesReady):
+            started_at.append(cluster.kernel.now)
+        send(envelope)
+
+    cluster.kernel.send = tap
+    cluster.run()
+    assert len(spoofed) == len(ready_at) == 3
+    assert master.protocol_anomalies == 3
+    assert len(started_at) == 1 and started_at[0] >= max(ready_at)
     assert user.metrics().outcome == "Completed"
 
 
