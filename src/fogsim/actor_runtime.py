@@ -213,7 +213,7 @@ class Actor:
         elif isinstance(payload, InitNewMaster):
             self._init_master_here(env.source, payload)
         elif isinstance(payload, Data):
-            self._route_data(payload)
+            self._route_data(env.source, payload)
         else:
             self.anomalies += 1
 
@@ -298,7 +298,13 @@ class Actor:
         self.warm_reuses += 1
         self._begin_connecting(executor)
 
-    def _route_data(self, msg: Data) -> None:
+    def _route_data(self, source: Address, msg: Data) -> None:
+        """Feeds a frame to the request's executors that take its producer task.
+
+        A sensor frame must come from the executor's master and a task output
+        from the host of that task's actor; any other frame counts in
+        anomalies and reaches no executor.
+        """
         takers = [
             executor
             for executor in self.by_request.get(msg.request_id, [])
@@ -308,7 +314,15 @@ class Actor:
             self.unknown_inputs += 1
             return
         for executor in takers:
-            self._deliver_frame(executor, msg)
+            if msg.task == SENSOR_TASK:
+                rightful = source == executor.master
+            else:
+                producer = executor.peers.get(msg.task)
+                rightful = producer is not None and source.host == producer.host
+            if rightful:
+                self._deliver_frame(executor, msg)
+            else:
+                self.anomalies += 1
 
     def _deliver_frame(self, executor: TaskExecutor, msg: Data) -> None:
         if executor.phase not in (ExecutorPhase.Ready, ExecutorPhase.Running):

@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class FogsimError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # args hold the formatted message, not what __init__ takes, so a copy
+        # is rebuilt through __new__ (which keeps args) and gets back the
+        # attributes (path, offset, needed, dump) as its state.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EncodingOverflow(FogsimError):

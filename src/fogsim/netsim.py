@@ -33,6 +33,13 @@ class LinkSpec:
         if not self.data_rate_bps > 0:
             raise ValueError("data_rate_bps must be positive")
 
+    def transfer_ms(self, frame_bytes: int) -> float:
+        """Latency plus whole-frame transmission time; the one transfer formula."""
+
+        if self.data_rate_bps == math.inf or frame_bytes <= 0:
+            return self.latency_ms
+        return self.latency_ms + (frame_bytes * 8.0 / self.data_rate_bps) * 1000.0
+
 
 SELF_LINK = LinkSpec(0.0, math.inf)
 DEFAULT_LINK = LinkSpec(5.0, 100e6)
@@ -87,7 +94,13 @@ def host_from_class(host: str, klass: str, **overrides) -> HostSpec:
 
 
 class Topology:
-    """Hosts and the links between them, with a default for unlisted pairs."""
+    """Hosts and the links between them, with a default for unlisted pairs.
+
+    A topology never changes once built, so it works out each value a run
+    asks of it once: the link of an ordered host pair on first lookup, and a
+    hop table on first request for its (source hosts, destination hosts,
+    frame bytes).  Both memos live on the object and hold only what was asked.
+    """
 
     def __init__(self, hosts, links=None, default_link: LinkSpec = DEFAULT_LINK):
         self.hosts: dict[str, HostSpec] = {}
@@ -96,26 +109,40 @@ class Topology:
                 raise ValueError(f"duplicate host {spec.host}")
             self.hosts[spec.host] = spec
         self.default_link = default_link
-        self._links: dict[tuple[str, str], LinkSpec] = {}
-        for (a, b), spec in (links or {}).items():
-            self._links[(a, b)] = spec
+        self._links: dict[tuple[str, str], LinkSpec] = dict(links or {})
+        self._pair_links: dict[tuple[str, str], LinkSpec] = {}
+        self._hop_tables: dict[tuple, tuple] = {}
 
     def link(self, src: str, dst: str) -> LinkSpec:
         """Link spec for an ordered pair; symmetric lookup, self link is free."""
 
-        if src == dst:
-            return SELF_LINK
-        if (src, dst) in self._links:
-            return self._links[(src, dst)]
-        if (dst, src) in self._links:
-            return self._links[(dst, src)]
-        return self.default_link
+        pair = (src, dst)
+        spec = self._pair_links.get(pair)
+        if spec is None:
+            if src == dst:
+                spec = SELF_LINK
+            else:
+                spec = self._links.get(pair) or self._links.get((dst, src)) or self.default_link
+            self._pair_links[pair] = spec
+        return spec
 
     def transfer_ms(self, src: str, dst: str, frame_bytes: int) -> float:
-        spec = self.link(src, dst)
-        if spec.data_rate_bps == math.inf or frame_bytes <= 0:
-            return spec.latency_ms
-        return spec.latency_ms + (frame_bytes * 8.0 / spec.data_rate_bps) * 1000.0
+        return self.link(src, dst).transfer_ms(frame_bytes)
+
+    def hop_table(self, sources: tuple, destinations: tuple, frame_bytes: int) -> tuple:
+        """Transfer time of a frame from each source host (rows) to each
+        destination host (columns); 0.0 between co-located hosts.
+
+        Built once per distinct argument triple; every caller shares it.
+        """
+
+        key = (sources, destinations, frame_bytes)
+        table = self._hop_tables.get(key)
+        if table is None:
+            table = self._hop_tables[key] = tuple(
+                tuple(self.transfer_ms(src, dst, frame_bytes) for dst in destinations) for src in sources
+            )
+        return table
 
 
 def scan_subnet(gateway: str, net_mask: int, topology: Topology) -> list[str]:
@@ -170,7 +197,8 @@ class SimKernel:
         self._queue: list[tuple[float, int, _Event]] = []
         self._seq = 0
         self._handlers: dict[Address, object] = {}
-        self._last_arrival: dict[tuple[str, str], float] = {}
+        # per ordered host pair: [its LinkSpec, its last scheduled arrival]
+        self._routes: dict[tuple[str, str], list] = {}
         self.delivered = 0
         self.dropped = 0
         self.traffic: defaultdict[type, Traffic] = defaultdict(Traffic)  # by payload type
@@ -209,9 +237,11 @@ class SimKernel:
         traffic = self.traffic[type(envelope.payload)]
         traffic.sent += 1
         traffic.bytes += size
-        arrival = self.now + self.topology.transfer_ms(pair[0], pair[1], size)
-        arrival = max(arrival, self._last_arrival.get(pair, 0.0))
-        self._last_arrival[pair] = arrival
+        route = self._routes.get(pair)
+        if route is None:
+            route = self._routes[pair] = [self.topology.link(*pair), 0.0]
+        arrival = max(self.now + route[0].transfer_ms(size), route[1])
+        route[1] = arrival
         self.schedule_at(arrival, lambda: self._deliver(envelope))
 
     def _deliver(self, envelope: MessageEnvelope):

@@ -13,13 +13,15 @@ one fails the import), and encode and decode of frames walk the per-class
 field tables built from them.
 
 ``message_wire_bytes`` walks the same field tables to add up the exact length
-of the frame ``encode`` would write, without building it.  Host profiles are
-frozen, so each keeps its own length, in a slot outside its dataclass fields,
-once it has been sized.
+of the frame ``encode`` would write, without building it.  Addresses and host
+profiles are frozen, so each keeps its own quoted length, outside its
+dataclass fields, once it has been sized: a component's address is sized once
+per run, not once per message it sends or receives.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import typing
@@ -56,6 +58,15 @@ class Address:
 
     def __str__(self):
         return f"{self.host}:{self.port}"
+
+    @functools.cached_property
+    def _wire_len(self) -> int:
+        """Length of the quoted text a frame carries for this address.
+
+        Kept by the object once read, outside the dataclass fields, so it
+        takes no part in comparing, hashing or replacing an address.
+        """
+        return len(_quote(str(self)))
 
     @classmethod
     def parse(cls, text: str) -> "Address":
@@ -483,8 +494,9 @@ def message_wire_bytes(envelope: MessageEnvelope) -> int:
     Data and Result frames are charged at their declared logical size (the
     synthetic payload stands in for real content); control traffic is charged
     at its encoded size, len(encode(envelope)) exactly, walked over the field
-    tables without building the frame.  A host profile keeps its own length
-    after it is first sized, so a profile sent again costs one lookup.
+    tables without building the frame.  An address and a host profile keep
+    their own lengths after they are first sized, so each costs one lookup
+    when it is sent again.
     """
 
     payload = envelope.payload
@@ -492,9 +504,9 @@ def message_wire_bytes(envelope: MessageEnvelope) -> int:
         return int(payload.size_bytes)
     body = (
         _ENVELOPE_SKELETON
-        + _tree_len(str(envelope.destination))
+        + envelope.destination._wire_len
         + _tree_len(payload)
-        + _tree_len(str(envelope.source))
+        + envelope.source._wire_len
     )
     if body > MAX_BODY_BYTES:
         raise EncodingOverflow(f"body of {body} bytes exceeds {MAX_BODY_BYTES}")

@@ -362,9 +362,10 @@ class Master:
 
     # -- data path -------------------------------------------------------------------
 
-    def _relay_data(self, msg: Data) -> None:
+    def _relay_data(self, source: Address, msg: Data) -> None:
+        """Relays a user's frame to the request's entry actors, only from that user while streaming."""
         state = self.requests.get(msg.request_id)
-        if state is None or state.status != "streaming":
+        if state is None or state.status != "streaming" or source != state.user_addr:
             self.protocol_anomalies += 1
             return
         app = self.apps[state.app]
@@ -413,7 +414,7 @@ class Master:
         elif isinstance(payload, ExecutorReady):
             self._on_executor_ready(env.source, payload)
         elif isinstance(payload, Data):
-            self._relay_data(payload)
+            self._relay_data(env.source, payload)
         elif isinstance(payload, Result):
             self._relay_result(payload)
         elif isinstance(payload, Probe):

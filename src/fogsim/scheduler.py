@@ -5,11 +5,15 @@ A frame travels user -> master -> entry executors, flows down the task DAG
 (an edge between co-located tasks is free), and results return exit ->
 master -> user.  Node cost is compute_cost divided by the profiled host rate;
 edge cost is the topology link's latency plus whole-frame transmission time.
-The simulator enacts exactly these hops with the same arithmetic, so
-measured response times match estimates by construction.
+The simulator enacts exactly these hops through the same formula,
+`LinkSpec.transfer_ms`, so measured response times match estimates by
+construction.
 
-A `ResponseModel` tabulates those costs once per placement request.  Its
-estimate is the critical-path recurrence unrolled into straight-line Python,
+A `ResponseModel` tabulates those costs per placement request: node costs
+from the master's current profiles, and hop tables taken from the topology,
+which builds each one once per (source hosts, destination hosts, frame
+bytes) and shares it with every later request.  Its estimate is the
+critical-path recurrence unrolled into straight-line Python,
 generated and compiled once per DAG shape and cached, so the many models a
 run builds for one app share the code and differ only in the tables bound
 into it.
@@ -78,24 +82,25 @@ class ResponseModel:
 
     Tabulates every cost an estimate can need up front: per task a node-cost
     row and, for a task without parents, an ingress row over its candidates;
-    per DAG edge a [parent candidate][child candidate] hop table; per exit
-    task an egress row.  The critical-path recurrence over those tables runs
-    as straight-line code, compiled once per DAG shape and shared by every
-    model of that shape; each model binds its own tables into it.  So a GA
-    can afford tens of thousands of estimates.
+    per DAG edge a [parent candidate][child candidate] hop table, which the
+    topology shares; per exit task an egress row.  The critical-path
+    recurrence over those tables runs as straight-line code, compiled once
+    per DAG shape and shared by every model of that shape; each model binds
+    its tables into it.  So a GA can afford tens of thousands of estimates.
     """
 
     def __init__(self, app: AppSpec, candidates: dict[str, list], user_host: str,
                  master_host: str, view: TelemetryView, frame_size_bytes: int):
         self.tasks = app.task_names()
-        self.candidate_hosts: list[list[str]] = [
-            [actor.addr.host for actor in candidates[task]] for task in self.tasks
+        self.candidate_hosts: list[tuple[str, ...]] = [
+            tuple(actor.addr.host for actor in candidates[task]) for task in self.tasks
         ]
         self.counts = [len(hosts) for hosts in self.candidate_hosts]
         hosts = self.candidate_hosts
         frame = int(frame_size_bytes)
+        topology = view.topology
+        transfer = topology.transfer_ms
         # memoized for the build only: candidates often share hosts
-        transfer = functools.cache(view.topology.transfer_ms)
         rate = functools.cache(view.host_rate)
         index = {name: i for i, name in enumerate(self.tasks)}
         out_bytes = [app.tasks[name].output_size_bytes for name in self.tasks]
@@ -108,12 +113,7 @@ class ResponseModel:
             i = index[name]
             parents = tuple(index[parent] for parent in app.parents(name))
             steps.append((i, parents))
-            # a hop between co-located tasks is free
-            hops += [
-                [[0.0 if src == dst else transfer(src, dst, out_bytes[p]) for dst in hosts[i]]
-                 for src in hosts[p]]
-                for p in parents
-            ]
+            hops += [topology.hop_table(hosts[p], hosts[i], out_bytes[p]) for p in parents]
             if not parents:
                 # user frame to an entry executor, relayed through the master
                 ingress.append([

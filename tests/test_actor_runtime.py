@@ -239,13 +239,14 @@ def test_join_waits_for_every_parent_and_flags_duplicates():
     local = h.actor.address
     h.tell(init_msg(app="Join", task="j", dependencies=[("s", local), ("t", local)]))
     h.run(until=2000.0)
-    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True))
+    # Both parents run on this actor's host, so their outputs come from it.
+    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True), source=local)
     h.run(until=h.kernel.now + 500.0)
     assert h.master_payloads(Result) == []
-    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True))
+    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True), source=local)
     h.run(until=h.kernel.now + 500.0)
     assert h.actor.anomalies == 1  # duplicate (task, frame)
-    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="t", final=True))
+    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="t", final=True), source=local)
     h.run(until=h.kernel.now + 500.0)
     assert [(p.frame_seq, p.task, p.final) for _, p in h.master_payloads(Result)] == [(0, "j", True)]
 

@@ -71,6 +71,47 @@ def test_transfer_time_is_latency_plus_transmission():
     assert topo.transfer_ms("a", "a", 10**9) == 0.0
 
 
+def test_memoised_link_equals_the_symmetric_lookup_for_every_ordered_pair():
+    fast, slow = LinkSpec(1.0, 1e9), LinkSpec(9.0, 1e6)
+    # ("b", "a") is listed the other way round; "x" is outside the topology.
+    topo = Topology([HostSpec(host=h) for h in "abc"], links={("a", "c"): fast, ("b", "a"): slow})
+    listed = {("a", "c"): fast, ("c", "a"): fast, ("a", "b"): slow, ("b", "a"): slow}
+    hosts = "abcx"
+    pairs = [(src, dst) for src in hosts for dst in hosts]
+
+    def expected(src, dst):
+        if src == dst:
+            return LinkSpec(0.0, math.inf)
+        return listed.get((src, dst), DEFAULT_LINK)
+
+    first = {pair: topo.link(*pair) for pair in pairs}
+    assert first == {pair: expected(*pair) for pair in pairs}
+    assert first[("a", "c")] is fast and first[("a", "b")] is slow and first[("x", "a")] is DEFAULT_LINK
+    assert all(topo.link(*pair) is first[pair] for pair in pairs)  # after first use
+    assert all(topo.transfer_ms(*pair, 4096) == expected(*pair).transfer_ms(4096) for pair in pairs)
+
+
+def test_link_memo_holds_only_the_pairs_asked_for():
+    topo = Topology([HostSpec(host=h) for h in "abc"])
+    topo.link("a", "b")
+    topo.transfer_ms("c", "c", 10)
+    topo.hop_table(("a",), ("a", "c"), 10)
+    assert set(topo._pair_links) == {("a", "b"), ("c", "c"), ("a", "a"), ("a", "c")}
+
+
+def test_hop_table_equals_transfer_ms_cell_by_cell_and_is_built_once():
+    topo = Topology([HostSpec(host=h) for h in "abc"], links={("b", "a"): LinkSpec(1.0, 1e7)},
+                    default_link=LinkSpec(5.0, 1e8))
+    sources, destinations = ("a", "b", "a"), ("b", "c", "a")
+    table = topo.hop_table(sources, destinations, 65536)
+    assert table == tuple(tuple(topo.transfer_ms(s, d, 65536) for d in destinations) for s in sources)
+    assert [table[0][2], table[2][2]] == [0.0, 0.0]  # co-located hosts
+    assert table[0][0] == table[1][2] == pytest.approx(1.0 + 65536 * 8 / 1e7 * 1000)
+    assert topo.hop_table(sources, destinations, 65536) is table
+    assert topo.hop_table(sources, destinations, 1) != table
+    assert len(topo._hop_tables) == 2
+
+
 def test_scan_subnet_groups_by_masked_prefix():
     hosts = ["10.0.1.5", "10.0.1.9", "10.0.1.200", "10.0.2.5", "192.168.0.1"]
     topo = Topology([HostSpec(host=h) for h in hosts])
@@ -173,6 +214,30 @@ def test_fifo_clamp_is_per_ordered_pair():
     kernel.send(_env("a", "c", Probe()))
     kernel.run()
     assert order == ["fastpair", "slowpair"]
+
+
+def test_arrivals_stay_fifo_per_pair_for_self_zero_byte_and_default_links():
+    kernel = _kernel("a", "b", "c", links={("b", "a"): LinkSpec(1.0, 1e6)}, default=LinkSpec(5.0, 1e6))
+    log = []
+    for host in "abc":
+        kernel.bind(Address(host, 2), lambda env: log.append((env.payload.frame_seq, kernel.now)))
+
+    def data(src, dst, seq, size):
+        kernel.send(_env(src, dst, Data(request_id="r", frame_seq=seq, size_bytes=size)))
+
+    data("a", "a", 0, 10**6)  # self link: free however large
+    data("a", "a", 1, 0)
+    data("a", "b", 2, 1000)  # listed as ("b", "a"): 1 ms + 8 ms
+    data("a", "b", 3, 0)  # 1 ms alone, held behind seq 2
+    data("a", "c", 4, 0)  # default link, latency only
+    data("a", "c", 5, 1000)
+    data("c", "a", 6, 0)  # the reverse pair keeps its own order
+    kernel.schedule_at(20.0, lambda: data("a", "b", 7, 0))
+    kernel.run()
+    assert [seq for seq, _ in log] == [0, 1, 4, 6, 2, 3, 5, 7]
+    assert [when for _, when in log] == [0.0, 0.0, 5.0, 5.0, pytest.approx(9.0), pytest.approx(9.0),
+                                        pytest.approx(13.0), 21.0]
+    assert set(kernel._routes) == {("a", "a"), ("a", "b"), ("a", "c"), ("c", "a")}
 
 
 def test_unbound_destination_is_dropped_and_counted():

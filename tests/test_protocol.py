@@ -2,7 +2,7 @@
 import json
 import math
 import pickle
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -315,6 +315,47 @@ def test_a_sized_record_is_the_same_value():
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
     assert pickle.loads(pickle.dumps(record)) == record
     assert encode(_envelope(LogUpload(records=[record]))) == encode(_envelope(LogUpload(records=[twin])))
+
+
+def test_wire_bytes_is_the_frame_length_with_addresses_reused_across_envelopes():
+    # Each address is sized on its first envelope and read back on the later ones.
+    pairs = [(A1, A2), (A2, A1), (A1, A1), (A2, Address("10.0.0.3", 5100))]
+    for source, destination in pairs:
+        for payload in SAMPLE_PAYLOADS:
+            env = MessageEnvelope(source, destination, payload)
+            if isinstance(payload, (Data, Result)):
+                assert message_wire_bytes(env) == payload.size_bytes
+            else:
+                assert message_wire_bytes(env) == len(encode(env))
+
+
+def test_equal_addresses_keep_their_own_encoded_length():
+    # Like records: port True equals port 1 but is written "True", not "1".
+    one, true = Address("10.0.0.1", 1), Address("10.0.0.1", True)
+    assert one == true and hash(one) == hash(true)
+    for source in (one, true, one, true):
+        env = MessageEnvelope(source, A2, Probe())
+        assert message_wire_bytes(env) == len(encode(env))
+
+
+def test_a_sized_address_is_the_same_value():
+    sized = Address("10.0.0.5", 5200)
+    message_wire_bytes(MessageEnvelope(sized, sized, Probe()))
+    fresh = Address("10.0.0.5", 5200)
+    assert [f.name for f in fields(sized)] == ["host", "port"] and astuple(sized) == astuple(fresh)
+    assert sized == fresh and hash(sized) == hash(fresh)
+    assert repr(sized) == repr(fresh) and str(sized) == str(fresh)
+    assert sorted([A2, sized, A1]) == sorted([A2, fresh, A1]) == [A1, A2, sized]
+    assert not sized < fresh and not fresh < sized
+    for protocol_version in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(sized, protocol_version))
+        assert copy == fresh and str(copy) == str(fresh)
+        env = MessageEnvelope(copy, copy, Probe())
+        assert message_wire_bytes(env) == len(encode(env))
+    moved = replace(sized, port=12345)
+    assert moved == replace(fresh, port=12345) == Address("10.0.0.5", 12345)
+    env = MessageEnvelope(moved, sized, Probe())
+    assert message_wire_bytes(env) == len(encode(env))
 
 
 def test_wire_bytes_charges_data_at_logical_size():

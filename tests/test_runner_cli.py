@@ -500,8 +500,8 @@ def _raise(exc):
     (ValueError("bad seed 3"), ValueError, "^bad seed 3$"),
     (DeadlockDetected("1 of 1 user(s) unfinished"), DeadlockDetected, r"^1 of 1 user\(s\) unfinished$"),
     (_Unpicklable("boom"), RuntimeError, "^_Unpicklable in a forked child: boom$"),
-    # Pickles, but its two-argument __init__ cannot rebuild it from its message.
-    (ConfigError("ga.pop_size", "too small"), RuntimeError, "^ConfigError in a forked child: ga.pop_size: too small$"),
+    # Its two-argument __init__ cannot rebuild it from its message, but fogsim's errors pickle their own way.
+    (ConfigError("ga.pop_size", "too small"), ConfigError, "^ga.pop_size: too small$"),
 ])
 def test_a_job_that_raises_in_a_child_raises_in_the_parent_and_leaves_no_child(exc, expected, match, monkeypatch):
     _cpus(monkeypatch, 2)

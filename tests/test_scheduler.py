@@ -1,4 +1,5 @@
 """Candidate maps, the response estimator, and scheduling cost accounting."""
+import inspect
 import itertools
 from dataclasses import dataclass
 
@@ -398,6 +399,34 @@ def test_models_share_compiled_code_per_shape_but_not_tables():
     _assert_equals_oracle_exactly(reordered, _abc_candidates(reordered), idle, 30000)
     assert _compile_critical_path.cache_info().misses == 2
     assert _compile_critical_path.cache_info().currsize == 2
+
+
+def _hop_tables(model):
+    """The hop tables bound into a model's compiled estimate, by name (h0, h1, ...)."""
+    bound = inspect.getclosurevars(model._critical_path).nonlocals
+    return {name: table for name, table in bound.items() if name.startswith("h")}
+
+
+def test_models_on_one_topology_share_its_hop_tables():
+    app = _irregular_app()
+    view = _view()
+    first = ResponseModel(app, _abc_candidates(app), "u", "m", view, 30000)
+    # another request, another master's view: the same topology object
+    second = ResponseModel(app, _abc_candidates(app), "u", "m", TelemetryView(view.topology), 5000)
+    own = _hop_tables(first)
+    assert len(own) == 4 and own == _hop_tables(second)
+    assert all(_hop_tables(second)[name] is table for name, table in own.items())
+    # x3 takes x2's output twice over a repeated edge: one table
+    assert own["h1"] is own["h3"]
+    out = {name: app.tasks[name].output_size_bytes for name in app.tasks}
+    hosts = dict(zip(first.tasks, first.candidate_hosts))
+    for name, (parent, child) in zip(sorted(own), [("x0", "x1"), ("x2", "x3"), ("x1", "x3"), ("x2", "x3")]):
+        assert own[name] == tuple(
+            tuple(view.topology.transfer_ms(src, dst, out[parent]) for dst in hosts[child]) for src in hosts[parent]
+        )
+    elsewhere = ResponseModel(app, _abc_candidates(app), "u", "m", _view(), 30000)
+    assert _hop_tables(elsewhere) == own
+    assert not any(_hop_tables(elsewhere)[name] is table for name, table in own.items())
 
 
 def test_repeat_estimates_hit_caches_identically():

@@ -12,6 +12,7 @@ from fogsim.netsim import DEFAULT_LINK, HostCompute, LinkSpec, SimKernel, Topolo
 from fogsim.protocol import (
     EXECUTOR_PORT_BASE,
     MASTER_PORT,
+    SENSOR_TASK,
     USER_PORT_BASE,
     Address,
     AdvertiseMaster,
@@ -304,6 +305,54 @@ def test_an_executor_ready_from_any_but_the_assigned_actor_is_counted_and_starts
     assert len(spoofed) == len(ready_at) == 3
     assert master.protocol_anomalies == 3
     assert len(started_at) == 1 and started_at[0] >= max(ready_at)
+    assert user.metrics().outcome == "Completed"
+
+
+@pytest.mark.parametrize("sender", ["logger", "master", "other actor"])
+def test_data_from_any_but_its_rightful_sender_is_counted_and_reaches_no_executor(sender):
+    # A stray final frame once fed smoke's executors out of turn and wedged
+    # the run. The master relays a frame only from the request's user; an
+    # executor takes a sensor frame only from its master and a task output
+    # only from the host its producer task runs on.
+    cluster = Cluster({"a": {"*"}, "b": {"*"}})
+    user = cluster.add_user(frames=2)
+    master = cluster.master()
+    app = cluster.apps[user.config.app]
+    send, spoofed = cluster.kernel.send, []
+
+    def spoof():
+        state = master.requests[user.request_id]
+        by_host = {actor.address.host: actor.address for actor in cluster.actors.values()}
+        targets = [(master.address, SENSOR_TASK, None)]
+        for task, actor in state.assignment.items():
+            producers = app.parents(task) or [SENSOR_TASK]
+            targets += [(actor, producer, state.assignment.get(producer)) for producer in producers]
+        for destination, producer, producer_actor in targets:
+            source = {
+                "logger": cluster.logger.addr,
+                "master": master.address,
+                # an actor on another host than the producer's (or the master's)
+                "other actor": next(addr for host, addr in by_host.items()
+                                    if producer_actor is None or host != producer_actor.host),
+            }[sender]
+            if destination != master.address and producer == SENSOR_TASK and source == master.address:
+                continue  # the master is the rightful sender of a sensor frame
+            spoofed.append(destination)
+            frame = Data(request_id=user.request_id, frame_seq=0, size_bytes=64, task=producer, final=True)
+            send(MessageEnvelope(source, destination, frame))
+
+    def tap(envelope):
+        if isinstance(envelope.payload, ResourcesReady) and not spoofed:
+            spoof()
+        send(envelope)
+
+    cluster.kernel.send = tap
+    cluster.run()
+    at_actors = len(spoofed) - 1
+    assert spoofed[0] == master.address and at_actors >= (2 if sender == "master" else 3)
+    assert master.protocol_anomalies == 1
+    assert sum(actor.anomalies for actor in cluster.actors.values()) == at_actors
+    assert sum(actor.unknown_inputs for actor in cluster.actors.values()) == 0
     assert user.metrics().outcome == "Completed"
 
 
