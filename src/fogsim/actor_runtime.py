@@ -302,8 +302,9 @@ class Actor:
         """Feeds a frame to the request's executors that take its producer task.
 
         A sensor frame must come from the executor's master and a task output
-        from the host of that task's actor; any other frame counts in
-        anomalies and reaches no executor.
+        from the host of that task's actor; on this actor's own host, from
+        one of its executors of that task, which may be cooling off already.
+        Any other frame counts in anomalies and reaches no executor.
         """
         takers = [
             executor
@@ -319,6 +320,9 @@ class Actor:
             else:
                 producer = executor.peers.get(msg.task)
                 rightful = producer is not None and source.host == producer.host
+                if rightful and source.host == self.spec.host:
+                    sender = self.executors.get(source)
+                    rightful = sender is not None and sender.task_name == msg.task
             if rightful:
                 self._deliver_frame(executor, msg)
             else:

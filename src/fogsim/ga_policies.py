@@ -39,6 +39,7 @@ above the budget the same fitness calls and evaluation counts too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -108,13 +109,23 @@ class HistoryStore:
         self._by_app: dict[str, list[tuple[np.ndarray, float]]] = {}
 
     def record(self, app: str, genes: np.ndarray, fitness: float):
+        genes = np.array(genes, dtype=float)
+        genes.flags.writeable = False  # entries() hands entries out to other stores
         entries = self._by_app.setdefault(app, [])
-        entries.append((np.array(genes, dtype=float), fitness))
+        entries.append((genes, fitness))
         entries.sort(key=lambda entry: entry[1])
         del entries[self.keep:]
 
     def best_first(self, app: str) -> list[np.ndarray]:
         return [genes for genes, _ in self._by_app.get(app, [])]
+
+    def entries(self, app: str) -> list[tuple[np.ndarray, float]]:
+        """The app's (genes, fitness) entries, best first; restore() takes them."""
+        return list(self._by_app.get(app, ()))
+
+    def restore(self, app: str, entries: list[tuple[np.ndarray, float]]) -> None:
+        """Sets the app's entries to what entries() returned, from this store or another."""
+        self._by_app[app] = list(entries)
 
     def __len__(self):
         return sum(len(entries) for entries in self._by_app.values())
@@ -140,7 +151,8 @@ def _keys(genes: np.ndarray, counts: np.ndarray, dtype) -> list[bytes]:
 
 
 def _assignment(key: bytes, dtype) -> tuple:
-    return tuple(np.frombuffer(key, dtype).tolist())
+    # a one-byte key is its own indices, so only wider keys go through numpy
+    return tuple(key) if dtype.itemsize == 1 else tuple(np.frombuffer(key, dtype).tolist())
 
 
 def decode(genes: np.ndarray, counts: np.ndarray) -> list[tuple]:
@@ -252,6 +264,8 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
     mates2 = (2 * np.arange(pairs) + 1) % n_parents
     n_uniforms = pairs * width + n_offsprings * 2 * width
     per_round = n_parents + n_offsprings
+    # tournament bounds per population size: [n, n-1] once per parent
+    tournament_bounds = functools.cache(lambda n: np.tile([n, n - 1], n_parents))
 
     def score(rows: np.ndarray, pool: list, seen: set | None):
         _score(rows, _keys(rows, index_counts, dtype), dtype, fitness, cache, pool, seen)
@@ -282,7 +296,7 @@ def _evolve(counts_list, fitness, params: GaParams, rng, seed_genes, dedup: bool
             break
         pop_genes = np.array([ind.genes for ind in pop])
         pop_fitness = [ind.fitness for ind in pop]
-        bounds = np.tile([len(pop), len(pop) - 1], n_parents)
+        bounds = tournament_bounds(len(pop))
         pool: list[Individual] = []
         seen = set() if dedup else None
         stall = used = 0

@@ -11,6 +11,12 @@ queue; knowing no master, it also asks an actor to start one. It also
 relays the data path once all of a request's executors are ready: user
 frames fan out to entry actors, exit results flow back to the user, and
 the final result of every exit task marks the request complete.
+
+A placement search is a pure function of what `search_key` gathers, so a
+master keeps the searches it has solved in a memo: on a key it has met, it
+takes the stored result and sets its history to what that search left,
+building no response model and running no policy. The memo is a plain dict
+that the masters of one run share; the run drops it when it returns.
 """
 from __future__ import annotations
 
@@ -54,7 +60,7 @@ from .scheduler import (
 from .taskgraph import AppSpec
 from .telemetry import PROFILE_PERIOD_MS, STALE_PERIODS, TelemetryView, sample_host
 
-__all__ = ["RegisteredActor", "PlacementState", "Master"]
+__all__ = ["RegisteredActor", "PlacementState", "Master", "search_key"]
 
 
 @dataclass
@@ -82,6 +88,21 @@ class PlacementState:
     final_exits: set = field(default_factory=set)
 
 
+def search_key(policy: str, app: str, candidates: dict, view: TelemetryView, user_host: str, master_host: str,
+               frame_size_bytes: int, ga_params: GaParams, entropy: tuple, history: HistoryStore) -> tuple:
+    """Everything a placement search reads, as a hashable key.
+
+    The candidate hosts of each task in candidate order, the view's rate of
+    each of those hosts, the relay hosts, the frame size, the GA parameters,
+    the generator's entropy and the app's history entries decide the search,
+    given one topology and one app set.
+    """
+    hosts = tuple(tuple(actor.addr.host for actor in row) for row in candidates.values())
+    rates = tuple(view.host_rate(host) for host in sorted({host for row in hosts for host in row}))
+    past = tuple((genes.tobytes(), fitness) for genes, fitness in history.entries(app))
+    return (policy, app, hosts, rates, user_host, master_host, int(frame_size_bytes), ga_params, entropy, past)
+
+
 class Master:
     """Registry, scheduler pump, relay, scaler hook, and discovery owner."""
 
@@ -99,6 +120,7 @@ class Master:
         scaling_enabled: bool = True,
         profile_period_ms: float = PROFILE_PERIOD_MS,
         seed: int = 0,
+        searches: dict | None = None,
     ):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
@@ -125,6 +147,9 @@ class Master:
         self._load_sent: dict[Address, tuple[int, int]] = {}  # last MasterLoad sent to each master
         self.pending_scale = False
         self.history = HistoryStore()
+        # Placement searches solved so far, by search_key: shared by every
+        # master of one run_scenario call, else this master's own.
+        self.searches = {} if searches is None else searches
         self.view = TelemetryView(kernel.topology)
 
         self.warns = 0
@@ -132,6 +157,7 @@ class Master:
         self.scales_requested = 0
         self.completed = 0
         self.protocol_anomalies = 0
+        self.searches_reused = 0
 
         self.discovery = Discovery(kernel, kernel.topology, self.address, discovery_config or DiscoveryConfig())
 
@@ -262,32 +288,39 @@ class Master:
         state.status = "scheduling"
         self.in_flight += 1
         self._sched_seq += 1
-        model = ResponseModel(
-            app,
-            candidates,
-            user_host=state.user_addr.host,
-            master_host=self.spec.host,
-            view=self.view,
-            frame_size_bytes=state.frame_size_bytes,
-        )
-        rng = np.random.default_rng(
-            [self.seed, zlib.crc32(self.spec.host.encode()), self._sched_seq]
-        )
-        policy_fn = POLICIES[self.policy]
-        result = policy_fn(
-            model.counts, model.estimate, self.ga_params, rng, history=self.history, app=state.app
-        )
+        entropy = (self.seed, zlib.crc32(self.spec.host.encode()), self._sched_seq)
+        key = search_key(self.policy, state.app, candidates, self.view, state.user_addr.host, self.spec.host,
+                         state.frame_size_bytes, self.ga_params, entropy, self.history)
+        solved = self.searches.get(key)
+        if solved is None:
+            model = ResponseModel(
+                app,
+                candidates,
+                user_host=state.user_addr.host,
+                master_host=self.spec.host,
+                view=self.view,
+                frame_size_bytes=state.frame_size_bytes,
+            )
+            result = POLICIES[self.policy](
+                model.counts, model.estimate, self.ga_params, np.random.default_rng(list(entropy)),
+                history=self.history, app=state.app,
+            )
+            solved = self.searches[key] = (result.assignment, result.fitness, self.history.entries(state.app))
+        else:
+            # The search would return this placement and leave this history.
+            self.history.restore(state.app, solved[2])
+            self.searches_reused += 1
+        assignment, fitness, _ = solved
         work = scheduling_work_units(self.policy, self.ga_params, self.sched_config)
-        self.compute.submit(work, lambda: self._commit(state, app, candidates, result))
+        self.compute.submit(work, lambda: self._commit(state, app, candidates, assignment, fitness))
 
-    def _commit(self, state: PlacementState, app: AppSpec, candidates: dict, result) -> None:
+    def _commit(self, state: PlacementState, app: AppSpec, candidates: dict, assignment: tuple,
+                fitness: float) -> None:
         self.in_flight -= 1
         state.decided_at = self.kernel.now
-        state.estimate = result.fitness
+        state.estimate = fitness
         names = app.task_names()
-        actor_by_task = {
-            task: candidates[task][result.assignment[i]].addr for i, task in enumerate(names)
-        }
+        actor_by_task = {task: candidates[task][assignment[i]].addr for i, task in enumerate(names)}
         state.assignment = actor_by_task
         state.status = "waiting_ready"
         deps = dependency_lists(app, actor_by_task)

@@ -13,6 +13,16 @@ results in cell order. Convergence's offline re-solves run across forked
 children, one share per CPU this process may use, when more than one is
 available, and serially otherwise; every other kind runs its cells one after
 another in this process.
+
+A placement search is a pure function of its inputs (see
+``registry_master.search_key``), and a run's cells often replay the same
+prefix: scalability's scaling-off cell repeats the searches of its
+scaling-on twin. So each ``run_scenario`` call keeps one memo of the
+searches its deployments have solved, which every deployment it builds
+(each cell, the convergence warm-up, and the masters scaling spawns) starts
+from and adds to; it is dropped when the call returns. A ``Runtime`` built
+outside ``run_scenario`` keeps a memo of its own. The memo is per process:
+a forked child works on its own copy, and what it adds never comes back.
 """
 from __future__ import annotations
 
@@ -72,8 +82,10 @@ class Runtime:
         logger_addr = Address(config.loggers[0], LOGGER_PORT)
 
         self.masters: list[Master] = []
+        # The placement searches its masters have solved; see run_scenario.
+        self.searches: dict = {}
         # Actors keep this factory, so it holds the parts it needs, not the Runtime.
-        kernel, computes, masters = self.kernel, self.computes, self.masters
+        kernel, computes, masters, searches = self.kernel, self.computes, self.masters, self.searches
 
         def spawn_master(host: str) -> Master:
             master = Master(
@@ -89,6 +101,7 @@ class Runtime:
                 scaling_enabled=config.scaling_enabled,
                 profile_period_ms=config.profile_period_ms,
                 seed=config.seed,
+                searches=searches,
             )
             master.start()
             masters.append(master)
@@ -170,13 +183,15 @@ class Runtime:
         for user in self.users:
             lines.append(
                 f"user {user.request_id}: started={user.started} done={user.done} "
-                f"warned={user.warned} timed_out={user.timed_out} "
+                f"warned={user.warned} timed_out={user.timed_out} ignored={user.ignored} "
                 f"frames={len(user.response_ms)}/{user.config.frame_count}"
             )
+        for logger in self.loggers:
+            lines.append(f"logger {logger.addr}: rejected={logger.rejected} ignored={logger.ignored}")
         for master in self.masters:
             lines.append(
                 f"master {master.address}: queue={len(master.queue)} in_flight={master.in_flight} "
-                f"pending_scale={master.pending_scale} "
+                f"pending_scale={master.pending_scale} searches_reused={master.searches_reused} "
                 f"actors={len(master.actors)} requests="
                 + ",".join(f"{rid}:{st.status}" for rid, st in master.requests.items())
             )
@@ -265,10 +280,20 @@ def _sft_row(metrics: RequestMetrics, count: int, scaling: bool) -> dict:
 # -- experiments: cells and their folds -----------------------------------------
 
 
-def _deploy(config: ScenarioConfig) -> dict:
-    """Run one deployment and keep only plain data from it."""
+def _run_deployment(config: ScenarioConfig, searches: dict | None) -> Runtime:
+    """Build and run one deployment; given the run's memo, its masters start from it and add to it."""
     runtime = Runtime(config)
+    if searches is not None:
+        runtime.searches.update(searches)
     runtime.run()
+    if searches is not None:
+        searches.update(runtime.searches)
+    return runtime
+
+
+def _deploy(config: ScenarioConfig, searches: dict | None = None) -> dict:
+    """Run one deployment and keep only plain data from it."""
+    runtime = _run_deployment(config, searches)
     return {
         "metrics": runtime.request_metrics(),
         "counters": runtime.counters(),
@@ -280,8 +305,8 @@ def _deploy(config: ScenarioConfig) -> dict:
     }
 
 
-def _one_deployment(config: ScenarioConfig) -> list:
-    return [(config.name, partial(_deploy, config))]
+def _one_deployment(config: ScenarioConfig, searches: dict | None = None) -> list:
+    return [(config.name, partial(_deploy, config, searches))]
 
 
 def _fold_single(config: ScenarioConfig, report: MetricsReport, _labels, results) -> None:
@@ -303,15 +328,14 @@ def _fold_single(config: ScenarioConfig, report: MetricsReport, _labels, results
     }
 
 
-def _convergence_cells(config: ScenarioConfig) -> list:
+def _convergence_cells(config: ScenarioConfig, searches: dict | None = None) -> list:
     # One live warm-up request populates the scheduling history, then each
     # policy re-solves the same placement problem offline, seed by seed,
     # recording best fitness per iteration. The re-solves read idle
     # ground-truth telemetry: the view every master starts from, which is
     # also what the serving master's view settles to once its hosts go idle.
     # Only the model and the history outlive the warm-up; its facts ride in the first cell.
-    runtime = Runtime(replace(config, policy="ohnsga"))
-    runtime.run()
+    runtime = _run_deployment(replace(config, policy="ohnsga"), searches)
     user = runtime.users[0]
     state, master = runtime.serving_state(user.request_id)
     if state is None:
@@ -363,12 +387,12 @@ def _fold_convergence(config: ScenarioConfig, report: MetricsReport, labels, res
     }
 
 
-def _scalability_cells(config: ScenarioConfig) -> list:
+def _scalability_cells(config: ScenarioConfig, searches: dict | None = None) -> list:
     return [
         ((count, scaling), partial(_deploy, replace(
             config, name=f"{config.name}[n={count},scaling={'on' if scaling else 'off'}]",
             scaling_enabled=scaling, users=config.users[:count],
-        )))
+        ), searches))
         for count in config.experiment["counts"]
         for scaling in (True, False)
     ]
@@ -394,11 +418,11 @@ def _fold_scalability(config: ScenarioConfig, report: MetricsReport, labels, res
     report.summary = {"counts": rows}
 
 
-def _reuse_cells(config: ScenarioConfig) -> list:
+def _reuse_cells(config: ScenarioConfig, searches: dict | None = None) -> list:
     return [
         (app, partial(_deploy, replace(
             config, name=f"{config.name}[{app}]", users=tuple(replace(u, app=app) for u in config.users)
-        )))
+        ), searches))
         for app in config.experiment["apps"]
     ]
 
@@ -421,11 +445,11 @@ def _fold_reuse(config: ScenarioConfig, report: MetricsReport, labels, results) 
     report.summary = {"apps": ratios}
 
 
-def _response_cells(config: ScenarioConfig) -> list:
+def _response_cells(config: ScenarioConfig, searches: dict | None = None) -> list:
     return [
         ((name, s), partial(_deploy, replace(
             config, name=f"{config.name}[{name},s={s}]", policy=name, seed=(config.seed * 1_000_003 + s) % (2**31)
-        )))
+        ), searches))
         for name in config.experiment["policies"]
         for s in range(config.experiment["seeds"])
     ]
@@ -473,9 +497,13 @@ def _fold_discovery(config: ScenarioConfig, report: MetricsReport, _labels, resu
 
 
 class Experiment(NamedTuple):
-    """An experiment kind: its cells, their fold, and whether its jobs run in forked children."""
+    """An experiment kind: its cells, their fold, and whether its jobs run in forked children.
 
-    cells: Callable[[ScenarioConfig], list]
+    ``cells(config, searches)`` shares the memo ``searches`` among every
+    deployment it builds; without one, each deployment keeps its own.
+    """
+
+    cells: Callable[[ScenarioConfig, dict | None], list]
     fold: Callable[..., None]
     # Deployment cells stay in this process until the benchmark counts requests
     # from cell results (ROADMAP item 6): its probe sees only the Runtimes built here.
@@ -496,7 +524,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsReport:
     kind = config.experiment["kind"]
     experiment = EXPERIMENTS[kind]
     report = MetricsReport(name=config.name, kind=kind, policy=config.policy, seed=config.seed)
-    cells = experiment.cells(config)
+    # Placement searches a deployment of this run has solved; see _run_deployment.
+    cells = experiment.cells(config, {})
     jobs = [job for _label, job in cells]
     results = _run_forked(jobs) if experiment.forks else [job() for job in jobs]
     experiment.fold(config, report, [label for label, _job in cells], results)

@@ -137,8 +137,8 @@ class TelemetryView:
 class RemoteLogger:
     """Central log sink.  Masters that upload get the latest snapshot back.
 
-    It takes LogUpload only and ignores any other payload; no component
-    probes the logger's port.  It counts the records it rejects.  A master
+    It takes LogUpload only and counts any other payload as ignored; no
+    component probes the logger's port.  It counts the records it rejects.  A master
     is recognised by its source port: every master listens on MASTER_PORT,
     the port discovery probes, and no other component does.
     """
@@ -148,6 +148,7 @@ class RemoteLogger:
         self.addr = Address(host, port)
         self.store = LogStore()
         self.rejected = 0
+        self.ignored = 0
         kernel.bind(self.addr, self.on_message)
 
     def on_message(self, envelope: MessageEnvelope):
@@ -163,3 +164,5 @@ class RemoteLogger:
                         payload=LogUpload(records=self.store.snapshot()),
                     )
                 )
+        else:
+            self.ignored += 1

@@ -3,7 +3,7 @@
 A user sends one placement request to a master, under an id made from
 its own address, and follows forwards to sub-masters with the same id
 (the clocks never reset). It takes messages only from the master that
-holds its request now. Once resources are ready it streams data frames
+holds its request now, and counts the ones it ignores. Once resources are ready it streams data frames
 at a fixed interval, recording the response time of every frame.
 """
 from __future__ import annotations
@@ -90,6 +90,7 @@ class User:
         self._partial: dict[int, set] = {}
         self._exits = frozenset(app.exit_tasks)
         self._timeout_event = None
+        self.ignored = 0  # messages from any source but current_master
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -133,6 +134,7 @@ class User:
     def _on_message(self, env: MessageEnvelope) -> None:
         # Only the master holding the request speaks for it; every other source is ignored.
         if env.source != self.current_master:
+            self.ignored += 1
             return
         payload = env.payload
         if isinstance(payload, ForwardToMaster):

@@ -236,17 +236,16 @@ def test_frame_flows_to_result_and_cooloff():
 
 def test_join_waits_for_every_parent_and_flags_duplicates():
     h = Harness(executor_startup_ms=100.0)
-    local = h.actor.address
-    h.tell(init_msg(app="Join", task="j", dependencies=[("s", local), ("t", local)]))
+    h.tell(init_msg(app="Join", task="j", dependencies=[("s", PEER), ("t", PEER)]))
     h.run(until=2000.0)
-    # Both parents run on this actor's host, so their outputs come from it.
-    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True), source=local)
+    # Both parents run on the peer actor's host, so their outputs come from it.
+    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True), source=PEER)
     h.run(until=h.kernel.now + 500.0)
     assert h.master_payloads(Result) == []
-    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True), source=local)
+    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="s", final=True), source=PEER)
     h.run(until=h.kernel.now + 500.0)
     assert h.actor.anomalies == 1  # duplicate (task, frame)
-    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="t", final=True), source=local)
+    h.tell(Data(request_id="r1", frame_seq=0, size_bytes=10, task="t", final=True), source=PEER)
     h.run(until=h.kernel.now + 500.0)
     assert [(p.frame_seq, p.task, p.final) for _, p in h.master_payloads(Result)] == [(0, "j", True)]
 

@@ -177,11 +177,13 @@ def send(kernel, source, dest, payload):
     kernel.send(MessageEnvelope(source=source, destination=dest, payload=payload))
 
 
-def test_logger_ignores_payloads_other_than_log_upload():
+def test_logger_ignores_payloads_other_than_log_upload_and_counts_them():
     kernel, logger, client, inbox = logger_fixture()
     send(kernel, client, logger.addr, Probe())
+    send(kernel, client, logger.addr, LogUpload(records=[profile("b", sampled_at=1.0)]))
     kernel.run()
-    assert inbox == [] and logger.rejected == 0 and logger.store.snapshot() == []
+    assert inbox == [] and logger.rejected == 0 and logger.ignored == 1
+    assert len(logger.store.snapshot()) == 1
 
 
 def test_logger_snapshot_reply_only_for_masters():

@@ -213,6 +213,8 @@ def test_a_user_follows_a_forward_only_from_its_master_before_its_resources_are_
     runtime.kernel.schedule_at(at_ms, lambda: runtime.kernel.send(stray))
     runtime.run()
     assert user.metrics().outcome == "Completed" and user.forwards == 0
+    assert user.ignored == (sender == "logger")
+    assert f"ignored={user.ignored}" in runtime.dump()
     assert user.current_master == user.config.master
     assert user.completed_at == pytest.approx(5802.3, abs=0.05)
 
@@ -353,6 +355,40 @@ def test_data_from_any_but_its_rightful_sender_is_counted_and_reaches_no_executo
     assert master.protocol_anomalies == 1
     assert sum(actor.anomalies for actor in cluster.actors.values()) == at_actors
     assert sum(actor.unknown_inputs for actor in cluster.actors.values()) == 0
+    assert user.metrics().outcome == "Completed"
+
+
+@pytest.mark.parametrize("sender", ["actor port", "another task's executor"])
+def test_a_task_output_from_the_actors_own_host_is_taken_only_from_that_tasks_executor(sender):
+    # With every task on one host, a host check lets any port there feed an
+    # executor; a stray final frame from the actor's port or another task's
+    # executor once ran ahead of the real one.
+    cluster = Cluster({"a": {"*"}})
+    user = cluster.add_user(frames=2)
+    master, actor = cluster.master(), cluster.actors["a"]
+    app = cluster.apps[user.config.app]
+    send, spoofed = cluster.kernel.send, []
+
+    def spoof():
+        executors = {executor.task_name: addr for addr, executor in actor.executors.items()}
+        for task in app.task_names():
+            for producer in app.parents(task):
+                other = next(addr for name, addr in executors.items() if name != producer)
+                source = actor.address if sender == "actor port" else other
+                spoofed.append((source, producer))
+                frame = Data(request_id=user.request_id, frame_seq=0, size_bytes=64, task=producer, final=True)
+                send(MessageEnvelope(source, actor.address, frame))
+
+    def tap(envelope):
+        if isinstance(envelope.payload, ResourcesReady) and not spoofed:
+            spoof()
+        send(envelope)
+
+    cluster.kernel.send = tap
+    cluster.run()
+    assert len(spoofed) == 2 and all(source.host == "a" for source, _ in spoofed)
+    assert actor.anomalies == len(spoofed) and actor.unknown_inputs == 0
+    assert master.protocol_anomalies == 0
     assert user.metrics().outcome == "Completed"
 
 
