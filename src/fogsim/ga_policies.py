@@ -35,16 +35,43 @@ search stops when its best is the space's least fitness, since the best can
 no longer change; a search that never reaches it runs every generation.  A
 seed yields the same placements and series as a loop over individuals, and
 above the budget the same fitness calls and evaluation counts too.
+
+This is the one module that names numpy, and it loads it lazily: ``np`` is
+bound at import (so a missing numpy still fails ``import fogsim``), but
+numpy's own code runs only at the first attribute read, which is a search
+(``search_rng`` or a policy) or a ``HistoryStore.record``.  Only a
+master's placement search and convergence's offline re-solves do those;
+actors, users, loggers and discovery never do, so a process that runs no
+search (the discovery preset, say) never loads numpy, and one that does
+pays for the load at its first search instead of at import.  After that
+first read ``np`` is a plain module, so no call pays for the deferral.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
+
+def _lazy_import(name: str):
+    """The module ``name``, run at its first attribute read (the importlib docs' lazy-import recipe)."""
+    if name in sys.modules:
+        return importlib.import_module(name)  # what is loaded, or the error a None entry stands for
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 GENE_EPS = 1e-6
 REFILL_STALL_LIMIT = 10
@@ -99,6 +126,11 @@ class PolicyResult:
     fitness: float
     series: list = field(default_factory=list)  # best fitness after each iteration
     evals: int = 0
+
+
+def search_rng(entropy) -> np.random.Generator:
+    """The generator a placement search draws from, seeded by a sequence of ints."""
+    return np.random.default_rng(list(entropy))
 
 
 class HistoryStore:

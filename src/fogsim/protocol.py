@@ -68,6 +68,19 @@ class Address:
         """
         return len(_quote(str(self)))
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        # Kept like _wire_len: addresses key the kernels' handler tables, so
+        # every delivery hashes one.
+        return hash((self.host, self.port))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Only the fields: a kept hash is valid only in the process that made it.
+        return type(self), (self.host, self.port)
+
     @classmethod
     def parse(cls, text: str) -> "Address":
         if not isinstance(text, str):
@@ -425,9 +438,9 @@ class FrameBuffer:
 # same field tables without writing it: a struct is a fixed skeleton (braces,
 # sorted quoted keys, the type tag) plus its field values after their
 # to_tree, and text is measured in the quoted form the encoder writes under
-# ensure_ascii.  A value of any type not walked here (a numpy scalar, a float
-# subclass) is measured by _dumps itself, so the length is exact for every
-# input and fails where encode fails.
+# ensure_ascii.  A value of any type not walked here (an array library's
+# scalar, a float subclass) is measured by _dumps itself, so the length is
+# exact for every input and fails where encode fails.
 
 _NON_FINITE = {"nan": 3, "inf": 8, "-inf": 9}  # NaN, Infinity, -Infinity
 

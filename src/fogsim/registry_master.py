@@ -17,6 +17,10 @@ master keeps the searches it has solved in a memo: on a key it has met, it
 takes the stored result and sets its history to what that search left,
 building no response model and running no policy. The memo is a plain dict
 that the masters of one run share; the run drops it when it returns.
+
+A search draws from ``ga_policies.search_rng``; this module does not import
+numpy. numpy loads at the first search that runs in the process (a memo hit
+runs none), so a master pays for it on its first request, not at import.
 """
 from __future__ import annotations
 
@@ -24,10 +28,8 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .discovery import Discovery, DiscoveryConfig
-from .ga_policies import POLICIES, GaParams, HistoryStore
+from .ga_policies import POLICIES, GaParams, HistoryStore, search_rng
 from .netsim import HostCompute, HostSpec, SimKernel
 from .protocol import (
     MASTER_PORT,
@@ -302,7 +304,7 @@ class Master:
                 frame_size_bytes=state.frame_size_bytes,
             )
             result = POLICIES[self.policy](
-                model.counts, model.estimate, self.ga_params, np.random.default_rng(list(entropy)),
+                model.counts, model.estimate, self.ga_params, search_rng(entropy),
                 history=self.history, app=state.app,
             )
             solved = self.searches[key] = (result.assignment, result.fitness, self.history.entries(state.app))

@@ -23,6 +23,11 @@ searches its deployments have solved, which every deployment it builds
 from and adds to; it is dropped when the call returns. A ``Runtime`` built
 outside ``run_scenario`` keeps a memo of its own. The memo is per process:
 a forked child works on its own copy, and what it adds never comes back.
+
+A re-solve draws from ``ga_policies.search_rng``; this module does not
+import numpy. numpy loads at a process's first search, so building a
+``Runtime`` does not load it, a run with no search (discovery) never does,
+and convergence loads it in its warm-up, before any child forks.
 """
 from __future__ import annotations
 
@@ -34,11 +39,9 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, NoReturn
 
-import numpy as np
-
 from .actor_runtime import Actor
 from .errors import DeadlockDetected
-from .ga_policies import POLICIES
+from .ga_policies import POLICIES, search_rng
 from .netsim import HostCompute, SimKernel
 from .protocol import LOGGER_PORT, MASTER_PORT, USER_PORT_BASE, Address
 from .registry_master import Master
@@ -360,7 +363,7 @@ def _convergence_cells(config: ScenarioConfig, searches: dict | None = None) -> 
 
 def _solve(policy: str, model: ResponseModel, ga, entropy: list, history, app: str) -> list:
     """One offline re-solve on its own copy of the history; its best fitness per iteration."""
-    rng = np.random.default_rng(entropy)
+    rng = search_rng(entropy)
     return POLICIES[policy](model.counts, model.estimate, ga, rng, history=copy.deepcopy(history), app=app).series
 
 

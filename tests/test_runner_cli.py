@@ -5,15 +5,12 @@ import filecmp
 import json
 import os
 import pickle
-import subprocess
-import sys
+import textwrap
 import typing
-from pathlib import Path
 
 import pytest
 
 import conftest
-import fogsim
 from fogsim import protocol, runner, scenario
 from fogsim.actor_runtime import ActorConfig
 from fogsim.cli import main
@@ -530,9 +527,55 @@ def test_importing_fogsim_loads_no_process_pool_and_starts_no_thread():
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))); "
         "print(threading.active_count())"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(fogsim.__file__).resolve().parent.parent))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == ["[]", "1"]
+    assert conftest.fresh_python(code) == ["[]", "1"]
+
+
+def test_numpy_loads_at_the_first_search_not_at_import_parse_or_build():
+    code = textwrap.dedent("""
+        import sys
+        import fogsim
+        from fogsim import Runtime, parse_scenario, preset_tree, run_scenario
+
+        def loaded():
+            print("numpy._core" in sys.modules)
+
+        loaded()
+        Runtime(parse_scenario(preset_tree("smoke")))
+        loaded()
+        run_scenario(parse_scenario(preset_tree("discovery")))
+        loaded()
+        run_scenario(parse_scenario(preset_tree("smoke")))
+        loaded()
+        print(type(fogsim.ga_policies.np).__name__, fogsim.ga_policies.np is sys.modules["numpy"])
+    """)
+    assert conftest.fresh_python(code) == ["False", "False", "False", "True", "module True"]
+
+
+_BLOCK_NUMPY_FINDER = """
+class Blocked:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, Blocked())
+"""
+
+
+@pytest.mark.parametrize("block,flags", [
+    (_BLOCK_NUMPY_FINDER, ()),
+    ("sys.modules['numpy'] = None", ()),
+    ("", ("-S",)),  # no site-packages, so no finder finds numpy
+], ids=["finder-raises", "none-in-sys-modules", "not-on-path"])
+def test_importing_fogsim_without_numpy_fails_at_import(block, flags):
+    code = "import sys\n" + block + textwrap.dedent("""
+        try:
+            import fogsim
+        except ModuleNotFoundError as exc:
+            print("ModuleNotFoundError", exc.name)
+        else:
+            print("imported")
+    """)
+    assert conftest.fresh_python(code, *flags) == ["ModuleNotFoundError numpy"]
 
 
 # -- cli ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ finished one is freed, and one deployment on either kernel."""
 import copy
 import gc
 import json
+import textwrap
 import threading
 import types
 from collections import Counter
@@ -11,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import conftest
 from fogsim.cli import main
 from fogsim.errors import DeadlockDetected
 from fogsim.ga_policies import POLICIES
@@ -118,6 +120,10 @@ def test_a_finished_deployment_is_freed_by_reference_counting(preset):
 
 def _two_user_vocr():
     """Smoke with two VOCR users, the second chained after the first, sized to take seconds of wall time."""
+    return parse_scenario(_two_user_vocr_tree())
+
+
+def _two_user_vocr_tree():
     tree = preset_tree("smoke")
     user = {"host": "10.0.0.1", "app": "VOCR", "frame_count": 2, "frame_interval_ms": 50.0}
     tree["users"] = [dict(user, start_at_ms=100.0), dict(user, start_after_user=0, start_after_delay_ms=100.0)]
@@ -128,7 +134,7 @@ def _two_user_vocr():
         # A wedged TCP run fails as DeadlockDetected after 30 s of wall time instead of hanging.
         time_limit_ms=30_000.0,
     )
-    return parse_scenario(tree)
+    return tree
 
 
 def _run_on(kernel, config):
@@ -159,6 +165,23 @@ def test_runtime_gives_the_same_outcomes_on_the_simulated_kernel_and_over_tcp():
     assert "traffic RegisterActor: sent=" in tcp.dump()
     assert thread_counts and set(thread_counts) == {1}
     assert threading.active_count() == 1
+
+
+def test_a_fresh_process_runs_its_first_tcp_deployment_with_numpy_loaded_by_the_first_search():
+    # Unlike the test above, TCP goes first, in an interpreter that has not
+    # loaded numpy: the master's first placement search loads it mid-run.
+    code = textwrap.dedent("""
+        import json, sys
+        from fogsim import RealtimeKernel, Runtime, parse_scenario
+
+        runtime = Runtime(parse_scenario(json.load(sys.stdin)), kernel=RealtimeKernel)
+        print("numpy._core" in sys.modules)
+        runtime.run()
+        print("numpy._core" in sys.modules)
+        print(*[m.outcome for m in runtime.request_metrics()])
+    """)
+    lines = conftest.fresh_python(code, stdin=json.dumps(_two_user_vocr_tree()))
+    assert lines == ["False", "True", "Completed Completed"]
 
 
 def _convergence_tree(seed=None, base_cpu_util=None, discovery=False):
