@@ -46,6 +46,8 @@ __all__ = ["ActorConfig", "ExecutorPhase", "TaskExecutor", "Actor"]
 
 @dataclass(frozen=True)
 class ActorConfig:
+    """Timings of an actor: executor cold start, warm-pool cool-off, master start-up and scale grace."""
+
     executor_startup_ms: float = 1500.0
     cool_off_ms: float = 30000.0
     master_startup_ms: float = 500.0
@@ -79,6 +81,8 @@ _LEGAL = {
 
 @dataclass
 class _FrameJoin:
+    """One frame at one executor: the parent tasks whose output has arrived, and whether any was final."""
+
     got: set = field(default_factory=set)
     final: bool = False
 

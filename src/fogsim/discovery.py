@@ -31,6 +31,8 @@ __all__ = ["DiscoveryConfig", "Discovery"]
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
+    """Whether a master scans its subnet for actors, how often, how wide, and how long past the worst RTT it waits."""
+
     enabled: bool = False
     interval_ms: float = 1000.0
     net_mask: int = 24

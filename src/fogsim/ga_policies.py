@@ -79,6 +79,8 @@ REFILL_STALL_LIMIT = 10
 
 @dataclass(frozen=True)
 class GaParams:
+    """Genetic-algorithm settings shared by the search policies."""
+
     pop_size: int = 100
     hist_ratio: float = 4.0
     max_iteration_num: int = 100
@@ -114,6 +116,8 @@ class GaParams:
 
 @dataclass(slots=True)
 class Individual:
+    """One member of a GA population: its genes, the key of its decoded assignment, and its fitness."""
+
     genes: np.ndarray
     key: bytes  # index bytes of the decoded assignment
     fitness: float
@@ -121,6 +125,8 @@ class Individual:
 
 @dataclass
 class PolicyResult:
+    """What a placement search returns: the best assignment, its genes and fitness, and how the search got there."""
+
     assignment: tuple
     genes: np.ndarray
     fitness: float

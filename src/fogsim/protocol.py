@@ -121,12 +121,20 @@ class HostProfile(_Record):
 
 @dataclass
 class RegisterActor:
+    """An actor to a master: register me, with my host profile and the task images I hold."""
+
     profile: HostProfile
     images: list[str] = field(default_factory=list)  # task names, "*" = any
 
 
 @dataclass
 class PlacementRequest:
+    """A user to a master: place this app.
+
+    ``request_id`` names its user, as ``f"{host}:{port}#0"``; a master
+    refuses a request whose id does not name the address it came from.
+    """
+
     request_id: str
     app: str
     frame_size_bytes: int = 65536
@@ -134,6 +142,8 @@ class PlacementRequest:
 
 @dataclass
 class InitTaskExecutor:
+    """A master to an actor: start (or reuse) an executor for one placed task, wired to its dependencies."""
+
     request_id: str
     app: str
     task: str
@@ -142,12 +152,16 @@ class InitTaskExecutor:
 
 @dataclass
 class ExecutorReady:
+    """An actor to a master: the executor of this task has reached its peers and is ready."""
+
     request_id: str
     task: str
 
 
 @dataclass
 class ResourcesReady:
+    """A master to a user: every executor of the request is ready, so start streaming."""
+
     request_id: str
 
 
@@ -165,6 +179,8 @@ class Data:
 
 @dataclass
 class Result:
+    """An exit task's executor to its master, which relays it to the user: one frame's output."""
+
     request_id: str
     frame_seq: int
     task: str = ""
@@ -174,26 +190,34 @@ class Result:
 
 @dataclass
 class Probe:
-    pass
+    """A master's discovery, or a connecting executor, to any port: who is there?"""
 
 
 @dataclass
 class ProbeReply:
+    """The answer to a Probe: empty from an actor, a master's registered actors from a master."""
+
     actors: list[Address] = field(default_factory=list)  # masters only
 
 
 @dataclass
 class AdvertiseMaster:
+    """To an actor: register with this master; to a master: this master is up and may take requests."""
+
     master: Address
 
 
 @dataclass
 class InitNewMaster:
+    """A saturated master to an actor: start a master on your host, seeded with my registered actors."""
+
     actors: list[Address] = field(default_factory=list)  # parent's registered actors
 
 
 @dataclass
 class ForwardToMaster:
+    """A saturated master to a user: send the same request to this sub-master instead."""
+
     sub_master: Address
 
 
@@ -207,11 +231,15 @@ class MasterLoad:
 
 @dataclass
 class WarnNoResources:
+    """A master to a user: the request cannot be placed, so it ends here."""
+
     request_id: str
 
 
 @dataclass
 class LogUpload:
+    """Host profiles: an actor or master to a logger, an actor to its masters, or a logger's snapshot to a master."""
+
     records: list[HostProfile] = field(default_factory=list)
 
 

@@ -233,7 +233,10 @@ class Master:
         self.view.observe(msg.profile)
 
     def _enqueue(self, user_addr: Address, msg: PlacementRequest) -> None:
-        """Queues a request under the id its user gave it, which a forward keeps."""
+        """Queues a request under the id its user gave it, which a forward keeps; the id must name that user."""
+        if msg.request_id.rpartition("#")[0] != str(user_addr):
+            self.protocol_anomalies += 1  # a request under another address's id
+            return
         state = self.requests.get(msg.request_id)
         if state is not None:
             # A request we forwarded away may bounce back when every master

@@ -27,13 +27,14 @@ a forked child works on its own copy, and what it adds never comes back.
 A re-solve draws from ``ga_policies.search_rng``; this module does not
 import numpy. numpy loads at a process's first search, so building a
 ``Runtime`` does not load it, a run with no search (discovery) never does,
-and convergence loads it in its warm-up, before any child forks.
+and convergence loads it in its warm-up, before any child forks. Likewise
+only ``_run_forked`` and its children import ``pickle``, so it loads only
+when convergence runs its re-solves, not at import.
 """
 from __future__ import annotations
 
 import copy
 import os
-import pickle
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -544,6 +545,8 @@ def _run_forked(jobs: list) -> list:
     results, or the error a job raised, come back pickled over a pipe. Every
     child is reaped before this returns or raises.
     """
+    import pickle
+
     n = min(len(os.sched_getaffinity(0)), len(jobs))
     results = [None] * len(jobs)
     pipes, pids = [], []
@@ -580,6 +583,8 @@ def _run_child(jobs: list, write_end: int, read_ends: list) -> NoReturn:
     """A forked child's share: it writes its pickled results, or its job's error, and leaves through os._exit."""
     status = 1
     try:
+        import pickle  # inside the try, so that even a failed import leaves through os._exit
+
         # Holding no read end, a child writing to a pipe whose reader went away fails instead of waiting.
         for pipe in read_ends:
             pipe.close()

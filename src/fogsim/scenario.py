@@ -56,6 +56,8 @@ _PRESETS = importlib.resources.files(__package__) / "presets"
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A validated scenario: the experiment, topology, deployment, apps, users and every component's settings."""
+
     name: str
     seed: int
     experiment: dict

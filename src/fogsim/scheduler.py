@@ -31,6 +31,8 @@ from .telemetry import TelemetryView
 
 @dataclass(frozen=True)
 class SchedulerConfig:
+    """When a master counts as saturated, and the CPU work it prices one placement search at."""
+
     max_cpu_util: float = 0.8
     max_sched_count: int = 4
     sched_base_units: float = 100.0

@@ -29,6 +29,8 @@ __all__ = ["UserConfig", "RequestMetrics", "User"]
 
 @dataclass(frozen=True)
 class UserConfig:
+    """One user's request: its host, app, first master, frames and their timing, and its deadline."""
+
     host: str
     app: str
     master: Address
@@ -54,6 +56,8 @@ class UserConfig:
 
 @dataclass
 class RequestMetrics:
+    """What one user measured of its request: outcome, SFT, RRT, per-frame response times and forwards."""
+
     request_id: str
     app: str
     user_host: str

@@ -530,6 +530,28 @@ def test_importing_fogsim_loads_no_process_pool_and_starts_no_thread():
     assert conftest.fresh_python(code) == ["[]", "1"]
 
 
+def test_a_simulated_run_loads_no_socket_csv_or_pickle_before_its_first_event():
+    code = textwrap.dedent("""
+        import sys
+        import fogsim
+        from fogsim import Runtime, parse_scenario, preset_tree
+
+        Runtime(parse_scenario(preset_tree("smoke")))
+        print(sorted(m for m in ("socket", "fogsim.tcpnet", "fogsim.report", "csv", "pickle") if m in sys.modules))
+        print(fogsim.RealtimeKernel is fogsim.tcpnet.RealtimeKernel, fogsim.emit_report is fogsim.report.emit_report)
+        star = {}
+        exec("from fogsim import *", star)
+        print(sorted(set(fogsim.__all__) - set(star)))
+        try:
+            fogsim.no_such_name
+        except AttributeError as exc:
+            print("AttributeError", exc)
+    """)
+    assert conftest.fresh_python(code) == [
+        "[]", "True True", "[]", "AttributeError module 'fogsim' has no attribute 'no_such_name'",
+    ]
+
+
 def test_numpy_loads_at_the_first_search_not_at_import_parse_or_build():
     code = textwrap.dedent("""
         import sys

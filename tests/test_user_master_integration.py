@@ -394,14 +394,31 @@ def test_a_task_output_from_the_actors_own_host_is_taken_only_from_that_tasks_ex
 
 def test_a_second_request_under_an_id_the_master_holds_is_counted_as_an_anomaly():
     cluster = Cluster({"a": {"*"}})
-    user = cluster.add_user(frames=1)
+    user = cluster.add_user(frames=1)  # starts at 100 ms
+    again = MessageEnvelope(user.address, cluster.master().address,
+                            PlacementRequest(request_id=user.request_id, app="VOCR"))
+    cluster.kernel.schedule_at(150.0, lambda: cluster.kernel.send(again))
+    cluster.run()
+    master = cluster.master()
+    assert list(master.requests) == [user.request_id]
+    assert master.protocol_anomalies == 1
+    assert user.metrics().outcome == "Completed"
+
+
+def test_a_request_under_an_id_that_does_not_name_its_sender_is_refused():
+    # An early request under the user's id once won the id, and the user's
+    # own request became the anomaly.
+    cluster = Cluster({"a": {"*"}})
+    user = cluster.add_user(frames=1)  # starts at 100 ms
     early = MessageEnvelope(Address("u", 7777), cluster.master().address,
                             PlacementRequest(request_id=user.request_id, app="VOCR"))
     cluster.kernel.schedule_at(50.0, lambda: cluster.kernel.send(early))
     cluster.run()
     master = cluster.master()
     assert list(master.requests) == [user.request_id]
+    assert master.requests[user.request_id].user_addr == user.address
     assert master.protocol_anomalies == 1
+    assert user.metrics().outcome == "Completed"
 
 
 def test_saturated_master_with_no_scale_target_schedules_the_held_request_once_its_slot_frees():
